@@ -501,55 +501,42 @@ def privacy_audit(ch, x_grid=None, z_grid=None) -> AuditResult:
     For the Laplace mechanism with the extremal points (+-T, z=T) on the grids
     the supremum equals e^alpha exactly; for randomized response the full
     alphabets are enumerated, so the audit is exact.
+
+    Scalar releases and randomized response reduce the (x, z) density matrix
+    column by column; a zero minimum reads inf, or 1 in an all-zero column.  A
+    multi-level release takes the product over levels of sup_z q_l(z|x)/q_l(z|x')
+    from one (x, z) density matrix per level, dividing one x row by all x' rows
+    at a time so no block larger than (x', z) is held: O(m |x|^2 |z|) array
+    work for m levels.  Ties go to the first (x, x', z) in grid order.
     """
+    if isinstance(ch, (MultiTruncChannel, MultiBandwidthChannel)):
+        xs = ch.default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
+        joint = np.ones((len(xs), len(xs)))  # (x, x'), multiplied in level order
+        levels = []
+        for lev in range(len(ch.grid)):
+            zs = ch.level_z_grid(lev) if z_grid is None else np.asarray(z_grid, dtype=float)
+            dens = ch.level_density(lev, zs[None, :], xs[:, None])  # (x, z)
+            for i, row in enumerate(dens):
+                joint[i] *= (row / dens).max(axis=1)
+            levels.append((zs, dens))
+        i, j = np.unravel_index(int(np.argmax(joint)), joint.shape)
+        argz = tuple(float(zs[np.argmax(dens[i] / dens[j])]) for zs, dens in levels)
+        return AuditResult(float(joint[i, j]), float(xs[i]), float(xs[j]), argz)
+
     if isinstance(ch, RandomizedResponseChannel):
         xs = np.asarray(ch.input_support) if x_grid is None else np.asarray(x_grid, dtype=float)
         zs = np.asarray(ch.output_support) if z_grid is None else np.asarray(z_grid, dtype=float)
         dens = np.array([[ch.density(z, x) for z in zs] for x in xs])
-        best = (-math.inf, 0, 0, 0)
-        for iz in range(len(zs)):
-            col = dens[:, iz]
-            ix = int(np.argmax(col))
-            ixp = int(np.argmin(col))
-            if col[ixp] == 0.0:
-                ratio = math.inf if col[ix] > 0 else 1.0
-            else:
-                ratio = col[ix] / col[ixp]
-            if ratio > best[0]:
-                best = (ratio, ix, ixp, iz)
-        return AuditResult(best[0], float(xs[best[1]]), float(xs[best[2]]), float(zs[best[3]]))
-
-    if isinstance(ch, (MultiTruncChannel, MultiBandwidthChannel)):
+    else:  # scalar-release channels with closed-form densities
         xs = ch.default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
-        n_levels = len(ch.grid)
-        best = (-math.inf, 0.0, 0.0, None)
-        for x in xs:
-            for xp in xs:
-                ratio = 1.0
-                argz = []
-                for lev in range(n_levels):
-                    zs = ch.level_z_grid(lev) if z_grid is None else np.asarray(z_grid, dtype=float)
-                    r = ch.level_density(lev, zs, x) / ch.level_density(lev, zs, xp)
-                    k = int(np.argmax(r))
-                    ratio *= float(r[k])
-                    argz.append(float(zs[k]))
-                if ratio > best[0]:
-                    best = (ratio, float(x), float(xp), tuple(argz))
-        return AuditResult(*best)
-
-    # scalar-release channels with closed-form densities
-    xs = ch.default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
-    zs = ch.default_z_grid() if z_grid is None else np.asarray(z_grid, dtype=float)
-    dens = ch.density(zs[None, :], xs[:, None])  # (x, z)
-    best = (-math.inf, 0, 0, 0)
-    for iz in range(len(zs)):
-        col = dens[:, iz]
-        ix = int(np.argmax(col))
-        ixp = int(np.argmin(col))
-        ratio = col[ix] / col[ixp]
-        if ratio > best[0]:
-            best = (float(ratio), ix, ixp, iz)
-    return AuditResult(best[0], float(xs[best[1]]), float(xs[best[2]]), float(zs[best[3]]))
+        zs = ch.default_z_grid() if z_grid is None else np.asarray(z_grid, dtype=float)
+        dens = ch.density(zs[None, :], xs[:, None])  # (x, z)
+    hi, lo = dens.max(axis=0), dens.min(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(lo == 0.0, np.where(hi > 0.0, math.inf, 1.0), hi / lo)
+    iz = int(np.argmax(ratios))
+    col = dens[:, iz]
+    return AuditResult(float(ratios[iz]), float(xs[col.argmax()]), float(xs[col.argmin()]), float(zs[iz]))
 
 
 # ---------------------------------------------------------------------------

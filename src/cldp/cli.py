@@ -85,6 +85,15 @@ def _ints(val: str) -> tuple[int, ...]:
     return tuple(int(v) for v in val.split(","))
 
 
+def _bool(val: str) -> bool:
+    low = val.strip().lower()
+    if low in ("1", "true", "yes"):
+        return True
+    if low in ("0", "false", "no"):
+        return False
+    raise ConfigError(f"expected a boolean (true/false, yes/no, 1/0), got {val!r}")
+
+
 def _require(cfg: dict, key: str) -> str:
     if key not in cfg:
         raise ConfigError(f"missing config key {key!r}")
@@ -97,7 +106,12 @@ def _model_from_config(cfg: dict):
         ks = _floats(_require(cfg, "ks"))
         a = _floats(cfg.get("a", ",".join(str(k + 1.0) for k in ks)))
         return ParetoFactorModel(
-            ks=ks, a=a, rho=float(cfg.get("rho", 0.0)), scale=float(cfg.get("scale", 1.0))
+            ks=ks,
+            a=a,
+            rho=float(cfg.get("rho", 0.0)),
+            scale=float(cfg.get("scale", 1.0)),
+            coupling=cfg.get("coupling", "mixture"),
+            symmetric=_bool(cfg.get("symmetric", "true")),
         )
     if kind == "holder_density":
         kwargs = {}
@@ -295,7 +309,7 @@ def cmd_rates(args) -> int:
         if key in cfg:
             options[key] = float(cfg[key])
     if "zero_noise" in cfg:
-        options["zero_noise"] = cfg["zero_noise"].lower() in ("1", "true", "yes")
+        options["zero_noise"] = _bool(cfg["zero_noise"])
     model = _model_from_config(cfg)
     exp = ExperimentConfig(
         mode=mode,

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.special import stdtrit
 
 from . import adaptive as ad
 from . import contraction as ct
@@ -199,7 +200,7 @@ class RateCurve:
 
 
 def fit_loglog_slope(curve) -> SlopeFit:
-    """OLS of log(mse) on log(n_eff) with a 95% band from the usual standard error."""
+    """OLS of log(mse) on log(n_eff) with a 95% band: slope +- t_{0.975, k-2} * stderr over k points."""
     if isinstance(curve, RateCurve):
         pts = curve.valid_points()
         xs = np.array([p.n_eff for p in pts])
@@ -220,7 +221,8 @@ def fit_loglog_slope(curve) -> SlopeFit:
     dof = max(1, lx.size - 2)
     s2 = float(np.sum(resid**2) / dof)
     se = math.sqrt(s2 / sxx)
-    return SlopeFit(slope, intercept, se, (slope - 1.96 * se, slope + 1.96 * se))
+    half = float(stdtrit(dof, 0.975)) * se
+    return SlopeFit(slope, intercept, se, (slope - half, slope + half))
 
 
 def _n_eff(mode: str, n: int, budget: PrivacyBudget, options: dict) -> float:

@@ -12,6 +12,7 @@ stream and nothing else.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cldp.channels import (
+    AuditResult,
     KernelFn,
     KernelLaplaceChannel,
     LaplaceTruncChannel,
@@ -14,7 +17,9 @@ from cldp.channels import (
     channel_to_json,
     compose_ldp_level,
     kernel_order,
+    RandomizedResponseChannel,
     make_constant_channel,
+    make_identity_channel,
     make_kernel,
     make_rr_channel,
     privacy_audit,
@@ -212,3 +217,141 @@ class TestSerialization:
             back = channel_from_json(channel_to_json(ch))
             assert type(back) is type(ch)
             assert back.alpha == pytest.approx(ch.alpha)
+
+
+def reference_audit(ch, x_grid=None, z_grid=None) -> AuditResult:
+    """The audit as nested Python loops over z, and over (x, x', level) for multi-level channels."""
+    if isinstance(ch, RandomizedResponseChannel):
+        xs = np.asarray(ch.input_support) if x_grid is None else np.asarray(x_grid, dtype=float)
+        zs = np.asarray(ch.output_support) if z_grid is None else np.asarray(z_grid, dtype=float)
+        dens = np.array([[ch.density(z, x) for z in zs] for x in xs])
+        best = (-math.inf, 0, 0, 0)
+        for iz in range(len(zs)):
+            col = dens[:, iz]
+            ix = int(np.argmax(col))
+            ixp = int(np.argmin(col))
+            if col[ixp] == 0.0:
+                ratio = math.inf if col[ix] > 0 else 1.0
+            else:
+                ratio = col[ix] / col[ixp]
+            if ratio > best[0]:
+                best = (ratio, ix, ixp, iz)
+        return AuditResult(best[0], float(xs[best[1]]), float(xs[best[2]]), float(zs[best[3]]))
+
+    if isinstance(ch, (MultiTruncChannel, MultiBandwidthChannel)):
+        xs = ch.default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
+        best = (-math.inf, 0.0, 0.0, None)
+        for x in xs:
+            for xp in xs:
+                ratio = 1.0
+                argz = []
+                for lev in range(len(ch.grid)):
+                    zs = ch.level_z_grid(lev) if z_grid is None else np.asarray(z_grid, dtype=float)
+                    r = ch.level_density(lev, zs, x) / ch.level_density(lev, zs, xp)
+                    k = int(np.argmax(r))
+                    ratio *= float(r[k])
+                    argz.append(float(zs[k]))
+                if ratio > best[0]:
+                    best = (ratio, float(x), float(xp), tuple(argz))
+        return AuditResult(*best)
+
+    xs = ch.default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
+    zs = ch.default_z_grid() if z_grid is None else np.asarray(z_grid, dtype=float)
+    dens = ch.density(zs[None, :], xs[:, None])
+    best = (-math.inf, 0, 0, 0)
+    for iz in range(len(zs)):
+        col = dens[:, iz]
+        ix = int(np.argmax(col))
+        ixp = int(np.argmin(col))
+        ratio = col[ix] / col[ixp]
+        if ratio > best[0]:
+            best = (float(ratio), ix, ixp, iz)
+    return AuditResult(best[0], float(xs[best[1]]), float(xs[best[2]]), float(zs[best[3]]))
+
+
+MULTI_LEVEL = [
+    MultiTruncChannel(grid=(4.0, 2.0, 1.0), alpha=0.9),
+    MultiBandwidthChannel(grid=(0.25, 0.5, 1.0), alpha=0.7, x0=0.3, kernel=make_kernel(1)),
+    MultiBandwidthChannel(grid=(0.125, 0.5, 1.0), alpha=0.5, x0=-0.4, kernel=make_kernel(3)),
+]
+
+
+class TestAuditMatchesLoopReference:
+    """The array reductions reproduce the loop audit exactly, ties and argmax points included."""
+
+    @pytest.mark.parametrize("ch", MULTI_LEVEL, ids=["trunc", "bandwidth_k1", "bandwidth_k3"])
+    def test_multi_level_default_grids(self, ch):
+        assert privacy_audit(ch) == reference_audit(ch)
+
+    @pytest.mark.parametrize("ch", MULTI_LEVEL, ids=["trunc", "bandwidth_k1", "bandwidth_k3"])
+    def test_multi_level_explicit_grids(self, ch):
+        xs = np.linspace(-5.0, 5.0, 21)
+        zs = np.linspace(-30.0, 30.0, 41)
+        res = privacy_audit(ch, x_grid=xs, z_grid=zs)
+        assert res == reference_audit(ch, x_grid=xs, z_grid=zs)
+        assert len(res.arg_z) == len(ch.grid)
+
+    @pytest.mark.parametrize(
+        "ch",
+        [
+            LaplaceTruncChannel(T=1.0, alpha=0.8),
+            LaplaceTruncChannel(T=7.0, alpha=0.05),
+            *(KernelLaplaceChannel(h=0.25, x0=0.1, kernel=make_kernel(k), alpha=0.6) for k in range(4)),
+        ],
+    )
+    def test_scalar_release(self, ch):
+        assert privacy_audit(ch) == reference_audit(ch)
+        xs, zs = [-1.0, 0.0, 1.0, 1.0], [-1.0, 0.0, 1.0]
+        assert privacy_audit(ch, x_grid=xs, z_grid=zs) == reference_audit(ch, x_grid=xs, z_grid=zs)
+
+    @pytest.mark.parametrize(
+        "ch",
+        [
+            *(make_rr_channel(tuple(range(m)), 0.3 + 0.2 * m) for m in (2, 3, 5)),
+            make_constant_channel((0.0, 1.0, 2.0)),
+            make_constant_channel((0.0, 1.0, 2.0), symbol_index=1),
+            make_identity_channel((0.0, 1.0, 2.0)),
+        ],
+    )
+    def test_randomized_response(self, ch):
+        assert privacy_audit(ch) == reference_audit(ch)
+        xs, zs = ch.input_support[::-1], ch.output_support[1:]
+        assert privacy_audit(ch, x_grid=xs, z_grid=zs) == reference_audit(ch, x_grid=xs, z_grid=zs)
+
+    def test_zero_probability_columns(self):
+        # a zero minimum reads inf; an all-zero column reads 1
+        assert privacy_audit(make_identity_channel((0.0, 1.0))).max_ratio == math.inf
+        res = privacy_audit(make_constant_channel((0.0, 1.0, 2.0), symbol_index=2), z_grid=[0.0, 1.0])
+        assert res == AuditResult(1.0, 0.0, 0.0, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        variant=st.sampled_from(["trunc", "bandwidth"]),
+        levels=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
+        alpha=st.floats(0.05, 3.0),
+        kernel=st.integers(0, 3),
+        x0=st.floats(-1.0, 1.0),
+        xs=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=7),
+        zs=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=9),
+    )
+    def test_multi_level_property(self, variant, levels, alpha, kernel, x0, xs, zs):
+        if variant == "trunc":
+            ch = MultiTruncChannel(grid=tuple(8.0 * t for t in levels), alpha=alpha)
+        else:
+            ch = MultiBandwidthChannel(grid=tuple(levels), alpha=alpha, x0=x0, kernel=make_kernel(kernel))
+        res = privacy_audit(ch, x_grid=xs, z_grid=zs)
+        assert res == reference_audit(ch, x_grid=xs, z_grid=zs)
+        assert res.max_ratio <= math.exp(alpha) * (1 + 1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        T=st.floats(0.1, 8.0),
+        alpha=st.floats(0.05, 3.0),
+        xs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=9),
+        zs=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=9),
+    )
+    def test_scalar_release_property(self, T, alpha, xs, zs):
+        ch = LaplaceTruncChannel(T=T, alpha=alpha)
+        res = privacy_audit(ch, x_grid=xs, z_grid=zs)
+        assert res == reference_audit(ch, x_grid=xs, z_grid=zs)
+        assert res.max_ratio <= math.exp(alpha) * (1 + 1e-9)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from cldp.channels import LaplaceTruncChannel, channel_to_json, make_rr_channel
-from cldp.cli import main, parse_kv_config
+from cldp.cli import _model_from_config, main, parse_kv_config
 from cldp.measures import DiscreteDist
+from cldp.simdata import model_from_json
 
 
 def write(path, text):
@@ -98,6 +99,24 @@ class TestEstimateCommand:
         assert main(["estimate", "--mode", "kde", "--config", cfg, "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         assert rep["regime"] == "private"
+
+    def test_pareto_coupling_and_symmetry_forwarded(self, tmp_path):
+        # the c07 model: one-sided power coupling, true mean 6.67
+        cfg = parse_kv_config(
+            write(tmp_path / "cfg.txt", "ks=2\na=2.1\nscale=16\ncoupling=power\nsymmetric=false\n")
+        )
+        want = model_from_json(
+            {"kind": "pareto_factor", "ks": [2.0], "a": [2.1], "rho": 0.0, "scale": 16.0,
+             "coupling": "power", "symmetric": False}
+        )
+        assert _model_from_config(cfg) == want
+        assert _model_from_config({"ks": "4", "a": "5"}) == model_from_json(
+            {"kind": "pareto_factor", "ks": [4.0], "a": [5.0], "rho": 0.0}
+        )
+
+    def test_malformed_boolean_exit_config(self, tmp_path):
+        cfg = write(tmp_path / "cfg.txt", "n=100\nalphas=1\nks=2\na=2.1\nsymmetric=maybe\n")
+        assert main(["estimate", "--mode", "mean", "--config", cfg]) == 2
 
     def test_missing_key_exit_config(self, tmp_path):
         cfg = write(tmp_path / "cfg.txt", "n=100\n")

@@ -59,6 +59,14 @@ class TestFitLogLog:
         assert fit.intercept == pytest.approx(coef[0], abs=1e-10)
         assert fit.slope == pytest.approx(coef[1], abs=1e-10)
 
+    def test_band_uses_t_quantile(self):
+        xs = 2.0 ** np.arange(8, 16)
+        ys = xs**-0.5 * np.exp(derive_rng(13, 0).normal(0, 0.1, size=8))
+        fit = fit_loglog_slope((xs, ys))
+        half = 2.446911851144979 * fit.slope_stderr  # t quantile, 6 degrees of freedom
+        assert fit.band[0] == pytest.approx(fit.slope - half, rel=1e-12)
+        assert fit.band[1] == pytest.approx(fit.slope + half, rel=1e-12)
+
     def test_nonpositive_mse_rejected(self):
         xs = np.array([1.0, 2.0, 4.0, 8.0])
         with pytest.raises(ValueError, match="nonpositive"):

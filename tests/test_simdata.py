@@ -62,6 +62,15 @@ class TestParetoFactor:
         assert np.all(X > 0)
         assert model.mean(1) == pytest.approx(float(X.mean()), rel=0.02)
 
+    def test_one_sided_mixture_truths(self):
+        model = ParetoFactorModel(ks=[4.0, 4.0], a=[5.0, 5.0], rho=0.5, symmetric=False)
+        gamma = model.gamma()
+        assert model.covariance() == pytest.approx(gamma - model.mean(1) * model.mean(2), rel=1e-12)
+        assert 0.0 < model.correlation() < 1.0
+        prods = np.prod(sample_heavy_tailed(model, 1_000_000, derive_rng(12, 0)), axis=1)
+        se = float(prods.std(ddof=1)) / math.sqrt(prods.size)
+        assert abs(float(prods.mean()) - gamma) <= 5.0 * se
+
     def test_scale_multiplies_moments(self):
         base = ParetoFactorModel(ks=[4.0, 4.0], a=[5.0, 5.0], rho=0.5)
         scaled = ParetoFactorModel(ks=[4.0, 4.0], a=[5.0, 5.0], rho=0.5, scale=3.0)
