@@ -8,7 +8,6 @@ functions of the released tensor and are returned in full as diagnostics.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -166,30 +165,19 @@ def gl_select_truncation(Zm: PrivatizedSample, cfg: GLConfig) -> TruncationSelec
     prod_T = _outer_product([grid] * d)
 
     # componentwise minimum of (grid[i], grid[j]) is grid[max(i, j)] since the
-    # grid is decreasing
-    if d == 1:
-        ar = np.arange(m)
-        K = np.maximum(ar[:, None], ar[None, :])
-        diff = gamma[K] - gamma[None, :]
-        B = np.maximum(diff * diff - V[None, :], 0.0).max(axis=1)
-    elif d == 2:
-        ar = np.arange(m)
-        K = np.maximum(ar[:, None], ar[None, :])  # (i, j) -> max index
-        gamma_K = gamma[K[:, None, :, None], K[None, :, None, :]]  # (i1,i2,j1,j2)
-        diff = gamma_K - gamma[None, None, :, :]
-        B = np.maximum(diff * diff - V[None, None, :, :], 0.0).max(axis=(2, 3))
-    else:
-        idx_ranges = [range(m)] * d
-        B = np.zeros_like(V)
-        for I in itertools.product(*idx_ranges):
-            worst = 0.0
-            for J in itertools.product(*idx_ranges):
-                Kt = tuple(max(a, b) for a, b in zip(I, J))
-                diff = gamma[Kt] - gamma[J]
-                excess = diff * diff - V[J]
-                if excess > worst:
-                    worst = excess
-            B[I] = worst
+    # grid is decreasing.  One block per leading selector index i_1 holds the
+    # m^(2d-1) pairs (i_2..i_d, J), axes (i_2..i_d, j_1..j_d).
+    ar = np.arange(m)
+    K = np.maximum(ar[:, None], ar[None, :])
+    B = np.empty_like(V)
+    for i in range(m):
+        index = [np.maximum(i, ar).reshape((m,) + (1,) * (d - 1))]
+        for j in range(1, d):
+            shape = [1] * (2 * d - 1)
+            shape[j - 1] = shape[d - 1 + j] = m
+            index.append(K.reshape(shape))
+        diff = gamma[tuple(index)] - gamma
+        B[i] = np.maximum(diff * diff - V, 0.0).max(axis=tuple(range(d - 1, 2 * d - 1)))
 
     score = B + V
     best = _argmin_tiebreak(score, prod_T)

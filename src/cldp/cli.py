@@ -18,37 +18,28 @@ import numpy as np
 from . import adaptive as ad
 from . import effective_privacy as ep
 from . import lowerbounds as lb
-from .channels import (
-    PrivacyBudget,
-    channel_from_json,
-    kernel_order,
-    make_kernel,
-    privacy_audit,
-)
+from .channels import PrivacyBudget, channel_from_json, privacy_audit
 from .estimators import (
     HolderClass,
     MomentProfile,
     corr_release_plan,
-    kde_channels,
-    optimal_bandwidth,
-    optimal_truncations,
     private_covariance_correlation,
-    private_joint_moment,
-    private_kde,
-    private_mean,
     release_sample,
 )
 from .harness import (
+    MODES,
     ExperimentConfig,
     default_workers,
     derive_rng,
     fit_loglog_slope,
+    kde_bandwidth,
+    run_mode,
     run_rate_experiment,
     run_verification_suite,
+    write_json,
 )
-from .estimators import LaplaceTruncChannel
 from .measures import DiscreteDist
-from .simdata import HolderDensityModel, ParetoFactorModel, sample_heavy_tailed, sample_holder_density
+from .simdata import ParetoFactorModel, model_from_json, sample_heavy_tailed
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -100,54 +91,52 @@ def _require(cfg: dict, key: str) -> str:
     return cfg[key]
 
 
-def _model_from_config(cfg: dict):
+# the config keys of each model kind, with their parsers; a missing key takes
+# the constructor's default, except the required a (ks + 1) and beta (2)
+_MODEL_KEYS = {
+    "pareto_factor": {
+        "ks": _floats, "a": _floats, "rho": float, "scale": float, "coupling": str, "symmetric": _bool,
+    },
+    "holder_density": {
+        "beta": float, "d": int, "box": float, "weights": _floats, "mus": _floats, "sigmas": _floats,
+        "kink_b": float, "kink_weight": float,
+    },
+}
+# pipeline options, stored in the options dict (and the rates meta.json) as parsed here
+_OPTION_KEYS = {"ks": _floats, "x0": _floats, "beta": float, "c0": float, "h": float, "zero_noise": _bool}
+
+
+def _model_kind(cfg: dict) -> str:
     kind = cfg.get("model", "pareto_factor")
+    if kind not in _MODEL_KEYS:
+        raise ConfigError(f"unknown model {kind!r}")
+    return kind
+
+
+def _model_from_config(cfg: dict):
+    kind = _model_kind(cfg)
+    spec = {key: parse(cfg[key]) for key, parse in _MODEL_KEYS[kind].items() if key in cfg}
     if kind == "pareto_factor":
-        ks = _floats(_require(cfg, "ks"))
-        a = _floats(cfg.get("a", ",".join(str(k + 1.0) for k in ks)))
-        return ParetoFactorModel(
-            ks=ks,
-            a=a,
-            rho=float(cfg.get("rho", 0.0)),
-            scale=float(cfg.get("scale", 1.0)),
-            coupling=cfg.get("coupling", "mixture"),
-            symmetric=_bool(cfg.get("symmetric", "true")),
-        )
-    if kind == "holder_density":
-        kwargs = {}
-        for key in ("weights", "mus", "sigmas"):
-            if key in cfg:
-                kwargs[key] = _floats(cfg[key])
-        if "kink_b" in cfg:
-            kwargs["kink_b"] = float(cfg["kink_b"])
-        if "kink_weight" in cfg:
-            kwargs["kink_weight"] = float(cfg["kink_weight"])
-        return HolderDensityModel(
-            beta=float(cfg.get("beta", 2.0)),
-            d=int(cfg.get("d", 1)),
-            box=float(cfg.get("box", 3.0)),
-            **kwargs,
-        )
-    raise ConfigError(f"unknown model {kind!r}")
-
-
-def _np_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
-def _write_json(path: str | None, obj: dict):
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_np_default) + "\n"
-    if path:
-        with open(path, "w") as f:
-            f.write(text)
+        spec.setdefault("a", tuple(k + 1.0 for k in _floats(_require(cfg, "ks"))))
     else:
-        sys.stdout.write(text)
+        spec.setdefault("beta", 2.0)
+    return model_from_json({"kind": kind, **spec})
+
+
+def _reject_unknown(cfg: dict, known) -> None:
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
+
+
+def _mode_inputs(cfg: dict, mode: str, command_keys: set) -> tuple:
+    """(model, options) of a table mode from a kv config; unknown keys are errors."""
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}")
+    kind = _model_kind(cfg)
+    _reject_unknown(cfg, command_keys | {"model"} | _MODEL_KEYS[kind].keys() | set(MODES[mode].config_keys))
+    options = {key: parse(cfg[key]) for key, parse in _OPTION_KEYS.items() if key in cfg}
+    return _model_from_config(cfg), options
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +158,7 @@ def cmd_audit(args) -> int:
         ok = res.max_ratio <= bound * (1 + 1e-9)
         worst = worst or not ok
         rows.append({"spec": spec, **res.to_json(), "bound": bound, "ok": ok})
-    _write_json(args.out, {"audits": rows, "violations": sum(not r["ok"] for r in rows)})
+    write_json(args.out, {"audits": rows, "violations": sum(not r["ok"] for r in rows)})
     return EXIT_VIOLATION if worst else EXIT_OK
 
 
@@ -179,7 +168,7 @@ def cmd_contract_verify(args) -> int:
     report = run_contraction_sweep(
         dims=tuple(args.dims), instances=args.instances, seed=args.seed
     )
-    _write_json(args.out, report)
+    write_json(args.out, report)
     return EXIT_VIOLATION if report["violations"] else EXIT_OK
 
 
@@ -190,129 +179,70 @@ def cmd_leakage(args) -> int:
         specs = json.load(f)
     channels = [channel_from_json(s) for s in specs]
     report = ep.leakage_report(P, channels)
-    _write_json(args.out, report)
+    write_json(args.out, report)
     return EXIT_VIOLATION if report["violation"] else EXIT_OK
 
 
-def cmd_estimate(args) -> int:
+def _sample_inputs(args, mode: str) -> tuple:
+    """(n, budget, model, options, seed) of one ``estimate`` or ``adaptive`` run."""
     cfg = parse_kv_config(args.config)
-    mode = args.mode
+    model, options = _mode_inputs(cfg, mode, {"n", "seed", "alphas"})
     n = int(_require(cfg, "n"))
-    seed = int(cfg.get("seed", 0))
-    alphas = _floats(_require(cfg, "alphas"))
-    budget = PrivacyBudget(alphas)
-    model = _model_from_config(cfg)
-    rng = derive_rng(seed, 900)
+    return n, PrivacyBudget(_floats(_require(cfg, "alphas"))), model, options, int(cfg.get("seed", 0))
 
-    if mode in ("mean", "moment", "cov", "corr"):
+
+def cmd_estimate(args) -> int:
+    mode = args.mode
+    n, budget, model, options, seed = _sample_inputs(args, "cov" if mode == "corr" else mode)
+    rng = derive_rng(seed, 900)
+    if mode == "corr":
         if not isinstance(model, ParetoFactorModel):
-            raise ConfigError(f"mode {mode} expects a pareto_factor model")
+            raise ConfigError("mode corr expects a pareto_factor model")
         X = sample_heavy_tailed(model, n, rng)
-        profile = MomentProfile(_floats(_require(cfg, "ks")))
-        if mode == "corr":
-            ch_raw, ch_sq = corr_release_plan(profile, budget, n)
-            Z = release_sample(X, ch_raw, rng)
-            Z2 = release_sample(np.abs(X) ** 2, ch_sq, rng)
-            est = private_covariance_correlation(Z, Z2)
-            out = {"mode": mode, "n": n, **est.to_json()}
-        else:
-            trunc_mode = "mean" if mode == "mean" else "joint"
-            ts = optimal_truncations(profile, budget, n, mode=trunc_mode)
-            channels = tuple(LaplaceTruncChannel(float(t), a) for t, a in zip(ts, alphas))
-            Z = release_sample(X, channels, rng)
-            if mode == "mean":
-                out = {"mode": mode, "n": n, "estimates": [private_mean(Z, j + 1) for j in range(Z.d)]}
-            elif mode == "moment":
-                out = {"mode": mode, "n": n, "estimate": private_joint_moment(Z)}
-            else:
-                out = {"mode": mode, "n": n, **private_covariance_correlation(Z).to_json()}
-    elif mode == "kde":
-        if not isinstance(model, HolderDensityModel):
-            raise ConfigError("mode kde expects a holder_density model")
-        X = sample_holder_density(model, n, rng)
-        hc = HolderClass(beta=float(cfg.get("beta", model.beta)), d=model.d)
-        x0 = np.atleast_1d(np.asarray(_floats(cfg.get("x0", "0.0"))))
-        choice = optimal_bandwidth(hc, budget, n)
-        h = float(cfg.get("h", choice.h_star))
-        channels = kde_channels(hc, budget, x0, h)
-        Z = release_sample(X, channels, rng)
-        out = {
-            "mode": mode,
-            "n": n,
-            "h": h,
-            "regime": choice.regime,
-            "estimate": private_kde(Z),
-            "truth": model.density_at(x0),
-        }
+        ch_raw, ch_sq = corr_release_plan(MomentProfile(options["ks"]), budget, n)
+        est = private_covariance_correlation(release_sample(X, ch_raw, rng), release_sample(np.abs(X) ** 2, ch_sq, rng))
     else:
-        raise ConfigError(f"unknown estimate mode {mode!r}")
-    _write_json(args.out, out)
+        _, est = run_mode(MODES[mode], model, n, budget, options, rng)
+    if mode == "mean":
+        out = {"estimates": est}
+    elif mode in ("cov", "corr"):
+        out = est.to_json()
+    elif mode == "kde":
+        h, regime = kde_bandwidth(n, budget, options)
+        out = {"h": h, "regime": regime, "estimate": est, "truth": MODES[mode].truth(model, options)}
+    else:
+        out = {"estimate": est}
+    write_json(args.out, {"mode": mode, "n": n, **out})
     return EXIT_OK
 
 
 def cmd_adaptive(args) -> int:
-    cfg = parse_kv_config(args.config)
-    n = int(_require(cfg, "n"))
-    seed = int(cfg.get("seed", 0))
-    alphas = _floats(_require(cfg, "alphas"))
-    budget = PrivacyBudget(alphas)
-    glc = ad.GLConfig(n=n, budget=budget, c0=float(cfg.get("c0", 8.0)))
-    model = _model_from_config(cfg)
-    rng = derive_rng(seed, 901)
-
+    n, budget, model, options, seed = _sample_inputs(args, "adaptive_" + args.mode)
+    _, sel = run_mode(MODES["adaptive_" + args.mode], model, n, budget, options, derive_rng(seed, 901))
     if args.mode == "moment":
-        if not isinstance(model, ParetoFactorModel):
-            raise ConfigError("adaptive moment expects a pareto_factor model")
-        X = sample_heavy_tailed(model, n, rng)
-        channels = ad.multi_trunc_channels(glc)
-        Zm = release_sample(X, channels, rng)
-        sel = ad.gl_select_truncation(Zm, glc)
         grid = ad.build_truncation_grid(n)
         bv = [
-            {
-                "T": [float(grid[i]) for i in idx],
-                "B": float(sel.B_table[idx]),
-                "V": float(sel.V_table[idx]),
-            }
+            {"T": [float(grid[i]) for i in idx], "B": float(sel.B_table[idx]), "V": float(sel.V_table[idx])}
             for idx in np.ndindex(sel.B_table.shape)
         ]
         out = {"selected": list(sel.T_hat), "estimate": sel.gamma_hat, "bv_table": bv}
-    elif args.mode == "density":
-        if not isinstance(model, HolderDensityModel):
-            raise ConfigError("adaptive density expects a holder_density model")
-        X = sample_holder_density(model, n, rng)
-        x0 = np.atleast_1d(np.asarray(_floats(cfg.get("x0", "0.0"))))
-        kernel = make_kernel(kernel_order(model.beta))
-        channels = ad.multi_bandwidth_channels(glc, x0, kernel)
-        Zm = release_sample(X, channels, rng)
-        sel = ad.gl_select_bandwidth(Zm, glc)
+    else:
         grid = ad.build_bandwidth_grid(n)
         bv = [
             {"h": float(grid[i]), "B": float(sel.B_table[i]), "V": float(sel.V_table[i])}
             for i in range(grid.size)
         ]
         out = {"selected": sel.h_hat, "estimate": sel.pi_hat, "bv_table": bv}
-    else:
-        raise ConfigError(f"unknown adaptive mode {args.mode!r}")
-    _write_json(args.out, out)
+    write_json(args.out, out)
     return EXIT_OK
 
 
 def cmd_rates(args) -> int:
     cfg = parse_kv_config(args.config)
-    mode = _require(cfg, "mode")
-    options: dict = {}
-    for key in ("ks", "x0"):
-        if key in cfg:
-            options[key] = list(_floats(cfg[key]))
-    for key in ("beta", "c0", "h"):
-        if key in cfg:
-            options[key] = float(cfg[key])
-    if "zero_noise" in cfg:
-        options["zero_noise"] = _bool(cfg["zero_noise"])
-    model = _model_from_config(cfg)
+    keys = {"mode", "n_grid", "alphas", "replications", "seed", "out", "workers", "zero_noise"}
+    model, options = _mode_inputs(cfg, _require(cfg, "mode"), keys)
     exp = ExperimentConfig(
-        mode=mode,
+        mode=cfg["mode"],
         n_grid=_ints(_require(cfg, "n_grid")),
         alphas=_floats(_require(cfg, "alphas")),
         replications=int(_require(cfg, "replications")),
@@ -333,8 +263,12 @@ def cmd_rates(args) -> int:
     return EXIT_OK
 
 
+_LOWERBOUND_KEYS = {"moment": {"ks"}, "density": {"beta", "L", "eps0", "c_k"}}
+
+
 def cmd_lowerbound(args) -> int:
     cfg = parse_kv_config(args.config)
+    _reject_unknown(cfg, {"n", "alphas"} | _LOWERBOUND_KEYS.get(args.kind, set()))
     alphas = _floats(_require(cfg, "alphas"))
     budget = PrivacyBudget(alphas)
     n = int(_require(cfg, "n"))
@@ -349,7 +283,7 @@ def cmd_lowerbound(args) -> int:
             "separation": inst.separation,
             **rep.to_json(),
         }
-        _write_json(args.out, out)
+        write_json(args.out, out)
         return EXIT_OK if rep.condition3_ok else EXIT_VIOLATION
     if args.kind == "density":
         hc = HolderClass(beta=float(_require(cfg, "beta")), L=float(cfg.get("L", 1.0)), d=len(alphas))
@@ -369,7 +303,7 @@ def cmd_lowerbound(args) -> int:
             "bump_axis_integral": bump,
             "ok": ok,
         }
-        _write_json(args.out, out)
+        write_json(args.out, out)
         return EXIT_OK if ok else EXIT_VIOLATION
     raise ConfigError(f"unknown lower bound kind {args.kind!r}")
 
@@ -381,7 +315,7 @@ def cmd_report(args) -> int:
         code, rep = run_verification_suite(suite, seed=args.seed, instances=args.instances)
         combined[suite] = rep
         status = max(status, code)
-    _write_json(args.out, combined)
+    write_json(args.out, combined)
     return status
 
 
@@ -445,10 +379,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, KeyError) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, FileNotFoundError, KeyError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
 

@@ -20,11 +20,14 @@ are unambiguous:
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Optional
+import sys
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import stdtrit
@@ -57,26 +60,21 @@ from .simdata import HolderDensityModel, ParetoFactorModel, model_from_json, sam
 
 __all__ = [
     "ExperimentConfig",
+    "Mode",
+    "MODES",
+    "run_mode",
+    "kde_bandwidth",
     "RatePoint",
     "RateCurve",
     "SlopeFit",
     "run_rate_experiment",
     "fit_loglog_slope",
     "run_verification_suite",
+    "write_json",
     "ZeroNoiseRng",
     "derive_rng",
     "default_workers",
 ]
-
-_MODE_IDS = {
-    "mean": 1,
-    "moment": 2,
-    "cov": 3,
-    "kde": 4,
-    "adaptive_moment": 5,
-    "adaptive_density": 6,
-}
-
 
 class ZeroNoiseRng:
     """RNG proxy whose Laplace draws are zero (testing hook for noise-free channels)."""
@@ -116,7 +114,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.mode not in _MODE_IDS:
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if len(self.n_grid) == 0:
             raise ValueError("empty n grid")
@@ -129,29 +127,15 @@ class ExperimentConfig:
             raise ValueError("slope experiments need replications >= 30")
         if len(self.n_grid) < 4:
             raise ValueError("slope experiments need >= 4 grid points")
-        effs = [self._n_eff_static(n) for n in self.n_grid]
+        # the undeflated effective size: the log-corrected adaptive axes
+        # compress decades, and feasible sweeps must remain admissible
+        mode, budget = MODES[self.mode], PrivacyBudget(self.alphas)
+        effs = [mode.n_eff(n, budget, self.options) for n in self.n_grid]
         if max(effs) < 100.0 * min(effs):
             raise ValueError("n grid must span >= 2 decades of effective sample size")
 
-    def _n_eff_static(self, n: int) -> float:
-        # the log-corrected adaptive axes compress decades; the span check uses
-        # the undeflated effective size so feasible sweeps remain admissible
-        budget = PrivacyBudget(self.alphas)
-        if self.mode in ("adaptive_moment", "adaptive_density"):
-            return n * budget.prod_alpha_sq()
-        return _n_eff(self.mode, n, budget, self.options)
-
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_grid": list(self.n_grid),
-            "alphas": list(self.alphas),
-            "replications": self.replications,
-            "seed": self.seed,
-            "model": self.model,
-            "options": self.options,
-            "workers": self.workers,
-        }
+        return {key: value for key, value in asdict(self).items() if key != "out"}
 
 
 @dataclass(frozen=True)
@@ -225,121 +209,68 @@ def fit_loglog_slope(curve) -> SlopeFit:
     return SlopeFit(slope, intercept, se, (slope - half, slope + half))
 
 
-def _n_eff(mode: str, n: int, budget: PrivacyBudget, options: dict) -> float:
-    d = budget.d
-    if mode == "mean":
-        return n * budget.alphas[0] ** 2
-    if mode in ("moment", "cov"):
-        return n * budget.prod_alpha_sq()
-    if mode == "kde":
-        hc = HolderClass(beta=float(options.get("beta", 2.0)), d=d)
-        regime = optimal_bandwidth(hc, budget, n).regime
-        return float(n) if regime == "nonprivate" else n * budget.prod_alpha_sq()
-    if mode == "adaptive_moment":
-        return n * budget.prod_alpha_sq() / math.log(n) ** (2 * d + 1)
-    if mode == "adaptive_density":
-        return n * budget.prod_alpha_sq() / math.log(n) ** (1 + 2 * d)
-    raise ValueError(f"unknown mode {mode!r}")
+def _n_prod(n: int, budget: PrivacyBudget, options: dict) -> float:
+    return n * budget.prod_alpha_sq()
 
 
-def _build_model(model_spec: dict):
-    return model_from_json(model_spec)
+@dataclass(frozen=True)
+class Mode:
+    """One rate mode: stream key, axis, estimand and release-and-estimate pipeline.
+
+    The callables look up the sampling, release, estimator and selector
+    functions when they run, so replacing those module attributes (as a
+    tracer does) reaches every mode.
+    """
+
+    id: int  # replication r of grid point n draws from the stream (seed, id, n, r)
+    axis: str
+    model: type  # the data model the mode samples
+    config_keys: tuple[str, ...]  # config keys the pipeline reads besides the model's
+    truth: Callable  # (model, options) -> estimand
+    channels: Callable  # (n, budget, options) -> channels; ValueError outside the regime
+    estimate: Callable  # (Z, budget, options) -> estimate, or the adaptive selection
+    n_eff: Callable = _n_prod  # (n, budget, options) -> effective sample size before log deflation
+    point: Callable = lambda est: est  # the scalar scored against the truth
+    oracle: Optional[Callable] = None  # adaptive modes: (X, budget, options, rng) -> full-budget table
+
+    def axis_n_eff(self, n: int, budget: PrivacyBudget, options: dict) -> float:
+        """The CSV's n_eff: adaptive axes are deflated by log(n)^(2d+1)."""
+        n_eff = self.n_eff(n, budget, options)
+        return n_eff if self.oracle is None else n_eff / math.log(n) ** (2 * budget.d + 1)
 
 
-def _sample_raw(model, n: int, rng) -> np.ndarray:
-    if isinstance(model, ParetoFactorModel):
-        return sample_heavy_tailed(model, n, rng)
-    if isinstance(model, HolderDensityModel):
-        return sample_holder_density(model, n, rng)
-    raise ValueError(f"model {type(model)!r} cannot back a rate experiment")
+def _x0(options: dict) -> np.ndarray:
+    return np.atleast_1d(np.asarray(options.get("x0", 0.0), dtype=float))
 
 
-def _truth(mode: str, model, options: dict) -> float:
-    if mode == "mean":
-        return model.mean(1)
-    if mode in ("moment", "adaptive_moment"):
-        return model.gamma()
-    if mode == "cov":
-        return model.covariance()
-    if mode in ("kde", "adaptive_density"):
-        x0 = np.atleast_1d(np.asarray(options.get("x0", 0.0), dtype=float))
-        return model.density_at(x0)
-    raise ValueError(f"unknown mode {mode!r}")
+def _holder_class(budget: PrivacyBudget, options: dict) -> HolderClass:
+    return HolderClass(beta=float(options.get("beta", 2.0)), d=budget.d)
 
 
-def _run_replication(cfg_json: dict, n: int, rep: int) -> dict:
-    """One replication; returns the squared error plus mode-specific extras."""
-    mode = cfg_json["mode"]
-    options = cfg_json["options"]
-    seed = cfg_json["seed"]
-    budget = PrivacyBudget(cfg_json["alphas"])
-    model = _build_model(cfg_json["model"])
-    truth = _truth(mode, model, options)
-    rng = derive_rng(seed, _MODE_IDS[mode], n, rep)
-    if options.get("zero_noise"):
-        rng = ZeroNoiseRng(rng)
-    X = _sample_raw(model, n, rng)
-    d = budget.d
+def kde_bandwidth(n: int, budget: PrivacyBudget, options: dict) -> tuple[float, str]:
+    """The ``h`` option, else the rate-optimal bandwidth, and the latter's regime.
 
-    if mode == "mean":
-        profile = MomentProfile(options["ks"])
-        ts = optimal_truncations(profile, budget, n, mode="mean")
-        channels = tuple(LaplaceTruncChannel(float(t), a) for t, a in zip(ts, budget.alphas))
-        Z = release_sample(X, channels, rng)
-        est = private_mean(Z, 1)
-        return {"sq_err": (est - truth) ** 2}
-
-    if mode in ("moment", "cov"):
-        profile = MomentProfile(options["ks"])
-        ts = optimal_truncations(profile, budget, n, mode="joint")
-        channels = tuple(LaplaceTruncChannel(float(t), a) for t, a in zip(ts, budget.alphas))
-        Z = release_sample(X, channels, rng)
-        if mode == "moment":
-            est = private_joint_moment(Z)
-        else:
-            est = private_covariance_correlation(Z).theta
-        return {"sq_err": (est - truth) ** 2}
-
-    if mode == "kde":
-        hc = HolderClass(beta=float(options.get("beta", 2.0)), d=d)
-        x0 = np.atleast_1d(np.asarray(options.get("x0", 0.0), dtype=float))
-        h = float(options.get("h", optimal_bandwidth(hc, budget, n).h_star))
-        channels = kde_channels(hc, budget, x0, h)
-        Z = release_sample(X, channels, rng)
-        est = private_kde(Z)
-        return {"sq_err": (est - truth) ** 2}
-
-    if mode == "adaptive_moment":
-        glc = ad.GLConfig(n=n, budget=budget, c0=float(options.get("c0", 8.0)))
-        channels = ad.multi_trunc_channels(glc)
-        Zm = release_sample(X, channels, rng)
-        sel = ad.gl_select_truncation(Zm, glc)
-        out = {"sq_err": (sel.gamma_hat - truth) ** 2, "sel_index": list(sel.index)}
-        if options.get("oracle", True) and rep < int(options.get("oracle_reps", 10**9)):
-            grid = ad.build_truncation_grid(n)
-            oracle_vals = _oracle_moment_table(X, grid, budget, rng)
-            out["oracle_sq"] = ((oracle_vals - truth) ** 2).ravel().tolist()
-        return out
-
-    if mode == "adaptive_density":
-        hc = HolderClass(beta=float(options.get("beta", 2.0)), d=d)
-        x0 = np.atleast_1d(np.asarray(options.get("x0", 0.0), dtype=float))
-        kernel = make_kernel(kernel_order(hc.beta))
-        glc = ad.GLConfig(n=n, budget=budget, c0=float(options.get("c0", 8.0)))
-        channels = ad.multi_bandwidth_channels(glc, x0, kernel)
-        Zm = release_sample(X, channels, rng)
-        sel = ad.gl_select_bandwidth(Zm, glc)
-        out = {"sq_err": (sel.pi_hat - truth) ** 2, "sel_index": [sel.index]}
-        if options.get("oracle", True) and rep < int(options.get("oracle_reps", 10**9)):
-            grid = ad.build_bandwidth_grid(n)
-            oracle_vals = _oracle_kde_per_h(X, grid, budget, x0, kernel, rng)
-            out["oracle_sq"] = ((oracle_vals - truth) ** 2).ravel().tolist()
-        return out
-
-    raise ValueError(f"unknown mode {mode!r}")
+    ValueError where no rate-optimal bandwidth exists, even with ``h`` given."""
+    choice = optimal_bandwidth(_holder_class(budget, options), budget, n)
+    return float(options.get("h", choice.h_star)), choice.regime
 
 
-def _oracle_moment_table(X: np.ndarray, grid: np.ndarray, budget: PrivacyBudget, rng) -> np.ndarray:
+def _trunc_channels(n: int, budget: PrivacyBudget, options: dict, trunc_mode: str) -> tuple:
+    ts = optimal_truncations(MomentProfile(options["ks"]), budget, n, mode=trunc_mode)
+    return tuple(LaplaceTruncChannel(float(t), a) for t, a in zip(ts, budget.alphas))
+
+
+def _gl_config(n: int, budget: PrivacyBudget, options: dict) -> ad.GLConfig:
+    if n < 4:
+        raise ValueError("adaptive grids need n >= 4")
+    return ad.GLConfig(n=n, budget=budget, c0=float(options.get("c0", 8.0)))
+
+
+def _kernel(options: dict):
+    return make_kernel(kernel_order(float(options.get("beta", 2.0))))
+
+
+def _oracle_moment_table(X: np.ndarray, budget: PrivacyBudget, options: dict, rng) -> np.ndarray:
     """Full-budget single-release estimates for every grid combination.
 
     Reference only: releasing all levels at full budget is not a private
@@ -347,6 +278,7 @@ def _oracle_moment_table(X: np.ndarray, grid: np.ndarray, budget: PrivacyBudget,
     the usual common-random-numbers device for oracle MSE curves.
     """
     n, d = X.shape
+    grid = ad.build_truncation_grid(n)
     m = grid.size
     cols = []
     for j in range(d):
@@ -358,12 +290,13 @@ def _oracle_moment_table(X: np.ndarray, grid: np.ndarray, budget: PrivacyBudget,
     return np.einsum(spec, *cols) / n
 
 
-def _oracle_kde_per_h(
-    X: np.ndarray, grid: np.ndarray, budget: PrivacyBudget, x0: np.ndarray, kernel, rng
-) -> np.ndarray:
+def _oracle_kde_per_h(X: np.ndarray, budget: PrivacyBudget, options: dict, rng) -> np.ndarray:
     """Full-budget single-release pointwise estimates for every bandwidth."""
     n, d = X.shape
+    grid = ad.build_bandwidth_grid(n)
     m = grid.size
+    x0 = _x0(options)
+    kernel = _kernel(options)
     prod = np.ones((n, m))
     for j in range(d):
         clean = kernel((X[:, j][:, None] - x0[j]) / grid) / grid
@@ -372,104 +305,168 @@ def _oracle_kde_per_h(
     return prod.mean(axis=0)
 
 
+MODES = {
+    "mean": Mode(
+        id=1, axis="n*alpha^2", model=ParetoFactorModel, config_keys=("ks",),
+        n_eff=lambda n, budget, options: n * budget.alphas[0] ** 2,
+        truth=lambda model, options: model.mean(1),
+        channels=functools.partial(_trunc_channels, trunc_mode="mean"),
+        estimate=lambda Z, budget, options: [private_mean(Z, j + 1) for j in range(Z.d)],
+        point=lambda est: est[0],
+    ),
+    "moment": Mode(
+        id=2, axis="n*prod(alpha^2)", model=ParetoFactorModel, config_keys=("ks",),
+        truth=lambda model, options: model.gamma(),
+        channels=functools.partial(_trunc_channels, trunc_mode="joint"),
+        estimate=lambda Z, budget, options: private_joint_moment(Z),
+    ),
+    "cov": Mode(
+        id=3, axis="n*prod(alpha^2)", model=ParetoFactorModel, config_keys=("ks",),
+        truth=lambda model, options: model.covariance(),
+        channels=functools.partial(_trunc_channels, trunc_mode="joint"),
+        estimate=lambda Z, budget, options: private_covariance_correlation(Z),
+        point=lambda est: est.theta,
+    ),
+    "kde": Mode(
+        id=4, axis="n*prod(alpha^2) [private regime] or n [nonprivate]", model=HolderDensityModel,
+        config_keys=("beta", "x0", "h"),
+        n_eff=lambda n, budget, options: (
+            float(n) if kde_bandwidth(n, budget, options)[1] == "nonprivate" else _n_prod(n, budget, options)
+        ),
+        truth=lambda model, options: model.density_at(_x0(options)),
+        channels=lambda n, budget, options: kde_channels(
+            _holder_class(budget, options), budget, _x0(options), kde_bandwidth(n, budget, options)[0]
+        ),
+        estimate=lambda Z, budget, options: private_kde(Z),
+    ),
+    "adaptive_moment": Mode(
+        id=5, axis="n*prod(alpha^2)/log(n)^(2d+1)", model=ParetoFactorModel, config_keys=("c0",),
+        truth=lambda model, options: model.gamma(),
+        channels=lambda n, budget, options: ad.multi_trunc_channels(_gl_config(n, budget, options)),
+        estimate=lambda Z, budget, options: ad.gl_select_truncation(Z, _gl_config(Z.n, budget, options)),
+        point=lambda sel: sel.gamma_hat,
+        oracle=_oracle_moment_table,
+    ),
+    "adaptive_density": Mode(
+        id=6, axis="n*prod(alpha^2)/log(n)^(1+2d)", model=HolderDensityModel, config_keys=("beta", "x0", "c0"),
+        truth=lambda model, options: model.density_at(_x0(options)),
+        channels=lambda n, budget, options: ad.multi_bandwidth_channels(
+            _gl_config(n, budget, options), _x0(options), _kernel(options)
+        ),
+        estimate=lambda Z, budget, options: ad.gl_select_bandwidth(Z, _gl_config(Z.n, budget, options)),
+        point=lambda sel: sel.pi_hat,
+        oracle=_oracle_kde_per_h,
+    ),
+}
+
+
+def run_mode(mode: Mode, model, n: int, budget: PrivacyBudget, options: dict, rng):
+    """(X, estimate): n rows of ``model`` released through the mode's channels and
+    estimated; for adaptive modes the estimate is the selection."""
+    if not isinstance(model, mode.model):
+        raise ValueError(f"mode expects a {mode.model.__name__}, got a {type(model).__name__}")
+    sample = sample_heavy_tailed if mode.model is ParetoFactorModel else sample_holder_density
+    X = sample(model, n, rng)
+    Z = release_sample(X, mode.channels(n, budget, options), rng)
+    return X, mode.estimate(Z, budget, options)
+
+
+def _run_replication(cfg_json: dict, n: int, rep: int) -> dict:
+    """One replication: the squared error, plus the selection and oracle row if adaptive."""
+    mode = MODES[cfg_json["mode"]]
+    options = cfg_json["options"]
+    budget = PrivacyBudget(cfg_json["alphas"])
+    model = model_from_json(cfg_json["model"])
+    rng = derive_rng(cfg_json["seed"], mode.id, n, rep)
+    if options.get("zero_noise"):
+        rng = ZeroNoiseRng(rng)
+    X, est = run_mode(mode, model, n, budget, options, rng)
+    truth = mode.truth(model, options)
+    out = {"sq_err": (mode.point(est) - truth) ** 2}
+    if mode.oracle is not None:
+        out["sel_index"] = np.atleast_1d(est.index).tolist()
+        if options.get("oracle", True) and rep < int(options.get("oracle_reps", 10**9)):
+            out["oracle_sq"] = ((mode.oracle(X, budget, options, rng) - truth) ** 2).ravel().tolist()
+    return out
+
+
+@contextlib.contextmanager
+def _replicator(workers: int, reps: int):
+    """A map over replication indices: the builtin one, or one process pool per run."""
+    if workers <= 1:
+        yield map
+        return
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # about four chunks per worker: few round trips, some load balancing
+        yield functools.partial(pool.map, chunksize=max(1, reps // (4 * workers)))
+
+
 def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
     """Per-n MSE over replications against the model's cached ground truth."""
+    mode = MODES[cfg.mode]
     budget = PrivacyBudget(cfg.alphas)
     cfg_json = cfg.to_json()
     points = []
     extras: dict = {"per_n": {}}
-    for n in cfg.n_grid:
-        try:
-            n_eff = _n_eff(cfg.mode, n, budget, cfg.options)
-            _precheck(cfg, n, budget)
-        except ValueError as exc:
-            # regime violation: keep a warning row, excluded from fits
-            points.append(RatePoint(n, float("nan"), float("nan"), float("nan"), 0, cfg.seed))
-            extras["per_n"][str(n)] = {"warning": str(exc)}
-            continue
-        results = _map_replications(cfg_json, n, cfg.replications, cfg.workers)
-        errs = np.array([r["sq_err"] for r in results])
-        mse = float(errs.mean())
-        stderr = float(errs.std(ddof=1) / math.sqrt(errs.size)) if errs.size > 1 else 0.0
-        points.append(RatePoint(n, n_eff, mse, stderr, cfg.replications, cfg.seed))
-        per_n: dict = {}
-        oracle_rows = [r["oracle_sq"] for r in results if "oracle_sq" in r]
-        if oracle_rows:
-            oracle_mse = np.mean(oracle_rows, axis=0)
-            per_n["oracle_mse"] = float(oracle_mse.min())
-            per_n["ratio"] = mse / float(oracle_mse.min())
-        if "sel_index" in results[0]:
-            per_n["selections"] = [r["sel_index"] for r in results]
-        if per_n:
-            extras["per_n"][str(n)] = per_n
-    curve = RateCurve(points=tuple(points), mode=cfg.mode, axis=_axis_name(cfg.mode), extras=extras)
+    with _replicator(cfg.workers, cfg.replications) as replicate:
+        for n in cfg.n_grid:
+            try:
+                mode.channels(n, budget, cfg.options)  # the regime check, before any replication
+                n_eff = mode.axis_n_eff(n, budget, cfg.options)
+            except ValueError as exc:
+                # regime violation: keep a warning row, excluded from fits
+                points.append(RatePoint(n, float("nan"), float("nan"), float("nan"), 0, cfg.seed))
+                extras["per_n"][str(n)] = {"warning": str(exc)}
+                continue
+            results = list(replicate(functools.partial(_run_replication, cfg_json, n), range(cfg.replications)))
+            errs = np.array([r["sq_err"] for r in results])
+            mse = float(errs.mean())
+            stderr = float(errs.std(ddof=1) / math.sqrt(errs.size)) if errs.size > 1 else 0.0
+            points.append(RatePoint(n, n_eff, mse, stderr, cfg.replications, cfg.seed))
+            per_n: dict = {}
+            oracle_rows = [r["oracle_sq"] for r in results if "oracle_sq" in r]
+            if oracle_rows:
+                per_n["oracle_mse"] = float(np.mean(oracle_rows, axis=0).min())
+                per_n["ratio"] = mse / per_n["oracle_mse"]
+            if "sel_index" in results[0]:
+                per_n["selections"] = [r["sel_index"] for r in results]
+            if per_n:
+                extras["per_n"][str(n)] = per_n
+    curve = RateCurve(points=tuple(points), mode=cfg.mode, axis=mode.axis, extras=extras)
     if cfg.out:
         _write_outputs(cfg, curve)
     return curve
 
 
-def _precheck(cfg: ExperimentConfig, n: int, budget: PrivacyBudget):
-    """Raise on regime violations before spending replication time."""
-    if cfg.mode == "mean":
-        optimal_truncations(MomentProfile(cfg.options["ks"]), budget, n, mode="mean")
-    elif cfg.mode in ("moment", "cov"):
-        optimal_truncations(MomentProfile(cfg.options["ks"]), budget, n, mode="joint")
-    elif cfg.mode == "kde":
-        if "h" not in cfg.options:
-            optimal_bandwidth(HolderClass(beta=float(cfg.options.get("beta", 2.0)), d=budget.d), budget, n)
-    elif cfg.mode in ("adaptive_moment", "adaptive_density"):
-        if n < 4:
-            raise ValueError("adaptive grids need n >= 4")
-
-
-def _axis_name(mode: str) -> str:
-    return {
-        "mean": "n*alpha^2",
-        "moment": "n*prod(alpha^2)",
-        "cov": "n*prod(alpha^2)",
-        "kde": "n*prod(alpha^2) [private regime] or n [nonprivate]",
-        "adaptive_moment": "n*prod(alpha^2)/log(n)^(2d+1)",
-        "adaptive_density": "n*prod(alpha^2)/log(n)^(1+2d)",
-    }[mode]
-
-
-def _map_replications(cfg_json: dict, n: int, reps: int, workers: int) -> list[dict]:
-    if workers <= 1:
-        return [_run_replication(cfg_json, n, r) for r in range(reps)]
-    results: list[Optional[dict]] = [None] * reps
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futs = {pool.submit(_run_replication, cfg_json, n, r): r for r in range(reps)}
-        for fut in concurrent.futures.as_completed(futs):
-            results[futs[fut]] = fut.result()
-    return results  # type: ignore[return-value]
-
-
 def _write_outputs(cfg: ExperimentConfig, curve: RateCurve) -> None:
     with open(cfg.out, "w") as f:
         f.write(curve.to_csv())
-    meta = {
-        "config": cfg.to_json(),
-        "axis": curve.axis,
-        "extras": _json_safe(curve.extras),
-    }
+    meta = {"config": cfg.to_json(), "axis": curve.axis, "extras": curve.extras}
     try:
-        fit = fit_loglog_slope(curve)
-        meta["fit"] = fit.to_json()
+        meta["fit"] = fit_loglog_slope(curve).to_json()
     except ValueError as exc:
         meta["fit"] = {"error": str(exc)}
-    with open(cfg.out + ".meta.json", "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(cfg.out + ".meta.json", meta)
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
+def _np_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    return obj
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+
+
+def write_json(path: Optional[str], obj: dict) -> None:
+    """Sorted, indented JSON with numpy scalars and arrays as plain values; stdout without a path."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_np_default) + "\n"
+    if path:
+        with open(path, "w") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------

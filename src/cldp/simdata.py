@@ -375,29 +375,15 @@ class DiscreteTableModel:
 
 
 def model_from_json(obj):
+    """Model from its ``to_json`` form; a missing field takes the constructor's default."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     kind = obj["kind"]
+    fields = {key: tuple(v) if isinstance(v, list) else v for key, v in obj.items() if key != "kind"}
     if kind == "pareto_factor":
-        return ParetoFactorModel(
-            ks=obj["ks"],
-            a=obj["a"],
-            rho=obj["rho"],
-            scale=obj.get("scale", 1.0),
-            coupling=obj.get("coupling", "mixture"),
-            symmetric=obj.get("symmetric", True),
-        )
+        return ParetoFactorModel(**fields)
     if kind == "holder_density":
-        return HolderDensityModel(
-            beta=obj["beta"],
-            d=obj["d"],
-            box=obj["box"],
-            weights=tuple(obj["weights"]),
-            mus=tuple(obj["mus"]),
-            sigmas=tuple(obj["sigmas"]),
-            kink_b=obj["kink_b"],
-            kink_weight=obj["kink_weight"],
-        )
+        return HolderDensityModel(**fields)
     if kind == "discrete_table":
         return DiscreteTableModel(DiscreteDist.from_json(obj["dist"]))
     raise ValueError(f"unknown model kind {kind!r}")

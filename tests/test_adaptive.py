@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -155,6 +156,69 @@ class TestSelectTruncation:
             if np.all((ratios <= 4.0) & (ratios >= 0.25)):
                 hits += 1
         assert hits >= 0.8 * reps
+
+
+def _reference_truncation_tables(gamma, grid, cfg):
+    """The selector's (B, V, index) as computed before the one-broadcast form:
+    a broadcast for d = 1 and d = 2, a loop over every (I, J) pair for d >= 3."""
+    m, d = grid.size, gamma.ndim
+    beta = cfg.beta_n()
+    denom = cfg.n * float(np.prod(beta**2))
+    V = cfg.kappa_n * _outer([grid**2] * d) / denom
+    ar = np.arange(m)
+    K = np.maximum(ar[:, None], ar[None, :])
+    if d == 1:
+        diff = gamma[K] - gamma[None, :]
+        B = np.maximum(diff * diff - V[None, :], 0.0).max(axis=1)
+    elif d == 2:
+        gamma_K = gamma[K[:, None, :, None], K[None, :, None, :]]
+        diff = gamma_K - gamma[None, None, :, :]
+        B = np.maximum(diff * diff - V[None, None, :, :], 0.0).max(axis=(2, 3))
+    else:
+        B = np.zeros_like(V)
+        for I in itertools.product(range(m), repeat=d):
+            worst = 0.0
+            for J in itertools.product(range(m), repeat=d):
+                Kt = tuple(max(a, b) for a, b in zip(I, J))
+                diff = gamma[Kt] - gamma[J]
+                excess = diff * diff - V[J]
+                if excess > worst:
+                    worst = excess
+            B[I] = worst
+    score = B + V
+    prod_T = _outer([grid] * d)
+    ties = np.argwhere(score == score.min())
+    index = tuple(int(i) for i in max(ties, key=lambda I: prod_T[tuple(I)]))
+    return B, V, index
+
+
+def _outer(vectors):
+    out = vectors[0]
+    for v in vectors[1:]:
+        out = np.multiply.outer(out, v)
+    return out
+
+
+class TestTruncationTablesMatchLoopReference:
+    # noisy releases at c0 = 8 (d = 1: an all-zero proxy, so the tie-break
+    # decides) and c0 = 0.01; noiseless releases at c0 = 1e-9, where the proxy
+    # is positive on part of the grid and the selection is interior
+    @pytest.mark.parametrize(
+        "d, n, c0, noise",
+        [(1, 2**14, 8.0, True), (1, 2**14, 0.01, True), (2, 1024, 8.0, True), (2, 256, 1e-9, False),
+         (3, 64, 8.0, True), (3, 256, 0.01, True), (3, 64, 1e-9, False)],
+    )
+    def test_exact_tables_and_index(self, d, n, c0, noise):
+        cfg = GLConfig(n=n, budget=PrivacyBudget([1.0] * d), c0=c0)
+        model = ParetoFactorModel(ks=[4.0] * d, a=[5.0] * d, rho=0.5)
+        rng = derive_rng(17, d, n)
+        X = sample_heavy_tailed(model, n, rng)
+        Zm = release_sample(X, multi_trunc_channels(cfg), rng if noise else ZeroNoiseRng(rng))
+        sel = gl_select_truncation(Zm, cfg)
+        B, V, index = _reference_truncation_tables(sel.gamma_table, build_truncation_grid(n), cfg)
+        assert np.array_equal(sel.B_table, B)
+        assert np.array_equal(sel.V_table, V)
+        assert sel.index == index
 
 
 class TestSelectBandwidth:

@@ -1,13 +1,15 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from cldp.channels import LaplaceTruncChannel, channel_to_json, make_rr_channel
 from cldp.cli import _model_from_config, main, parse_kv_config
+from cldp.harness import RateCurve
 from cldp.measures import DiscreteDist
-from cldp.simdata import model_from_json
+from cldp.simdata import ParetoFactorModel, model_from_json
 
 
 def write(path, text):
@@ -168,6 +170,45 @@ class TestRatesCommand:
             "replications=30\nseed=3\n",
         )
         assert main(["rates", "--config", cfg]) == 2
+
+
+class TestUnknownConfigKeys:
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["estimate", "--mode", "mean"], "n=256\nalphas=1\nks=4\na=5\n"),
+            (["adaptive", "--mode", "moment"], "n=256\nalphas=1\nks=4\na=5\n"),
+            (["rates"], "mode=mean\nn_grid=256,1024,4096,65536\nalphas=1\nks=4\na=5\nreplications=30\n"),
+            (["lowerbound", "--kind", "moment"], "n=64\nalphas=0.5,0.5\nks=4,4\n"),
+        ],
+    )
+    def test_typo_exits_config_and_names_key(self, tmp_path, capsys, argv, text):
+        cfg = write(tmp_path / "cfg.txt", text + "alpha=0.5\n")
+        assert main(argv + ["--config", cfg]) == 2
+        assert "'alpha'" in capsys.readouterr().err
+
+    def test_key_of_another_mode_rejected(self, tmp_path, capsys):
+        # h is a kde option and box a holder_density key: neither is read here
+        cfg = write(tmp_path / "cfg.txt", "n=256\nalphas=1\nks=4\na=5\nh=0.3\nbox=2\n")
+        assert main(["estimate", "--mode", "mean", "--config", cfg]) == 2
+        assert "'box', 'h'" in capsys.readouterr().err
+
+    def test_readme_moment_example_parses(self, tmp_path, monkeypatch):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = readme.split("cat > moment.cfg <<'EOF'\n", 1)[1].split("EOF\n", 1)[0]
+        seen = []
+
+        def fake_run(exp):
+            seen.append(exp)
+            return RateCurve(points=(), mode=exp.mode, axis="")
+
+        monkeypatch.setattr("cldp.cli.run_rate_experiment", fake_run)
+        assert main(["rates", "--config", write(tmp_path / "moment.cfg", text)]) == 0
+        (exp,) = seen
+        assert (exp.mode, exp.replications, exp.seed) == ("moment", 200, 41)
+        assert exp.n_grid == tuple(2**q for q in range(10, 18))
+        assert exp.options == {"ks": (4.0, 4.0)}
+        assert model_from_json(exp.model) == ParetoFactorModel(ks=[4.0, 4.0], a=[5.0, 5.0], rho=0.5)
 
 
 class TestLowerboundCommand:

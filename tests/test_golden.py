@@ -1,0 +1,131 @@
+"""Golden outputs: sha256 of fixed-seed rate curves and CLI JSON.
+
+Refactors of the harness, the CLI or the selectors must leave every byte of
+these outputs unchanged.  Each case is a tiny configuration that still walks
+the paths a change could disturb: regime-warning rows, ``zero_noise``, a
+bandwidth override, the adaptive oracle table (with and without an
+``oracle_reps`` cap), and each ``cldp estimate`` / ``cldp adaptive`` mode.
+A hash that moves means an output moved; regenerate the pins only for a
+change that is meant to alter outputs, and say so where the change is
+recorded.
+"""
+
+import hashlib
+
+import pytest
+
+from cldp.cli import main
+from cldp.harness import ExperimentConfig, run_rate_experiment
+from cldp.simdata import HolderDensityModel, ParetoFactorModel
+
+PARETO_1 = ParetoFactorModel(ks=[4.0], a=[5.0]).to_json()
+PARETO_2 = ParetoFactorModel(ks=[4.0, 4.0], a=[5.0, 5.0], rho=0.5).to_json()
+PARETO_C07 = ParetoFactorModel(ks=[2.0], a=[2.1], scale=16.0, coupling="power", symmetric=False).to_json()
+HOLDER_2 = HolderDensityModel(beta=2.0).to_json()
+HOLDER_C08 = HolderDensityModel(beta=1.0, kink_b=0.2).to_json()
+
+
+def _rate(mode, n_grid, alphas, model, options, replications=3, seed=11, workers=1):
+    return ExperimentConfig(mode=mode, n_grid=n_grid, alphas=alphas, replications=replications, seed=seed,
+                            model=model, options=options, workers=workers)
+
+
+RATE_CASES = {
+    # n = 2 gives n alpha^2 < 1: a warning row; five valid points give a fit
+    "mean": _rate("mean", (2, 256, 512, 1024, 2048), (0.5,), PARETO_1, {"ks": [4.0]}),
+    "moment_zero_noise": _rate("moment", (256, 1024), (0.5, 0.5), PARETO_2, {"ks": [4.0, 4.0], "zero_noise": True}),
+    "cov": _rate("cov", (1, 256, 1024), (0.5, 0.5), PARETO_2, {"ks": [4.0, 4.0]}, workers=2),
+    # the override is used only where the rate-optimal bandwidth exists
+    "kde_h": _rate("kde", (2, 512, 2048), (0.5,), HOLDER_2, {"beta": 2.0, "x0": [0.0], "h": 0.25}),
+    "kde_nonprivate": _rate("kde", (1024, 4096), (4.0,), HOLDER_2, {"beta": 2.0, "x0": [0.1]}),
+    "adaptive_moment": _rate("adaptive_moment", (2, 64, 128), (1.0,), PARETO_C07, {"ks": [2.0], "c0": 12.0}),
+    "adaptive_moment_d2": _rate("adaptive_moment", (64,), (1.0, 1.0), PARETO_2, {"ks": [4.0, 4.0], "c0": 128.0},
+                                replications=2),
+    "adaptive_density": _rate("adaptive_density", (2, 64, 256), (8.0,), HOLDER_C08,
+                              {"beta": 1.0, "x0": [0.0], "c0": 2.5, "oracle_reps": 2}),
+}
+
+RATE_GOLDEN = {
+    "mean": (
+        "6760b03bc27d2c9ee405c13bb2f0c8ace5e98d61e6d065a852e129a176876b14",
+        "e3b9c7f8cbb34cc8b3a6a4b573adbb18a16ca7397e4ec822e63eb1506c3d1914",
+    ),
+    "moment_zero_noise": (
+        "0a1f864db5777028d6e223725f73fced9d2f155c4e737541374af5441f60bb05",
+        "2e0f241913d2b7469bcc752a8acaa702819b04b980c920b91713e1c23002d2c6",
+    ),
+    "cov": (
+        "d2d3821f01dfc03ccc10bcd5bcedc493b886f3fc91dc429785c18803977255ad",
+        "00287aed9a7ab2e7fa83a7ba3369c5f1f74ddb4b3fc76ce87b9eaf9b3188b513",
+    ),
+    "kde_h": (
+        "cc262e962c1fdeb813c9c3fe3b2ceb51ac2b2eb6c1a08a3f46e92d575c3f389c",
+        "7ca8aab0caa4820e1a428e62ef47e0fedca84095a0021661a58a91fb8139a1d6",
+    ),
+    "kde_nonprivate": (
+        "a69128ccbbb70551351f80515f37ac405cec979faf9271c471ce39fe9d489365",
+        "71257bd1acede3d4c9a0c544c5387446b98723b13f9e52e9f1bd1ee7c92cef58",
+    ),
+    "adaptive_moment": (
+        "18948bbaf364a6e257a3d147ff8a6ddb4c7498aa3b04a6139ff83f278538b7e6",
+        "60707ab81555d1362bc2786e421631adf415ab913d36d18b554f9b0bd332229d",
+    ),
+    "adaptive_moment_d2": (
+        "2dbbc7f397dc8b2fb80d0c74a3ae6a225191d2b05a01a427d34e815df7902d4f",
+        "85e1b7fb52eb15803bfa067086e7c103818f7f12f45d506ca34f07a7f2e6db9d",
+    ),
+    "adaptive_density": (
+        "eeb8eaac810e9235348e9cede1aff83eb4632e8fec0822e0c59b06b498d319c5",
+        "b61d212ff560fddc80e3d819a414694e646673f7b936354f069ab5b0ccec5696",
+    ),
+}
+
+PARETO_CFG = "alphas=0.5,0.5\nks=4,4\nmodel=pareto_factor\na=5,5\nrho=0.5\nseed=3\n"
+HOLDER_CFG = "alphas=0.5\nmodel=holder_density\nbeta=2\nd=1\nx0=0.0\nseed=3\n"
+
+CLI_CASES = {
+    "estimate_mean": (["estimate", "--mode", "mean"], "n=2048\n" + PARETO_CFG),
+    "estimate_moment": (["estimate", "--mode", "moment"], "n=2048\n" + PARETO_CFG),
+    "estimate_cov": (["estimate", "--mode", "cov"], "n=2048\n" + PARETO_CFG),
+    "estimate_corr": (["estimate", "--mode", "corr"],
+                      "n=4096\nalphas=0.8,0.8\nks=6,6\nmodel=pareto_factor\na=8,8\nrho=0.6\nseed=3\n"),
+    "estimate_kde": (["estimate", "--mode", "kde"], "n=4096\n" + HOLDER_CFG),
+    "estimate_kde_h": (["estimate", "--mode", "kde"], "n=4096\nh=0.3\n" + HOLDER_CFG),
+    "adaptive_moment": (["adaptive", "--mode", "moment"],
+                        "n=256\nalphas=1.0,1.0\nks=4,4\nmodel=pareto_factor\na=5,5\nrho=0.5\nseed=3\nc0=128\n"),
+    "adaptive_density": (["adaptive", "--mode", "density"],
+                         "n=256\nalphas=1.0\nmodel=holder_density\nbeta=1\nd=1\nx0=0.0\nseed=3\nc0=2.5\n"),
+}
+
+CLI_GOLDEN = {
+    "estimate_mean": "ecc286bc7745eb20a248296cc1fcea622140f06e3998550e507182b912b9ae56",
+    "estimate_moment": "5efd5af30ff969f7fdee6b0411ab828f15837b4638b487f047b72b96a54c6afc",
+    "estimate_cov": "9efeb6fedc46fc71a272da3d42f5ac2edaf55a77c52ff1c1c41f348282df8a66",
+    "estimate_corr": "efb865f7d307f6b36049043cf98b4bd4e98c7a5fde6dcd314ccd3b36ace949f4",
+    "estimate_kde": "54d9d4a0c42e63935c8461229e52c16af35c4fd30484c9caf2c0ad9d8ef2276c",
+    "estimate_kde_h": "017d7418dfd575fd2d99149806ec8c19fd33ec12e2be06bfa41fedd8d86bf92a",
+    "adaptive_moment": "95766d0d5a2794959df57833057fe6b5d36bee1ba5385a6b853440a4bec64b2e",
+    "adaptive_density": "83d56276ceb0fba6a5f95755fa0052ef37768aa54bc3f39afcd1eb26a563c1cd",
+}
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(RATE_CASES))
+def test_rate_outputs_unchanged(name, tmp_path):
+    out = tmp_path / "curve.csv"
+    cfg = RATE_CASES[name]
+    run_rate_experiment(ExperimentConfig(**{**cfg.__dict__, "out": str(out)}))
+    assert (_sha(out), _sha(tmp_path / "curve.csv.meta.json")) == RATE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_outputs_unchanged(name, tmp_path):
+    argv, text = CLI_CASES[name]
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+    assert _sha(out) == CLI_GOLDEN[name]

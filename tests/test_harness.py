@@ -110,6 +110,15 @@ class TestRunRateExperiment:
         fit = fit_loglog_slope(curve)  # nan row excluded
         assert math.isfinite(fit.slope)
 
+    def test_adaptive_grid_below_four_is_warning_row(self):
+        # n = 1 used to divide by log(1) on the adaptive axis before the check
+        cfg = ExperimentConfig(mode="adaptive_moment", n_grid=(1, 2, 64), alphas=(1.0,), replications=2, seed=5,
+                               model=ParetoFactorModel(ks=[2.0], a=[3.0]).to_json(), options={"oracle": False})
+        curve = run_rate_experiment(cfg)
+        assert [p.replications for p in curve.points] == [0, 0, 2]
+        for n in ("1", "2"):
+            assert curve.extras["per_n"][n] == {"warning": "adaptive grids need n >= 4"}
+
     def test_csv_round_and_meta(self, tmp_path):
         out = tmp_path / "curve.csv"
         cfg = mean_cfg(out=str(out))
