@@ -72,10 +72,6 @@ class GLConfig:
         return int(math.floor(math.log2(self.n)))
 
     @property
-    def kappa_n(self) -> float:
-        return self.c0 * math.log(self.n)
-
-    @property
     def a_n(self) -> float:
         return self.c0 * math.log(self.n)
 
@@ -148,7 +144,7 @@ def _check_multi_sample(Zm: PrivatizedSample, cfg: GLConfig, grid_len: int):
 def gl_select_truncation(Zm: PrivatizedSample, cfg: GLConfig) -> TruncationSelection:
     """Select clamp levels by minimizing bias proxy plus variance penalty.
 
-    Penalty:     V_T = kappa_n * prod_j T_j^2 / (n * prod_j beta_n_j^2)
+    Penalty:     V_T = a_n * prod_j T_j^2 / (n * prod_j beta_n_j^2)
     Bias proxy:  B_T = sup_T' ( |gamma^(T, T') - gamma^(T')|^2 - V_T' )_+,
     with gamma^(T, T') built from componentwise minima, hence commutative.
     Ties resolve to the largest prod_j T_j (the lowest-variance representative).
@@ -161,7 +157,7 @@ def gl_select_truncation(Zm: PrivatizedSample, cfg: GLConfig) -> TruncationSelec
     beta = cfg.beta_n()
     denom = cfg.n * float(np.prod(beta**2))
     t_sq = grid**2
-    V = cfg.kappa_n * _outer_product([t_sq] * d) / denom
+    V = cfg.a_n * _outer_product([t_sq] * d) / denom
     prod_T = _outer_product([grid] * d)
 
     # componentwise minimum of (grid[i], grid[j]) is grid[max(i, j)] since the

@@ -1,9 +1,12 @@
 """Privacy channels: construction, sampling, density evaluation, auditing.
 
-Laplace parameterization: L(b) has density (1/(2b)) exp(-|x|/b), so the
-truncated-value mechanism with level alpha uses scale b = 2T/alpha and its
-conditional density is q(z|x) = (alpha/(4T)) exp(-(alpha/(2T)) |z - clamp(x)|).
-The exponent is negative; a positive sign would not integrate to one.
+Laplace parameterization: L(b) has density (1/(2b)) exp(-|x|/b).  The four
+Laplace-type channels share one release, z = c(x) + b L(1), drawn once per
+component (per grid level for multi-level channels), where c is a bounded
+clean map and b = 2 sup|c| / level: the clamp to [-T, T] with b = 2T/level, or
+(1/h) K((x - x0)/h) with b = 2 kappa/(h level).  The conditional density is
+q(z|x) = (1/(2b)) exp(-|z - c(x)|/b); the exponent is negative, a positive
+sign would not integrate to one.
 
 Channel specs are immutable and shareable.  ``privatize`` takes an explicit
 per-call RNG stream (no ambient randomness): identical stream state implies an
@@ -13,6 +16,7 @@ determinism under any parallelism degree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -35,6 +39,7 @@ __all__ = [
     "make_constant_channel",
     "privatize",
     "privacy_audit",
+    "audit_verdict",
     "compose_ldp_level",
     "AuditResult",
     "channel_to_json",
@@ -117,12 +122,13 @@ class KernelFn:
         return float(np.sum(w * self(x) * x**l))
 
 
+@functools.cache
 def make_kernel(order: int) -> KernelFn:
     """Polynomial kernel on [-1, 1] with integral 1 and moments 1..order zero.
 
     Built as the minimal-degree combination of Legendre polynomials solving the
     moment constraints; the sup bound is computed exactly from the polynomial's
-    critical points.
+    critical points.  One kernel is built per order and shared: it is frozen.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -172,7 +178,7 @@ def validate_kernel(k: KernelFn, tol: float = 1e-8, nodes: int = 64) -> None:
 
 
 # ---------------------------------------------------------------------------
-# channel variants
+# the Laplace mechanism
 # ---------------------------------------------------------------------------
 
 
@@ -183,8 +189,79 @@ def _check_finite_scalar(x) -> float:
     return x
 
 
+def trunc_scale(T, level):
+    """Laplace scale 2T/level of the clamp to [-T, T] at privacy level ``level``."""
+    return 2.0 * T / level
+
+
+def kernel_clean(kernel: KernelFn, x, x0, h):
+    """The kernel map (1/h) K((x - x0)/h)."""
+    return kernel((np.asarray(x, dtype=float) - x0) / h) / h
+
+
+def kernel_scale(kernel: KernelFn, h, level):
+    """Laplace scale 2 kappa/(h level) of the kernel map at privacy level ``level``."""
+    return 2.0 * kernel.kappa / (h * level)
+
+
+def laplace_release(clean, scales, rng):
+    """clean + scales * L(1), one independent unit-Laplace draw per entry of ``clean``."""
+    return clean + rng.laplace(0.0, 1.0, size=np.shape(clean)) * scales
+
+
+def _laplace_pdf(z, clean, scale):
+    return (1.0 / (2.0 * scale)) * np.exp(-np.abs(np.asarray(z, dtype=float) - clean) / scale)
+
+
+def _laplace_z_grid(sup, scale, n: int) -> np.ndarray:
+    """Release grid over the clean range [-sup, sup] widened by eight noise scales."""
+    span = sup + 8.0 * scale
+    return np.union1d(np.linspace(-span, span, n), [-sup, 0.0, sup])
+
+
+class _LaplaceRelease:
+    """Release clean(x) + scales() * L(1).
+
+    A channel supplies ``clean`` (its bounded map; multi-level channels add a
+    trailing level axis), ``scales`` (one Laplace scale per level) and
+    ``clean_sup`` (sup |clean| per level, which centres the audit's z grid).
+    """
+
+    def privatize(self, x, rng):
+        z = laplace_release(self.clean(_check_finite_scalar(x)), self.scales(), rng)
+        return z if np.ndim(z) else float(z)
+
+    def privatize_array(self, xs: np.ndarray, rng) -> np.ndarray:
+        """Releases with shape xs.shape, plus a trailing level axis for multi-level channels."""
+        xs = np.asarray(xs, dtype=float)
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("raw values must be finite")
+        return laplace_release(self.clean(xs), self.scales(), rng)
+
+
+class _ScalarLaplace(_LaplaceRelease):
+    def density(self, z, x) -> np.ndarray:
+        return _laplace_pdf(z, self.clean(x), self.scales())
+
+    def default_z_grid(self, n: int = 121) -> np.ndarray:
+        return _laplace_z_grid(self.clean_sup(), self.scales(), n)
+
+
+class _MultiLaplace(_LaplaceRelease):
+    def level_density(self, level: int, z, x) -> np.ndarray:
+        return _laplace_pdf(z, self.clean(x)[..., level], self.scales()[level])
+
+    def level_z_grid(self, level: int, n: int = 121) -> np.ndarray:
+        return _laplace_z_grid(self.clean_sup()[level], self.scales()[level], n)
+
+
+# ---------------------------------------------------------------------------
+# channel variants
+# ---------------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
-class LaplaceTruncChannel:
+class LaplaceTruncChannel(_ScalarLaplace):
     """Clamp to [-T, T] and add Laplace noise of scale 2T/alpha."""
 
     T: float
@@ -196,35 +273,21 @@ class LaplaceTruncChannel:
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
 
-    @property
-    def scale(self) -> float:
-        return 2.0 * self.T / self.alpha
+    def clean(self, x):
+        return np.clip(np.asarray(x, dtype=float), -self.T, self.T)
 
-    def privatize(self, x, rng) -> float:
-        x = _check_finite_scalar(x)
-        return float(np.clip(x, -self.T, self.T) + rng.laplace(0.0, self.scale))
+    def clean_sup(self) -> float:
+        return self.T
 
-    def privatize_array(self, xs: np.ndarray, rng) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("raw values must be finite")
-        return np.clip(xs, -self.T, self.T) + rng.laplace(0.0, self.scale, size=xs.shape)
-
-    def density(self, z, x) -> np.ndarray:
-        c = np.clip(np.asarray(x, dtype=float), -self.T, self.T)
-        z = np.asarray(z, dtype=float)
-        return (1.0 / (2.0 * self.scale)) * np.exp(-np.abs(z - c) / self.scale)
+    def scales(self) -> float:
+        return trunc_scale(self.T, self.alpha)
 
     def default_x_grid(self, n: int = 61) -> np.ndarray:
         return np.union1d(np.linspace(-self.T - 1.0, self.T + 1.0, n), [-self.T, 0.0, self.T])
 
-    def default_z_grid(self, n: int = 121) -> np.ndarray:
-        span = self.T + 8.0 * self.scale
-        return np.union1d(np.linspace(-span, span, n), [-self.T, 0.0, self.T])
-
 
 @dataclass(frozen=True)
-class KernelLaplaceChannel:
+class KernelLaplaceChannel(_ScalarLaplace):
     """Release (1/h) K((x - x0)/h) plus Laplace noise of scale 2 kappa/(alpha h)."""
 
     h: float
@@ -238,37 +301,20 @@ class KernelLaplaceChannel:
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
 
-    @property
-    def scale(self) -> float:
-        return 2.0 * self.kernel.kappa / (self.alpha * self.h)
+    def clean(self, x):
+        return kernel_clean(self.kernel, x, self.x0, self.h)
 
-    def _clean(self, x):
-        return self.kernel((np.asarray(x, dtype=float) - self.x0) / self.h) / self.h
+    def clean_sup(self) -> float:
+        return self.kernel.kappa / self.h
 
-    def privatize(self, x, rng) -> float:
-        x = _check_finite_scalar(x)
-        return float(self._clean(x) + rng.laplace(0.0, self.scale))
-
-    def privatize_array(self, xs: np.ndarray, rng) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("raw values must be finite")
-        return self._clean(xs) + rng.laplace(0.0, self.scale, size=xs.shape)
-
-    def density(self, z, x) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        return (1.0 / (2.0 * self.scale)) * np.exp(-np.abs(z - self._clean(x)) / self.scale)
+    def scales(self) -> float:
+        return kernel_scale(self.kernel, self.h, self.alpha)
 
     def default_x_grid(self, n: int = 61) -> np.ndarray:
         return np.union1d(
             np.linspace(self.x0 - self.h - 1.0, self.x0 + self.h + 1.0, n),
             [self.x0 - self.h, self.x0, self.x0 + self.h],
         )
-
-    def default_z_grid(self, n: int = 121) -> np.ndarray:
-        peak = self.kernel.kappa / self.h
-        span = peak + 8.0 * self.scale
-        return np.union1d(np.linspace(-span, span, n), [-peak, 0.0, peak])
 
 
 def _validate_beta_n(alpha: float, card: int, beta_n: float | None) -> float:
@@ -283,7 +329,7 @@ def _validate_beta_n(alpha: float, card: int, beta_n: float | None) -> float:
 
 
 @dataclass(frozen=True)
-class MultiTruncChannel:
+class MultiTruncChannel(_MultiLaplace):
     """One clamp-plus-Laplace release per truncation level, noise scale 2T/beta_n.
 
     The per-level budget beta_n = alpha / card(grid) keeps the joint release at
@@ -303,28 +349,15 @@ class MultiTruncChannel:
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "beta_n", _validate_beta_n(self.alpha, len(g), self.beta_n))
 
+    def clean(self, x) -> np.ndarray:
+        ts = self.clean_sup()
+        return np.clip(np.asarray(x, dtype=float)[..., None], -ts, ts)
+
+    def clean_sup(self) -> np.ndarray:
+        return np.asarray(self.grid)
+
     def scales(self) -> np.ndarray:
-        return 2.0 * np.asarray(self.grid) / self.beta_n
-
-    def privatize(self, x, rng) -> np.ndarray:
-        x = _check_finite_scalar(x)
-        ts = np.asarray(self.grid)
-        return np.clip(x, -ts, ts) + rng.laplace(0.0, self.scales())
-
-    def privatize_array(self, xs: np.ndarray, rng) -> np.ndarray:
-        """Releases with shape xs.shape + (card(grid),)."""
-        xs = np.asarray(xs, dtype=float)
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("raw values must be finite")
-        ts = np.asarray(self.grid)
-        clean = np.clip(xs[..., None], -ts, ts)
-        return clean + rng.laplace(0.0, 1.0, size=clean.shape) * self.scales()
-
-    def level_density(self, level: int, z, x) -> np.ndarray:
-        t = self.grid[level]
-        b = 2.0 * t / self.beta_n
-        c = np.clip(np.asarray(x, dtype=float), -t, t)
-        return (1.0 / (2.0 * b)) * np.exp(-np.abs(np.asarray(z, dtype=float) - c) / b)
+        return trunc_scale(np.asarray(self.grid), self.beta_n)
 
     def default_x_grid(self, n: int = 61) -> np.ndarray:
         tmax = max(self.grid)
@@ -333,15 +366,9 @@ class MultiTruncChannel:
             np.concatenate([[-t, t] for t in self.grid] + [[0.0]]),
         )
 
-    def level_z_grid(self, level: int, n: int = 121) -> np.ndarray:
-        t = self.grid[level]
-        b = 2.0 * t / self.beta_n
-        span = t + 8.0 * b
-        return np.union1d(np.linspace(-span, span, n), [-t, 0.0, t])
-
 
 @dataclass(frozen=True)
-class MultiBandwidthChannel:
+class MultiBandwidthChannel(_MultiLaplace):
     """One kernel-Laplace release per candidate bandwidth, noise scale 2 kappa/(h beta_n)."""
 
     grid: tuple[float, ...]
@@ -359,43 +386,20 @@ class MultiBandwidthChannel:
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "beta_n", _validate_beta_n(self.alpha, len(g), self.beta_n))
 
+    def clean(self, x) -> np.ndarray:
+        return kernel_clean(self.kernel, np.asarray(x, dtype=float)[..., None], self.x0, np.asarray(self.grid))
+
+    def clean_sup(self) -> np.ndarray:
+        return self.kernel.kappa / np.asarray(self.grid)
+
     def scales(self) -> np.ndarray:
-        return 2.0 * self.kernel.kappa / (np.asarray(self.grid) * self.beta_n)
-
-    def _clean(self, x):
-        hs = np.asarray(self.grid)
-        x = np.asarray(x, dtype=float)
-        return self.kernel((x[..., None] - self.x0) / hs) / hs
-
-    def privatize(self, x, rng) -> np.ndarray:
-        x = _check_finite_scalar(x)
-        return self._clean(np.asarray(x)) + rng.laplace(0.0, self.scales())
-
-    def privatize_array(self, xs: np.ndarray, rng) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("raw values must be finite")
-        clean = self._clean(xs)
-        return clean + rng.laplace(0.0, 1.0, size=clean.shape) * self.scales()
-
-    def level_density(self, level: int, z, x) -> np.ndarray:
-        h = self.grid[level]
-        b = 2.0 * self.kernel.kappa / (h * self.beta_n)
-        c = self.kernel((np.asarray(x, dtype=float) - self.x0) / h) / h
-        return (1.0 / (2.0 * b)) * np.exp(-np.abs(np.asarray(z, dtype=float) - c) / b)
+        return kernel_scale(self.kernel, np.asarray(self.grid), self.beta_n)
 
     def default_x_grid(self, n: int = 61) -> np.ndarray:
         hmax = max(self.grid)
         return np.union1d(
             np.linspace(self.x0 - hmax - 1.0, self.x0 + hmax + 1.0, n), [self.x0]
         )
-
-    def level_z_grid(self, level: int, n: int = 121) -> np.ndarray:
-        h = self.grid[level]
-        b = 2.0 * self.kernel.kappa / (h * self.beta_n)
-        peak = self.kernel.kappa / h
-        span = peak + 8.0 * b
-        return np.union1d(np.linspace(-span, span, n), [-peak, 0.0, peak])
 
 
 @dataclass(frozen=True, eq=False)
@@ -509,7 +513,7 @@ def privacy_audit(ch, x_grid=None, z_grid=None) -> AuditResult:
     at a time so no block larger than (x', z) is held: O(m |x|^2 |z|) array
     work for m levels.  Ties go to the first (x, x', z) in grid order.
     """
-    if isinstance(ch, (MultiTruncChannel, MultiBandwidthChannel)):
+    if isinstance(ch, _MultiLaplace):
         xs = ch.default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
         joint = np.ones((len(xs), len(xs)))  # (x, x'), multiplied in level order
         levels = []
@@ -537,6 +541,14 @@ def privacy_audit(ch, x_grid=None, z_grid=None) -> AuditResult:
     iz = int(np.argmax(ratios))
     col = dens[:, iz]
     return AuditResult(float(ratios[iz]), float(xs[col.argmax()]), float(xs[col.argmin()]), float(zs[iz]))
+
+
+def audit_verdict(ratio: float, alpha: float, exact: bool = False) -> tuple[float, bool]:
+    """The bound e^alpha and whether an audited ``ratio`` stays within it (to 1e-9
+    relative); ``exact`` also asks that it reach the bound (to 1e-6 relative)."""
+    bound = math.exp(alpha)
+    ok = ratio <= bound * (1 + 1e-9) and (not exact or bound * (1 - 1e-6) <= ratio)
+    return bound, ok
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from . import adaptive as ad
 from . import effective_privacy as ep
 from . import lowerbounds as lb
-from .channels import PrivacyBudget, channel_from_json, privacy_audit
+from .channels import PrivacyBudget, audit_verdict, channel_from_json, privacy_audit
 from .estimators import (
     HolderClass,
     MomentProfile,
@@ -150,16 +149,14 @@ def cmd_audit(args) -> int:
     if isinstance(specs, dict):
         specs = [specs]
     rows = []
-    worst = False
     for spec in specs:
         ch = channel_from_json(spec)
         res = privacy_audit(ch)
-        bound = math.exp(ch.alpha) if math.isfinite(ch.alpha) else math.inf
-        ok = res.max_ratio <= bound * (1 + 1e-9)
-        worst = worst or not ok
+        bound, ok = audit_verdict(res.max_ratio, ch.alpha)
         rows.append({"spec": spec, **res.to_json(), "bound": bound, "ok": ok})
-    write_json(args.out, {"audits": rows, "violations": sum(not r["ok"] for r in rows)})
-    return EXIT_VIOLATION if worst else EXIT_OK
+    violations = sum(not r["ok"] for r in rows)
+    write_json(args.out, {"audits": rows, "violations": violations})
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 def cmd_contract_verify(args) -> int:

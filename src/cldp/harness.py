@@ -39,10 +39,15 @@ from . import lowerbounds as lb
 from .channels import (
     LaplaceTruncChannel,
     PrivacyBudget,
+    audit_verdict,
+    kernel_clean,
     kernel_order,
+    kernel_scale,
+    laplace_release,
     make_kernel,
     make_rr_channel,
     privacy_audit,
+    trunc_scale,
 )
 from .estimators import (
     HolderClass,
@@ -277,31 +282,21 @@ def _oracle_moment_table(X: np.ndarray, budget: PrivacyBudget, options: dict, rn
     mechanism, but each fixed level is, and sharing draws across candidates is
     the usual common-random-numbers device for oracle MSE curves.
     """
-    n, d = X.shape
-    grid = ad.build_truncation_grid(n)
-    m = grid.size
-    cols = []
-    for j in range(d):
-        clean = np.clip(X[:, j][:, None], -grid, grid)
-        scales = 2.0 * grid / budget.alphas[j]
-        cols.append(clean + rng.laplace(0.0, 1.0, size=(n, m)) * scales)
-    letters = "abcdefgh"
-    spec = ",".join(f"i{letters[j]}" for j in range(d)) + "->" + letters[:d]
-    return np.einsum(spec, *cols) / n
+    grid = ad.build_truncation_grid(X.shape[0])
+    cols = [
+        laplace_release(np.clip(X[:, j, None], -grid, grid), trunc_scale(grid, alpha), rng)
+        for j, alpha in enumerate(budget.alphas)
+    ]
+    return ad._estimate_table(np.stack(cols, axis=1))
 
 
 def _oracle_kde_per_h(X: np.ndarray, budget: PrivacyBudget, options: dict, rng) -> np.ndarray:
     """Full-budget single-release pointwise estimates for every bandwidth."""
-    n, d = X.shape
-    grid = ad.build_bandwidth_grid(n)
-    m = grid.size
-    x0 = _x0(options)
+    grid = ad.build_bandwidth_grid(X.shape[0])
     kernel = _kernel(options)
-    prod = np.ones((n, m))
-    for j in range(d):
-        clean = kernel((X[:, j][:, None] - x0[j]) / grid) / grid
-        scales = 2.0 * kernel.kappa / (grid * budget.alphas[j])
-        prod *= clean + rng.laplace(0.0, 1.0, size=(n, m)) * scales
+    prod = np.ones((X.shape[0], grid.size))
+    for j, (alpha, x0) in enumerate(zip(budget.alphas, _x0(options))):
+        prod *= laplace_release(kernel_clean(kernel, X[:, j, None], x0, grid), kernel_scale(kernel, grid, alpha), rng)
     return prod.mean(axis=0)
 
 
@@ -495,36 +490,23 @@ def run_verification_suite(which: str, seed: int = 7, instances: Optional[int] =
 def _privacy_suite(seed: int) -> dict:
     rng = derive_rng(seed, 101)
     rows = []
-    violations = 0
+
+    def audit(name: str, ch, exact: bool = False, **fields) -> None:
+        ratio = privacy_audit(ch).max_ratio
+        bound, ok = audit_verdict(ratio, ch.alpha, exact)
+        rows.append({"channel": name, **fields, "alpha": ch.alpha, "ratio": ratio, "bound": bound, "ok": ok})
+
     for _ in range(20):
         T = float(rng.uniform(0.5, 5.0))
         alpha = float(rng.uniform(0.2, 1.5))
-        audit = privacy_audit(LaplaceTruncChannel(T=T, alpha=alpha))
-        bound = math.exp(alpha)
-        ok = bound * (1 - 1e-6) <= audit.max_ratio <= bound * (1 + 1e-9)
-        violations += int(not ok)
-        rows.append({"channel": "laplace_trunc", "T": T, "alpha": alpha, "ratio": audit.max_ratio, "bound": bound, "ok": ok})
+        audit("laplace_trunc", LaplaceTruncChannel(T=T, alpha=alpha), exact=True, T=T)
     for m in (2, 3, 5):
-        alpha = 0.3 + 0.2 * m
-        audit = privacy_audit(make_rr_channel(tuple(range(m)), alpha))
-        bound = math.exp(alpha)
-        ok = audit.max_ratio <= bound * (1 + 1e-9)
-        violations += int(not ok)
-        rows.append({"channel": f"rr_m{m}", "alpha": alpha, "ratio": audit.max_ratio, "bound": bound, "ok": ok})
+        audit(f"rr_m{m}", make_rr_channel(tuple(range(m)), 0.3 + 0.2 * m))
     for n, alpha in ((64, 0.8), (256, 0.5)):
         glc = ad.GLConfig(n=n, budget=PrivacyBudget([alpha]))
-        ch = ad.multi_trunc_channels(glc)[0]
-        audit = privacy_audit(ch)
-        bound = math.exp(alpha)
-        ok = audit.max_ratio <= bound * (1 + 1e-9)
-        violations += int(not ok)
-        rows.append({"channel": "multi_trunc", "n": n, "alpha": alpha, "ratio": audit.max_ratio, "bound": bound, "ok": ok})
-        kern = make_kernel(1)
-        chb = ad.multi_bandwidth_channels(ad.GLConfig(n=n, budget=PrivacyBudget([alpha])), [0.0], kern)[0]
-        audit = privacy_audit(chb)
-        ok = audit.max_ratio <= bound * (1 + 1e-9)
-        violations += int(not ok)
-        rows.append({"channel": "multi_bandwidth", "n": n, "alpha": alpha, "ratio": audit.max_ratio, "bound": bound, "ok": ok})
+        audit("multi_trunc", ad.multi_trunc_channels(glc)[0], n=n)
+        audit("multi_bandwidth", ad.multi_bandwidth_channels(glc, [0.0], make_kernel(1))[0], n=n)
+    violations = sum(not row["ok"] for row in rows)
     return {"suite": "privacy", "seed": seed, "violations": violations, "audits": rows}
 
 

@@ -113,28 +113,23 @@ class ParetoFactorModel:
         """Per-axis scales making E|X^j|^{k_j} = scale^{k_j} at the given scale."""
         out = []
         for j, k in enumerate(self.ks):
-            if self.coupling == "power":
-                m = self._abs_moment(self.a[j], k)
-            else:
-                m = self.rho * self._abs_moment(self.a_shared, k) + (
-                    1.0 - self.rho
-                ) * self._abs_moment(self.a[j], k)
-            out.append(self.scale * m ** (-1.0 / k))
+            out.append(self.scale * self._axis_abs_moment(j, k) ** (-1.0 / k))
         return np.asarray(out)
 
-    # --- exact ground truths ---
-
-    def _axis_abs_mean(self, j: int) -> float:
+    def _axis_abs_moment(self, j: int, order: float) -> float:
+        """E |U_j|^order for the unit-scale magnitude U_j of axis j (0-based)."""
         if self.coupling == "power":
-            return self._abs_moment(self.a[j - 1], 1.0)
-        return self.rho * self._abs_moment(self.a_shared, 1.0) + (
+            return self._abs_moment(self.a[j], order)
+        return self.rho * self._abs_moment(self.a_shared, order) + (
             1.0 - self.rho
-        ) * self._abs_moment(self.a[j - 1], 1.0)
+        ) * self._abs_moment(self.a[j], order)
+
+    # --- exact ground truths ---
 
     def mean(self, j: int) -> float:
         if self.symmetric:
             return 0.0
-        return float(self.component_scales()[j - 1]) * self._axis_abs_mean(j)
+        return float(self.component_scales()[j - 1]) * self._axis_abs_moment(j - 1, 1.0)
 
     def abs_moment(self, j: int) -> float:
         """E |X^j|^{k_j}; equals scale^{k_j} by construction."""
@@ -167,13 +162,7 @@ class ParetoFactorModel:
 
     def variance(self, j: int) -> float:
         s = self.component_scales()[j - 1]
-        if self.coupling == "power":
-            m2 = self._abs_moment(self.a[j - 1], 2.0)
-        else:
-            m2 = self.rho * self._abs_moment(self.a_shared, 2.0) + (
-                1.0 - self.rho
-            ) * self._abs_moment(self.a[j - 1], 2.0)
-        return s * s * m2 - self.mean(j) ** 2
+        return s * s * self._axis_abs_moment(j - 1, 2.0) - self.mean(j) ** 2
 
     def covariance(self) -> float:
         if self.d != 2:

@@ -43,7 +43,7 @@ class TestGLConfig:
     def test_derived_quantities(self):
         cfg = GLConfig(n=1024, budget=PrivacyBudget([0.5, 0.8]), c0=8.0)
         assert cfg.grid_cardinality == 10
-        assert cfg.kappa_n == pytest.approx(8.0 * math.log(1024))
+        assert cfg.a_n == pytest.approx(8.0 * math.log(1024))
         assert np.allclose(cfg.beta_n(), [0.05, 0.08])
 
     def test_channels_pass_audit_at_declared_level(self):
@@ -107,7 +107,7 @@ class TestSelectTruncation:
         for i1 in (0, 3, 7):
             for i2 in (1, 5):
                 expected = (
-                    cfg.kappa_n
+                    cfg.a_n
                     * grid[i1] ** 2
                     * grid[i2] ** 2
                     / (n * beta[0] ** 2 * beta[1] ** 2)
@@ -164,7 +164,7 @@ def _reference_truncation_tables(gamma, grid, cfg):
     m, d = grid.size, gamma.ndim
     beta = cfg.beta_n()
     denom = cfg.n * float(np.prod(beta**2))
-    V = cfg.kappa_n * _outer([grid**2] * d) / denom
+    V = cfg.a_n * _outer([grid**2] * d) / denom
     ar = np.arange(m)
     K = np.maximum(ar[:, None], ar[None, :])
     if d == 1:

@@ -73,6 +73,10 @@ class TestKernels:
         k = make_kernel(2)
         assert k(1.5) == 0.0
 
+    def test_one_kernel_per_order(self):
+        assert make_kernel(1) is make_kernel(1)
+        assert make_kernel(2) is not make_kernel(1)
+
 
 class TestPrivatize:
     def test_clamp_forces_boundary(self):
@@ -202,6 +206,61 @@ class TestRandomizedResponse:
         a = [privatize(ch, 1.0, derive_rng(9, i)) for i in range(20)]
         b = [privatize(ch, 1.0, derive_rng(9, i)) for i in range(20)]
         assert a == b
+
+
+def _laplace_pdf(z, clean, b):
+    return np.exp(-np.abs(z - clean) / b) / (2.0 * b)
+
+
+# each Laplace-type channel with its clean map and its scales written out by hand
+LAPLACE_TYPE = [
+    (LaplaceTruncChannel(T=1.5, alpha=0.4), lambda x: np.clip(x, -1.5, 1.5), 2.0 * 1.5 / 0.4),
+    (
+        KernelLaplaceChannel(h=0.3, x0=0.1, kernel=make_kernel(2), alpha=0.8),
+        lambda x: (9.0 / 8.0 - 15.0 / 8.0 * ((x - 0.1) / 0.3) ** 2) * (np.abs(x - 0.1) <= 0.3) / 0.3,
+        2.0 * (9.0 / 8.0) / (0.3 * 0.8),
+    ),
+    (
+        MultiTruncChannel(grid=(8.0, 4.0, 2.0, 1.0), alpha=0.6),
+        lambda x: np.clip(np.asarray(x)[..., None], -np.array([8.0, 4.0, 2.0, 1.0]), [8.0, 4.0, 2.0, 1.0]),
+        2.0 * np.array([8.0, 4.0, 2.0, 1.0]) / (0.6 / 4),
+    ),
+    (
+        MultiBandwidthChannel(grid=(0.25, 0.5, 1.0), alpha=0.6, x0=0.2, kernel=make_kernel(1)),
+        lambda x: 0.5 * (np.abs(np.asarray(x)[..., None] - 0.2) <= np.array([0.25, 0.5, 1.0])) / [0.25, 0.5, 1.0],
+        2.0 * 0.5 / (np.array([0.25, 0.5, 1.0]) * (0.6 / 3)),
+    ),
+]
+
+
+class TestSharedLaplaceRelease:
+    @pytest.mark.parametrize("ch, clean, scales", LAPLACE_TYPE)
+    def test_scalar_release_is_one_row_of_the_array_release(self, ch, clean, scales):
+        for i, x in enumerate((-3.0, 0.05, 0.2, 2.5)):
+            rng_one, rng_row = derive_rng(17, i), derive_rng(17, i)
+            one = privatize(ch, x, rng_one)
+            row = ch.privatize_array([x], rng_row)[0]
+            assert np.array_equal(one, row)
+            assert np.shape(one) == np.shape(clean(x))
+            assert rng_one.random() == rng_row.random()  # the same draws were consumed
+
+    @pytest.mark.parametrize("ch, clean, scales", LAPLACE_TYPE)
+    def test_release_is_clean_map_plus_scaled_noise(self, ch, clean, scales):
+        xs = np.linspace(-2.0, 2.0, 9)
+        assert np.allclose(ch.scales(), scales, rtol=1e-12, atol=0.0)
+        expected = clean(xs) + derive_rng(18, 0).laplace(0.0, 1.0, size=np.shape(clean(xs))) * scales
+        assert np.allclose(ch.privatize_array(xs, derive_rng(18, 0)), expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("ch, clean, scales", LAPLACE_TYPE)
+    def test_density_is_closed_form_laplace_pdf(self, ch, clean, scales):
+        xs = np.linspace(-2.0, 2.0, 9)[:, None]
+        zs = np.linspace(-6.0, 6.0, 13)[None, :]
+        if isinstance(ch, (MultiTruncChannel, MultiBandwidthChannel)):
+            for level in range(len(ch.grid)):
+                expected = _laplace_pdf(zs, clean(xs)[..., level], scales[level])
+                np.testing.assert_allclose(ch.level_density(level, zs, xs), expected, rtol=1e-12)
+        else:
+            np.testing.assert_allclose(ch.density(zs, xs), _laplace_pdf(zs, clean(xs), scales), rtol=1e-12)
 
 
 class TestSerialization:

@@ -5,15 +5,18 @@ these outputs unchanged.  Each case is a tiny configuration that still walks
 the paths a change could disturb: regime-warning rows, ``zero_noise``, a
 bandwidth override, the adaptive oracle table (with and without an
 ``oracle_reps`` cap), and each ``cldp estimate`` / ``cldp adaptive`` mode.
-A hash that moves means an output moved; regenerate the pins only for a
+``cldp report`` and one ``cldp audit`` over every channel variant pin the
+verification JSON.  A hash that moves means an output moved; regenerate the pins only for a
 change that is meant to alter outputs, and say so where the change is
 recorded.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from cldp.channels import channel_to_json, make_identity_channel, make_rr_channel
 from cldp.cli import main
 from cldp.harness import ExperimentConfig, run_rate_experiment
 from cldp.simdata import HolderDensityModel, ParetoFactorModel
@@ -129,3 +132,33 @@ def test_cli_outputs_unchanged(name, tmp_path):
     out = tmp_path / "out.json"
     assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
     assert _sha(out) == CLI_GOLDEN[name]
+
+
+# every channel variant; the identity channel's alpha is null, so its bound is inf
+AUDIT_SPECS = [
+    {"variant": "laplace_trunc", "alpha": 0.7, "T": 2.0},
+    {"variant": "kernel_laplace", "alpha": 1.0, "h": 0.5, "x0": 0.1, "kernel_order": 2},
+    {"variant": "multi_trunc", "alpha": 0.8, "grid": [16.0, 8.0, 4.0, 2.0]},
+    {"variant": "multi_bandwidth", "alpha": 0.5, "grid": [0.125, 0.25, 0.5, 1.0], "x0": 0.2, "kernel_order": 3},
+    channel_to_json(make_rr_channel((0.0, 1.0, 2.0), 0.9)),
+    channel_to_json(make_identity_channel((0.0, 1.0))),
+]
+
+VERIFY_GOLDEN = {
+    "audit": "ba06164298f6b2d0861ed376d9a7952511b3662db020ac5d5d5374278e1ced8b",
+    "report": "73991971d3c2f117eb6c50bf4e7abf779cdf614cb678d1a860ad2c5485d64799",
+}
+
+
+def test_audit_output_unchanged(tmp_path):
+    specs = tmp_path / "channels.json"
+    specs.write_text(json.dumps(AUDIT_SPECS))
+    out = tmp_path / "audit.json"
+    assert main(["audit", "--channels", str(specs), "--out", str(out)]) == 0
+    assert _sha(out) == VERIFY_GOLDEN["audit"]
+
+
+def test_report_output_unchanged(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["report", "--seed", "7", "--out", str(out)]) == 0
+    assert _sha(out) == VERIFY_GOLDEN["report"]
