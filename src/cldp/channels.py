@@ -24,6 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import legendre
 
+from .measures import support_index
+
 __all__ = [
     "PrivacyBudget",
     "KernelFn",
@@ -425,24 +427,24 @@ class RandomizedResponseChannel:
         object.__setattr__(self, "input_support", tuple(float(x) for x in self.input_support))
         object.__setattr__(self, "output_support", tuple(float(z) for z in self.output_support))
 
-    def _row(self, x) -> int:
-        x = _check_finite_scalar(x)
-        sup = np.asarray(self.input_support)
-        hits = np.flatnonzero(np.isclose(sup, x, rtol=0.0, atol=1e-12))
-        if hits.size != 1:
-            raise ValueError(f"value {x!r} not in channel input support")
-        return int(hits[0])
-
     def privatize(self, x, rng) -> float:
-        row = self.transition_table[self._row(x)]
+        row = self.transition_table[support_index(self.input_support, x, "channel input support")]
         idx = rng.choice(len(self.output_support), p=row)
         return float(self.output_support[idx])
 
-    def density(self, z, x) -> float:
-        iz = np.flatnonzero(np.isclose(np.asarray(self.output_support), float(z), atol=1e-12))
-        if iz.size != 1:
-            raise ValueError(f"value {z!r} not in channel output support")
-        return float(self.transition_table[self._row(x), int(iz[0])])
+    def density(self, z, x):
+        """q(z|x) read from the table; z and x broadcast, and each must be a symbol of its alphabet."""
+        p = self.transition_table[
+            support_index(self.input_support, x, "channel input support"),
+            support_index(self.output_support, z, "channel output support"),
+        ]
+        return p if np.ndim(p) else float(p)
+
+    def default_x_grid(self) -> np.ndarray:
+        return np.asarray(self.input_support)
+
+    def default_z_grid(self) -> np.ndarray:
+        return np.asarray(self.output_support)
 
 
 def make_rr_channel(input_support: Sequence[float], alpha: float) -> RandomizedResponseChannel:
@@ -527,14 +529,9 @@ def privacy_audit(ch, x_grid=None, z_grid=None) -> AuditResult:
         argz = tuple(float(zs[np.argmax(dens[i] / dens[j])]) for zs, dens in levels)
         return AuditResult(float(joint[i, j]), float(xs[i]), float(xs[j]), argz)
 
-    if isinstance(ch, RandomizedResponseChannel):
-        xs = np.asarray(ch.input_support) if x_grid is None else np.asarray(x_grid, dtype=float)
-        zs = np.asarray(ch.output_support) if z_grid is None else np.asarray(z_grid, dtype=float)
-        dens = np.array([[ch.density(z, x) for z in zs] for x in xs])
-    else:  # scalar-release channels with closed-form densities
-        xs = ch.default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
-        zs = ch.default_z_grid() if z_grid is None else np.asarray(z_grid, dtype=float)
-        dens = ch.density(zs[None, :], xs[:, None])  # (x, z)
+    xs = ch.default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
+    zs = ch.default_z_grid() if z_grid is None else np.asarray(z_grid, dtype=float)
+    dens = ch.density(zs[None, :], xs[:, None])  # (x, z)
     hi, lo = dens.max(axis=0), dens.min(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(lo == 0.0, np.where(hi > 0.0, math.inf, 1.0), hi / lo)
@@ -545,8 +542,12 @@ def privacy_audit(ch, x_grid=None, z_grid=None) -> AuditResult:
 
 def audit_verdict(ratio: float, alpha: float, exact: bool = False) -> tuple[float, bool]:
     """The bound e^alpha and whether an audited ``ratio`` stays within it (to 1e-9
-    relative); ``exact`` also asks that it reach the bound (to 1e-6 relative)."""
-    bound = math.exp(alpha)
+    relative); ``exact`` also asks that it reach the bound (to 1e-6 relative).
+    The bound is inf where e^alpha exceeds the float range."""
+    try:
+        bound = math.exp(alpha)
+    except OverflowError:
+        bound = math.inf
     ok = ratio <= bound * (1 + 1e-9) and (not exact or bound * (1 - 1e-6) <= ratio)
     return bound, ok
 

@@ -17,6 +17,7 @@ stream per instance, so results are deterministic under any execution order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ from .measures import (
     DiscreteDist,
     SubsetIndex,
     divergence,
+    fl_term,
     marginal,
     nonempty_subsets,
     pushforward,
@@ -135,24 +137,10 @@ def channel_fl_epsilons(channels, l: float) -> np.ndarray:
 
     Exhaustive over all ordered input pairs; finite channels only.
     """
-    if l <= 1:
-        raise ValueError(f"f_l requires l > 1, got {l}")
     out = []
     for ch in channels:
-        table = np.asarray(ch.transition_table, dtype=float)
-        worst = 0.0
-        m = table.shape[0]
-        for a in range(m):
-            for b in range(m):
-                if a == b:
-                    continue
-                q = table[a]  # reference measure
-                p = table[b]
-                if np.any((q == 0) & (p > 0)):
-                    raise ValueError("divergence undefined: channel rows not mutually a.c.")
-                mask = q > 0
-                d = float(np.sum(q[mask] * np.abs(p[mask] / q[mask] - 1.0) ** l))
-                worst = max(worst, d)
+        rows = np.asarray(ch.transition_table, dtype=float)
+        worst = max((fl_term(p, q, l) for q, p in itertools.permutations(rows, 2)), default=0.0)
         out.append(worst ** (1.0 / l))
     return np.asarray(out)
 

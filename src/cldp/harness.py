@@ -61,6 +61,7 @@ from .estimators import (
     private_mean,
     release_sample,
 )
+from .measures import DiscreteDist
 from .simdata import HolderDensityModel, ParetoFactorModel, model_from_json, sample_heavy_tailed, sample_holder_density
 
 __all__ = [
@@ -514,8 +515,6 @@ def _random_joint_dist(rng, d: int, max_support: int = 3):
     sizes = [int(rng.integers(2, max_support + 1)) for _ in range(d)]
     supports = [np.sort(rng.normal(size=s) * 1.5) for s in sizes]
     raw = rng.gamma(1.0, 1.0, size=tuple(sizes)) + 1e-3
-    from .measures import DiscreteDist
-
     return DiscreteDist(supports, raw / raw.sum())
 
 
@@ -542,13 +541,8 @@ def _lowerbound_suite() -> dict:
         inst = lb.moment_two_point(profile, budget, n)
         channels = lb.default_moment_channels(inst)
         rep = lb.verify_two_point(inst, channels, n)
-        worst = 0.0
-        from .measures import marginal, nonempty_subsets, tv_distance
-
-        for S in nonempty_subsets(d):
-            if len(S) == d:
-                continue
-            worst = max(worst, tv_distance(marginal(inst.P, S), marginal(inst.P_star, S)))
+        tvs = ct.MarginalTVTable.from_dists(inst.P, inst.P_star)
+        worst = max(t for S, t in tvs.values.items() if len(S) < d)
         cases.append(
             {
                 "d": d,

@@ -10,6 +10,9 @@ Conventions used throughout the package:
 * Zero-mass handling: ``0 * log(0/0) = 0``; positive mass where the reference
   measure vanishes raises instead of returning ``inf`` so modeling mistakes
   surface in tests.
+* Finite channels: a raw value selects its transition-table row by one support
+  match, ``support_index``, and every exact release law is one ``push_axes``
+  contraction of those rows (``pushforward``, and the leakage audits).
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -31,6 +34,10 @@ __all__ = [
     "divergence",
     "pushforward",
     "nonempty_subsets",
+    "support_index",
+    "transition_rows",
+    "push_axes",
+    "fl_term",
 ]
 
 
@@ -193,14 +200,19 @@ def divergence(P: DiscreteDist, Q: DiscreteDist, kind: str = "kl", l: float | No
     if kind == "jeffreys":
         return _kl(p, q) + _kl(q, p)
     if kind == "fl":
-        if l is None or l <= 1:
-            raise ValueError(f"f_l divergence requires l > 1, got {l}")
-        mask_p = p > 0
-        if np.any(q[mask_p] == 0):
-            raise ValueError("divergence undefined: P > 0 where Q = 0")
-        mask = q > 0
-        return float(np.sum(q[mask] * np.abs(p[mask] / q[mask] - 1.0) ** l))
+        return fl_term(p, q, l)
     raise ValueError(f"unknown divergence kind {kind!r}")
+
+
+def fl_term(p: np.ndarray, q: np.ndarray, l: float | None) -> float:
+    """sum q |p/q - 1|^l over the cells where q > 0, for l > 1; P must be
+    absolutely continuous with respect to Q."""
+    if l is None or l <= 1:
+        raise ValueError(f"f_l divergence requires l > 1, got {l}")
+    if np.any(q[p > 0] == 0):
+        raise ValueError("divergence undefined: P > 0 where Q = 0")
+    mask = q > 0
+    return float(np.sum(q[mask] * np.abs(p[mask] / q[mask] - 1.0) ** l))
 
 
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
@@ -210,32 +222,42 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
-def _transition_for_axis(channel, support: np.ndarray) -> np.ndarray:
-    """Rows of the channel's finite transition table matching ``support``."""
-    table = getattr(channel, "transition_table", None)
-    if table is None:
-        raise ValueError("pushforward requires finite output")
-    in_sup = np.asarray(channel.input_support, dtype=float)
+def support_index(support, values, where: str):
+    """Index into ``support`` of each of ``values`` (any shape): the one point
+    within 1e-12 absolute.  ValueError naming ``where`` for a value that matches
+    no point or several."""
+    vals = np.asarray(values, dtype=float)
+    hits = np.isclose(np.asarray(support, dtype=float), vals[..., None], rtol=0.0, atol=1e-12)
+    unmatched = hits.sum(axis=-1) != 1
+    if np.any(unmatched):
+        raise ValueError(f"value {float(vals[unmatched].flat[0])!r} not in {where}")
+    return hits.argmax(axis=-1)
+
+
+def transition_rows(P: DiscreteDist, channels) -> list[np.ndarray]:
+    """Per axis of P, the transition-table rows of that axis's finite channel at
+    P's support points, in support order."""
+    if len(channels) != P.d:
+        raise ValueError(f"need {P.d} channels, got {len(channels)}")
     rows = []
-    for x in support:
-        hits = np.flatnonzero(np.isclose(in_sup, x, rtol=0.0, atol=1e-12))
-        if hits.size != 1:
-            raise ValueError(f"channel input support does not cover point {x!r}")
-        rows.append(hits[0])
-    return np.asarray(table, dtype=float)[rows, :]
+    for ax, (ch, sup) in enumerate(zip(channels, P.supports)):
+        table = getattr(ch, "transition_table", None)
+        if table is None:
+            raise ValueError("exact laws require finite output channels")
+        rows.append(table[support_index(ch.input_support, sup, f"the axis-{ax + 1} channel's input support")])
+    return rows
+
+
+def push_axes(table: np.ndarray, rows) -> np.ndarray:
+    """Contract the leading axes of ``table`` against ``rows``, one at a time; each
+    output axis goes to the back, so contracting every axis keeps the axis order."""
+    for t in rows:
+        table = np.tensordot(table, t, axes=([0], [0]))
+    return table
 
 
 def pushforward(P: DiscreteDist, channels) -> DiscreteDist:
     """Exact law of Z = (Z^1, ..., Z^d) with Z^j ~ Q^j(.|X^j), conditionally
     independent across axes given X.  Finite-output channels only."""
-    if len(channels) != P.d:
-        raise ValueError(f"need {P.d} channels, got {len(channels)}")
-    out = P.probs
-    out_supports = []
-    for ax, ch in enumerate(channels):
-        t = _transition_for_axis(ch, P.supports[ax])
-        # contract the current leading axis against its transition table and
-        # push the output axis to the back, so axis order is restored after d steps
-        out = np.tensordot(out, t, axes=([0], [0]))
-        out_supports.append(np.asarray(ch.output_support, dtype=float))
-    return DiscreteDist(out_supports, out)
+    out = push_axes(P.probs, transition_rows(P, channels))
+    return DiscreteDist([np.asarray(ch.output_support, dtype=float) for ch in channels], out)

@@ -335,6 +335,28 @@ MULTI_LEVEL = [
 ]
 
 
+class TestRandomizedResponseLookup:
+    """Inputs and outputs are matched to the alphabets within 1e-12 absolute, nothing looser."""
+
+    def test_output_near_symbol_rejected(self):
+        ch = make_rr_channel((0.0, 1000.0), 1.0)
+        # 1000.005 is within 1e-5 relative of the symbol 1000, not within 1e-12
+        with pytest.raises(ValueError, match="output support"):
+            ch.density(1000.005, 0.0)
+        with pytest.raises(ValueError, match="input support"):
+            ch.density(0.0, 1000.005)
+        assert ch.density(1000.0 + 1e-13, 0.0) == ch.transition_table[0, 1]
+
+    def test_density_broadcasts(self):
+        ch = make_rr_channel((0.0, 1.0, 2.0), 0.9)
+        xs, zs = np.array([2.0, 0.0]), np.array([1.0, 2.0, 0.0])
+        dens = ch.density(zs[None, :], xs[:, None])
+        assert dens.shape == (2, 3)
+        assert dens.tolist() == [[ch.density(z, x) for z in zs] for x in xs]
+        with pytest.raises(ValueError, match="input support"):
+            ch.density(zs[None, :], np.array([[0.0], [0.5]]))
+
+
 class TestAuditMatchesLoopReference:
     """The array reductions reproduce the loop audit exactly, ties and argmax points included."""
 

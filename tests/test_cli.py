@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cldp
 from cldp.channels import LaplaceTruncChannel, channel_to_json, make_rr_channel
 from cldp.cli import _model_from_config, main, parse_kv_config
 from cldp.harness import RateCurve
@@ -44,6 +48,22 @@ class TestAuditCommand:
     def test_missing_file_exit_config(self, tmp_path):
         assert main(["audit", "--channels", str(tmp_path / "nope.json")]) == 2
 
+    def test_alpha_beyond_exp_range(self, tmp_path):
+        # e^800 overflows a float: the bound reads inf and the exit code is the verdict's
+        spec = [{"variant": "laplace_trunc", "alpha": 800.0, "T": 1.0}]
+        ch = write(tmp_path / "ch.json", json.dumps(spec))
+        out = tmp_path / "audit.json"
+        src = str(pathlib.Path(cldp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cldp.cli", "audit", "--channels", ch, "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert "Traceback" not in proc.stderr
+        rep = json.loads(out.read_text())
+        assert rep["audits"][0]["bound"] == math.inf
+        assert proc.returncode == (1 if rep["violations"] else 0)
+
 
 class TestContractVerify:
     def test_small_sweep(self, tmp_path):
@@ -68,6 +88,14 @@ class TestLeakageCommand:
         rep = json.loads(out.read_text())
         for key in ("delta_ind", "effective_alpha", "audited_sup", "floor"):
             assert key in rep
+
+    def test_uncovered_support_exit_config(self, tmp_path, capsys):
+        P = DiscreteDist([[0.0, 1.0], [0.0, 1.0]], [[0.4, 0.1], [0.1, 0.4]])
+        dist = write(tmp_path / "d.json", json.dumps(P.to_json()))
+        chans = [channel_to_json(make_rr_channel(sup, 0.5)) for sup in ((0.0, 1.0), (0.0, 2.0))]
+        chp = write(tmp_path / "ch.json", json.dumps(chans))
+        assert main(["leakage", "--dist", dist, "--channels", chp]) == 2
+        assert "input support" in capsys.readouterr().err
 
 
 class TestEstimateCommand:

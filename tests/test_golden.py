@@ -5,10 +5,12 @@ these outputs unchanged.  Each case is a tiny configuration that still walks
 the paths a change could disturb: regime-warning rows, ``zero_noise``, a
 bandwidth override, the adaptive oracle table (with and without an
 ``oracle_reps`` cap), and each ``cldp estimate`` / ``cldp adaptive`` mode.
-``cldp report`` and one ``cldp audit`` over every channel variant pin the
-verification JSON.  A hash that moves means an output moved; regenerate the pins only for a
-change that is meant to alter outputs, and say so where the change is
-recorded.
+``cldp report``, one ``cldp audit`` over every channel variant, one
+``cldp leakage`` (a zero-mass cell and an identity channel walk the 0/0 and
+x/0 ratio branches), one ``cldp contract-verify`` and both
+``cldp lowerbound`` kinds pin the verification JSON.  A hash that moves means
+an output moved; regenerate the pins only for a change that is meant to alter
+outputs, and say so where the change is recorded.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ import pytest
 from cldp.channels import channel_to_json, make_identity_channel, make_rr_channel
 from cldp.cli import main
 from cldp.harness import ExperimentConfig, run_rate_experiment
+from cldp.measures import DiscreteDist
 from cldp.simdata import HolderDensityModel, ParetoFactorModel
 
 PARETO_1 = ParetoFactorModel(ks=[4.0], a=[5.0]).to_json()
@@ -162,3 +165,42 @@ def test_report_output_unchanged(tmp_path):
     out = tmp_path / "report.json"
     assert main(["report", "--seed", "7", "--out", str(out)]) == 0
     assert _sha(out) == VERIFY_GOLDEN["report"]
+
+
+# axis-2 cell (0, 1) is empty and x2 = 2 never occurs: through the identity
+# channel one conditional release law is 0 where the other is not, and both are
+# 0 at z2 = 2
+LEAKAGE_DIST = DiscreteDist([[0.0, 1.0], [0.0, 1.0, 2.0]], [[0.5, 0.0, 0.0], [0.2, 0.3, 0.0]])
+LEAKAGE_CHANNELS = [make_rr_channel((0.0, 1.0), 0.7), make_identity_channel((0.0, 1.0, 2.0))]
+
+VERIFY_CASES = {
+    "leakage": ["leakage", "--dist", "{dist}", "--channels", "{channels}"],
+    "contract_verify": ["contract-verify", "--dims", "2,3", "--instances", "40", "--seed", "5"],
+    "lowerbound_moment": ["lowerbound", "--kind", "moment", "--config", "{moment_cfg}"],
+    "lowerbound_density": ["lowerbound", "--kind", "density", "--config", "{density_cfg}"],
+}
+
+VERIFY_CASE_GOLDEN = {
+    "leakage": "64f688916045c8e2bb6df728e8f38c51a0e5d423c16793c25b5178eb1aa4116f",
+    "contract_verify": "f5e1cd641e52f665514057534b4027f75153620e159eb33aac22da392a12ca34",
+    "lowerbound_moment": "81e4bcd5f040dd7153928a3a9518736783386a5e04002d34885292b276d30b8b",
+    "lowerbound_density": "ec86d95724fa2fcab194208bc00ed6c35a2c4f43483cb0da5dbf817604900770",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_verify_command_output_unchanged(name, tmp_path):
+    files = {
+        "dist": json.dumps(LEAKAGE_DIST.to_json()),
+        "channels": json.dumps([channel_to_json(ch) for ch in LEAKAGE_CHANNELS]),
+        "moment_cfg": "n=512\nalphas=0.6,0.6,0.6\nks=4,4,4\n",
+        "density_cfg": "n=50000\nalphas=0.5\nbeta=2\n",
+    }
+    paths = {}
+    for key, text in files.items():
+        paths[key] = tmp_path / key
+        paths[key].write_text(text)
+    out = tmp_path / "out.json"
+    argv = [arg.format(**paths) for arg in VERIFY_CASES[name]]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert _sha(out) == VERIFY_CASE_GOLDEN[name]
