@@ -1,14 +1,18 @@
-"""Command-line harness.
+"""Command-line front end over the harness.
 
 Subcommands: audit, contract-verify, leakage, estimate, adaptive, rates,
-lowerbound, report.  Experiment configs are flat key=value text files (see
-README for the key set per mode).  Exit codes: 0 ok, 1 violation, 2 config
-error.  CLDP_WORKERS sets the default parallelism degree.
+lowerbound, report.  estimate, adaptive and rates run ``harness.MODES``;
+lowerbound and report run the checks of ``lowerbounds`` and ``harness``.
+Configs are flat key=value text files (see README for the key set per mode).
+Exit codes: 0 ok, 1 violation, 2 malformed input only (read behind one input
+boundary); internal faults surface as tracebacks.  CLDP_WORKERS sets the
+default parallelism degree.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -18,13 +22,8 @@ from . import adaptive as ad
 from . import effective_privacy as ep
 from . import lowerbounds as lb
 from .channels import PrivacyBudget, audit_verdict, channel_from_json, privacy_audit
-from .estimators import (
-    HolderClass,
-    MomentProfile,
-    corr_release_plan,
-    private_covariance_correlation,
-    release_sample,
-)
+from .contraction import run_contraction_sweep
+from .estimators import HolderClass, MomentProfile
 from .harness import (
     MODES,
     ExperimentConfig,
@@ -37,8 +36,8 @@ from .harness import (
     run_verification_suite,
     write_json,
 )
-from .measures import DiscreteDist
-from .simdata import ParetoFactorModel, model_from_json, sample_heavy_tailed
+from .measures import DiscreteDist, transition_rows
+from .simdata import model_from_json
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -49,21 +48,27 @@ class ConfigError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _reading_inputs():
+    """The input boundary: what fails while inputs are read and built is a config error."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def parse_kv_config(path: str) -> dict:
     """Flat key=value text; '#' starts a comment; values may be comma lists."""
     out: dict = {}
-    try:
-        with open(path) as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-                key, val = (part.strip() for part in line.split("=", 1))
-                out[key] = val
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    with open(path) as f:
+        for lineno, raw in enumerate(f, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+            key, val = (part.strip() for part in line.split("=", 1))
+            out[key] = val
     return out
 
 
@@ -135,7 +140,14 @@ def _mode_inputs(cfg: dict, mode: str, command_keys: set) -> tuple:
     kind = _model_kind(cfg)
     _reject_unknown(cfg, command_keys | {"model"} | _MODEL_KEYS[kind].keys() | set(MODES[mode].config_keys))
     options = {key: parse(cfg[key]) for key, parse in _OPTION_KEYS.items() if key in cfg}
-    return _model_from_config(cfg), options
+    model = _model_from_config(cfg)
+    MODES[mode].check_model(model)
+    return model, options
+
+
+def _load_json(path: str):
+    with open(path) as f:
+        return json.load(f)
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +156,13 @@ def _mode_inputs(cfg: dict, mode: str, command_keys: set) -> tuple:
 
 
 def cmd_audit(args) -> int:
-    with open(args.channels) as f:
-        specs = json.load(f)
-    if isinstance(specs, dict):
-        specs = [specs]
+    with _reading_inputs():
+        specs = _load_json(args.channels)
+        if isinstance(specs, dict):
+            specs = [specs]
+        channels = [channel_from_json(spec) for spec in specs]
     rows = []
-    for spec in specs:
-        ch = channel_from_json(spec)
+    for spec, ch in zip(specs, channels):
         res = privacy_audit(ch)
         bound, ok = audit_verdict(res.max_ratio, ch.alpha)
         rows.append({"spec": spec, **res.to_json(), "bound": bound, "ok": ok})
@@ -160,21 +172,17 @@ def cmd_audit(args) -> int:
 
 
 def cmd_contract_verify(args) -> int:
-    from .contraction import run_contraction_sweep
-
-    report = run_contraction_sweep(
-        dims=tuple(args.dims), instances=args.instances, seed=args.seed
-    )
+    report = run_contraction_sweep(dims=tuple(args.dims), instances=args.instances, seed=args.seed)
     write_json(args.out, report)
     return EXIT_VIOLATION if report["violations"] else EXIT_OK
 
 
 def cmd_leakage(args) -> int:
-    with open(args.dist) as f:
-        P = DiscreteDist.from_json(json.load(f))
-    with open(args.channels) as f:
-        specs = json.load(f)
-    channels = [channel_from_json(s) for s in specs]
+    with _reading_inputs():
+        P = DiscreteDist.from_json(_load_json(args.dist))
+        channels = [channel_from_json(spec) for spec in _load_json(args.channels)]
+        transition_rows(P, channels)  # each channel covers its axis of P's support
+        ep.delta_ind(P)  # each axis-1 point has mass, so the conditional laws exist
     report = ep.leakage_report(P, channels)
     write_json(args.out, report)
     return EXIT_VIOLATION if report["violation"] else EXIT_OK
@@ -182,24 +190,19 @@ def cmd_leakage(args) -> int:
 
 def _sample_inputs(args, mode: str) -> tuple:
     """(n, budget, model, options, seed) of one ``estimate`` or ``adaptive`` run."""
-    cfg = parse_kv_config(args.config)
-    model, options = _mode_inputs(cfg, mode, {"n", "seed", "alphas"})
-    n = int(_require(cfg, "n"))
-    return n, PrivacyBudget(_floats(_require(cfg, "alphas"))), model, options, int(cfg.get("seed", 0))
+    with _reading_inputs():
+        cfg = parse_kv_config(args.config)
+        model, options = _mode_inputs(cfg, mode, {"n", "seed", "alphas"})
+        n = int(_require(cfg, "n"))
+        budget = PrivacyBudget(_floats(_require(cfg, "alphas")))
+        MODES[mode].channels(n, budget, options)  # the regime check
+        return n, budget, model, options, int(cfg.get("seed", 0))
 
 
 def cmd_estimate(args) -> int:
     mode = args.mode
-    n, budget, model, options, seed = _sample_inputs(args, "cov" if mode == "corr" else mode)
-    rng = derive_rng(seed, 900)
-    if mode == "corr":
-        if not isinstance(model, ParetoFactorModel):
-            raise ConfigError("mode corr expects a pareto_factor model")
-        X = sample_heavy_tailed(model, n, rng)
-        ch_raw, ch_sq = corr_release_plan(MomentProfile(options["ks"]), budget, n)
-        est = private_covariance_correlation(release_sample(X, ch_raw, rng), release_sample(np.abs(X) ** 2, ch_sq, rng))
-    else:
-        _, est = run_mode(MODES[mode], model, n, budget, options, rng)
+    n, budget, model, options, seed = _sample_inputs(args, mode)
+    _, est = run_mode(MODES[mode], model, n, budget, options, derive_rng(seed, 900))
     if mode == "mean":
         out = {"estimates": est}
     elif mode in ("cov", "corr"):
@@ -235,28 +238,27 @@ def cmd_adaptive(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    cfg = parse_kv_config(args.config)
-    keys = {"mode", "n_grid", "alphas", "replications", "seed", "out", "workers", "zero_noise"}
-    model, options = _mode_inputs(cfg, _require(cfg, "mode"), keys)
-    exp = ExperimentConfig(
-        mode=cfg["mode"],
-        n_grid=_ints(_require(cfg, "n_grid")),
-        alphas=_floats(_require(cfg, "alphas")),
-        replications=int(_require(cfg, "replications")),
-        seed=int(cfg.get("seed", 0)),
-        model=model.to_json(),
-        options=options,
-        out=args.out or cfg.get("out"),
-        workers=int(cfg.get("workers", args.workers or default_workers())),
-    )
-    exp.validate_for_slope()
+    with _reading_inputs():
+        cfg = parse_kv_config(args.config)
+        keys = {"mode", "n_grid", "alphas", "replications", "seed", "out", "workers", "zero_noise"}
+        model, options = _mode_inputs(cfg, _require(cfg, "mode"), keys)
+        exp = ExperimentConfig(
+            mode=cfg["mode"],
+            n_grid=_ints(_require(cfg, "n_grid")),
+            alphas=_floats(_require(cfg, "alphas")),
+            replications=int(_require(cfg, "replications")),
+            seed=int(cfg.get("seed", 0)),
+            model=model.to_json(),
+            options=options,
+            out=args.out or cfg.get("out"),
+            workers=int(cfg.get("workers", args.workers or default_workers())),
+        )
+        exp.validate_for_slope()
     curve = run_rate_experiment(exp)
     sys.stdout.write(curve.to_csv())
-    try:
+    with contextlib.suppress(ValueError):  # fewer than 4 valid points, or a zero MSE
         fit = fit_loglog_slope(curve)
         sys.stderr.write(f"slope={fit.slope:.4f} stderr={fit.slope_stderr:.4f}\n")
-    except ValueError:
-        pass
     return EXIT_OK
 
 
@@ -264,45 +266,26 @@ _LOWERBOUND_KEYS = {"moment": {"ks"}, "density": {"beta", "L", "eps0", "c_k"}}
 
 
 def cmd_lowerbound(args) -> int:
-    cfg = parse_kv_config(args.config)
-    _reject_unknown(cfg, {"n", "alphas"} | _LOWERBOUND_KEYS.get(args.kind, set()))
-    alphas = _floats(_require(cfg, "alphas"))
-    budget = PrivacyBudget(alphas)
-    n = int(_require(cfg, "n"))
+    with _reading_inputs():
+        cfg = parse_kv_config(args.config)
+        _reject_unknown(cfg, {"n", "alphas"} | _LOWERBOUND_KEYS[args.kind])
+        alphas = _floats(_require(cfg, "alphas"))
+        budget = PrivacyBudget(alphas)
+        n = int(_require(cfg, "n"))
+        if args.kind == "moment":
+            inst = lb.moment_two_point(MomentProfile(_floats(_require(cfg, "ks"))), budget, n)
+        else:
+            hc = HolderClass(beta=float(_require(cfg, "beta")), L=float(cfg.get("L", 1.0)), d=len(alphas))
+            eps0, c_k = float(cfg.get("eps0", 1.9)), float(cfg.get("c_k", 4.0))
+            inst = lb.density_two_point(hc, budget, n, eps0=eps0, c_k=c_k)
     if args.kind == "moment":
-        profile = MomentProfile(_floats(_require(cfg, "ks")))
-        inst = lb.moment_two_point(profile, budget, n)
-        channels = lb.default_moment_channels(inst)
-        rep = lb.verify_two_point(inst, channels, n)
-        out = {
-            "kind": "moment",
-            "delta": inst.delta,
-            "separation": inst.separation,
-            **rep.to_json(),
-        }
-        write_json(args.out, out)
-        return EXIT_OK if rep.condition3_ok else EXIT_VIOLATION
-    if args.kind == "density":
-        hc = HolderClass(beta=float(_require(cfg, "beta")), L=float(cfg.get("L", 1.0)), d=len(alphas))
-        inst = lb.density_two_point(
-            hc, budget, n, eps0=float(cfg.get("eps0", 1.9)), c_k=float(cfg.get("c_k", 4.0))
-        )
-        mass, dmin = lb.density_star_mass_and_min(inst)
-        bump = lb.bump_axis_integral(inst)
-        ok = abs(mass - 1.0) <= 1e-6 and dmin >= -1e-12 and abs(bump) <= 1e-8
-        out = {
-            "kind": "density",
-            "M_n": inst.M_n,
-            "h_n": inst.h_n,
-            "separation": inst.separation,
-            "mass": mass,
-            "min_density": dmin,
-            "bump_axis_integral": bump,
-            "ok": ok,
-        }
-        write_json(args.out, out)
-        return EXIT_OK if ok else EXIT_VIOLATION
-    raise ConfigError(f"unknown lower bound kind {args.kind!r}")
+        report = lb.check_moment_instance(inst, n)
+        ok = report["condition3_ok"]
+    else:
+        report = lb.check_density_instance(inst)
+        ok = report["ok"]
+    write_json(args.out, {"kind": args.kind, **report})
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def cmd_report(args) -> int:
@@ -320,53 +303,44 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cldp", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("audit", help="likelihood-ratio audit of channel specs")
-    s.add_argument("--channels", required=True, help="JSON file with channel spec(s)")
-    s.add_argument("--out")
-    s.set_defaults(fn=cmd_audit)
+    def command(name: str, fn, help: str) -> argparse.ArgumentParser:
+        s = sub.add_parser(name, help=help)
+        s.add_argument("--out")
+        s.set_defaults(fn=fn)
+        return s
 
-    s = sub.add_parser("contract-verify", help="randomized contraction-bound sweep")
+    s = command("audit", cmd_audit, "likelihood-ratio audit of channel specs")
+    s.add_argument("--channels", required=True, help="JSON file with channel spec(s)")
+
+    s = command("contract-verify", cmd_contract_verify, "randomized contraction-bound sweep")
     s.add_argument("--dims", type=lambda v: [int(x) for x in v.split(",")], default=[2, 3])
     s.add_argument("--instances", type=int, default=500)
     s.add_argument("--seed", type=int, default=7)
-    s.add_argument("--out")
-    s.set_defaults(fn=cmd_contract_verify)
 
-    s = sub.add_parser("leakage", help="side-channel leakage audit of a joint law")
+    s = command("leakage", cmd_leakage, "side-channel leakage audit of a joint law")
     s.add_argument("--dist", required=True)
     s.add_argument("--channels", required=True)
-    s.add_argument("--out")
-    s.set_defaults(fn=cmd_leakage)
 
-    s = sub.add_parser("estimate", help="one private estimate on synthetic data")
-    s.add_argument("--mode", required=True, choices=["mean", "moment", "cov", "corr", "kde"])
+    s = command("estimate", cmd_estimate, "one private estimate on synthetic data")
+    s.add_argument("--mode", required=True, choices=[m for m in MODES if not m.startswith("adaptive_")])
     s.add_argument("--config", required=True)
-    s.add_argument("--out")
-    s.set_defaults(fn=cmd_estimate)
 
-    s = sub.add_parser("adaptive", help="data-driven truncation/bandwidth selection")
-    s.add_argument("--mode", required=True, choices=["moment", "density"])
+    s = command("adaptive", cmd_adaptive, "data-driven truncation/bandwidth selection")
+    s.add_argument("--mode", required=True,
+                   choices=[m.removeprefix("adaptive_") for m in MODES if m.startswith("adaptive_")])
     s.add_argument("--config", required=True)
-    s.add_argument("--out")
-    s.set_defaults(fn=cmd_adaptive)
 
-    s = sub.add_parser("rates", help="Monte Carlo rate curve with slope fit")
+    s = command("rates", cmd_rates, "Monte Carlo rate curve with slope fit")
     s.add_argument("--config", required=True)
-    s.add_argument("--out")
     s.add_argument("--workers", type=int)
-    s.set_defaults(fn=cmd_rates)
 
-    s = sub.add_parser("lowerbound", help="two-point lower-bound instance checks")
+    s = command("lowerbound", cmd_lowerbound, "two-point lower-bound instance checks")
     s.add_argument("--kind", required=True, choices=["moment", "density"])
     s.add_argument("--config", required=True)
-    s.add_argument("--out")
-    s.set_defaults(fn=cmd_lowerbound)
 
-    s = sub.add_parser("report", help="run all verification suites")
+    s = command("report", cmd_report, "run all verification suites")
     s.add_argument("--seed", type=int, default=7)
     s.add_argument("--instances", type=int, default=None)
-    s.add_argument("--out")
-    s.set_defaults(fn=cmd_report)
 
     return p
 
@@ -376,7 +350,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, KeyError, ValueError) as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import audit_verdict
 from .measures import DiscreteDist, push_axes, support_index, transition_rows
 
 __all__ = [
@@ -128,11 +129,12 @@ def leakage_report(P: DiscreteDist, channels) -> dict:
     m = _release_given_x1(P, channels).reshape(len(P.supports[0]), -1)  # (x1, z)
     # every ordered pair at once; a pair (x1, x1) reads 1, the floor of the sup
     worst = float(_sup_ratio(m[:, None], m[None, :]).max())
+    bound, ok = audit_verdict(worst, prof.effective_alpha)
     return {
         "delta_ind": dlt,
         "effective_alpha": prof.effective_alpha,
         "audited_sup": worst,
         "floor": misprediction_floor(math.log(worst) if worst >= 1.0 else 0.0),
-        "bound": math.exp(prof.effective_alpha),
-        "violation": worst > math.exp(prof.effective_alpha) * (1.0 + 1e-9),
+        "bound": bound,
+        "violation": not ok,
     }

@@ -12,7 +12,7 @@ log-log slopes and never match constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -180,12 +180,7 @@ class CovCorrEstimate:
     diagnostic: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "theta": self.theta,
-            "corr": self.corr,
-            "corr_defined": self.corr_defined,
-            "diagnostic": self.diagnostic,
-        }
+        return asdict(self)
 
 
 def private_covariance_correlation(

@@ -11,7 +11,7 @@ statement being checked and recorded in the output metadata, so slope targets
 are unambiguous:
 
     mean              n alpha^2
-    moment, cov       n prod alpha_j^2
+    moment, cov, corr n prod alpha_j^2
     kde (private)     n prod alpha_j^2      (nonprivate regime: n)
     adaptive moment   n prod alpha_j^2 / (log n)^(2d+1)
     adaptive density  n prod alpha_j^2 / (log n)^(1+2d)
@@ -52,6 +52,8 @@ from .channels import (
 from .estimators import (
     HolderClass,
     MomentProfile,
+    PrivatizedSample,
+    corr_release_plan,
     kde_channels,
     optimal_bandwidth,
     optimal_truncations,
@@ -162,12 +164,7 @@ class SlopeFit:
     band: tuple[float, float]  # 95% interval for the slope
 
     def to_json(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "slope_stderr": self.slope_stderr,
-            "band": list(self.band),
-        }
+        return {**asdict(self), "band": list(self.band)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,6 +235,11 @@ class Mode:
     n_eff: Callable = _n_prod  # (n, budget, options) -> effective sample size before log deflation
     point: Callable = lambda est: est  # the scalar scored against the truth
     oracle: Optional[Callable] = None  # adaptive modes: (X, budget, options, rng) -> full-budget table
+    release_input: Callable = lambda X: X  # (n, d) raw sample -> the columns the channels release
+
+    def check_model(self, model) -> None:
+        if not isinstance(model, self.model):
+            raise ValueError(f"mode expects a {self.model.__name__}, got a {type(model).__name__}")
 
     def axis_n_eff(self, n: int, budget: PrivacyBudget, options: dict) -> float:
         """The CSV's n_eff: adaptive axes are deflated by log(n)^(2d+1)."""
@@ -274,6 +276,12 @@ def _gl_config(n: int, budget: PrivacyBudget, options: dict) -> ad.GLConfig:
 
 def _kernel(options: dict):
     return make_kernel(kernel_order(float(options.get("beta", 2.0))))
+
+
+def _corr_estimate(Z: PrivatizedSample, budget: PrivacyBudget, options: dict):
+    """Covariance and correlation from the releases of [X, |X|^2]: raw half, squared half."""
+    raw, sq = (PrivatizedSample(Z.values[:, cols], Z.channels[cols]) for cols in (slice(0, 2), slice(2, 4)))
+    return private_covariance_correlation(raw, sq)
 
 
 def _oracle_moment_table(X: np.ndarray, budget: PrivacyBudget, options: dict, rng) -> np.ndarray:
@@ -323,6 +331,15 @@ MODES = {
         estimate=lambda Z, budget, options: private_covariance_correlation(Z),
         point=lambda est: est.theta,
     ),
+    # a replication whose correlation is undefined scores nan, so its grid point leaves the fit
+    "corr": Mode(
+        id=7, axis="n*prod(alpha^2)", model=ParetoFactorModel, config_keys=("ks",),
+        truth=lambda model, options: model.correlation(),
+        channels=lambda n, budget, options: sum(corr_release_plan(MomentProfile(options["ks"]), budget, n), ()),
+        estimate=_corr_estimate,
+        point=lambda est: math.nan if est.corr is None else est.corr,
+        release_input=lambda X: np.hstack([X, np.abs(X) ** 2]),
+    ),
     "kde": Mode(
         id=4, axis="n*prod(alpha^2) [private regime] or n [nonprivate]", model=HolderDensityModel,
         config_keys=("beta", "x0", "h"),
@@ -359,11 +376,10 @@ MODES = {
 def run_mode(mode: Mode, model, n: int, budget: PrivacyBudget, options: dict, rng):
     """(X, estimate): n rows of ``model`` released through the mode's channels and
     estimated; for adaptive modes the estimate is the selection."""
-    if not isinstance(model, mode.model):
-        raise ValueError(f"mode expects a {mode.model.__name__}, got a {type(model).__name__}")
+    mode.check_model(model)
     sample = sample_heavy_tailed if mode.model is ParetoFactorModel else sample_holder_density
     X = sample(model, n, rng)
-    Z = release_sample(X, mode.channels(n, budget, options), rng)
+    Z = release_sample(mode.release_input(X), mode.channels(n, budget, options), rng)
     return X, mode.estimate(Z, budget, options)
 
 
@@ -446,12 +462,8 @@ def _write_outputs(cfg: ExperimentConfig, curve: RateCurve) -> None:
 
 
 def _np_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
@@ -536,11 +548,7 @@ def _leakage_suite(seed: int, instances: int) -> dict:
 def _lowerbound_suite() -> dict:
     cases = []
     for d, alphas, n in ((2, (0.5, 0.5), 64), (2, (0.8, 0.4), 256), (3, (0.6, 0.6, 0.6), 512)):
-        profile = MomentProfile([4.0] * d)
-        budget = PrivacyBudget(alphas)
-        inst = lb.moment_two_point(profile, budget, n)
-        channels = lb.default_moment_channels(inst)
-        rep = lb.verify_two_point(inst, channels, n)
+        inst = lb.moment_two_point(MomentProfile([4.0] * d), PrivacyBudget(alphas), n)
         tvs = ct.MarginalTVTable.from_dists(inst.P, inst.P_star)
         worst = max(t for S, t in tvs.values.items() if len(S) < d)
         cases.append(
@@ -548,11 +556,9 @@ def _lowerbound_suite() -> dict:
                 "d": d,
                 "alphas": list(alphas),
                 "n": n,
-                "delta": inst.delta,
-                "separation": inst.separation,
                 "marginals_equal": worst <= 1e-14,
                 "strict_subset_tv_max": worst,
-                **rep.to_json(),
+                **lb.check_moment_instance(inst, n),
             }
         )
     return {"suite": "lowerbound", "cases": cases}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,6 +27,8 @@ __all__ = [
     "density_two_point",
     "verify_two_point",
     "TwoPointReport",
+    "check_moment_instance",
+    "check_density_instance",
     "smooth_bump",
     "zero_mean_bump",
 ]
@@ -229,6 +231,23 @@ def density_star_mass_and_min(inst: TwoPointInstance, half_width: float = 25.0) 
     return mass, dens_min
 
 
+def check_density_instance(inst: TwoPointInstance) -> dict:
+    """The density instance's checks, JSON-ready: the perturbed density has mass
+    1 (to 1e-6) and is nonnegative (to -1e-12), and the bump integrates to 0
+    along an axis (to 1e-8)."""
+    mass, dmin = density_star_mass_and_min(inst)
+    bump = bump_axis_integral(inst)
+    return {
+        "M_n": inst.M_n,
+        "h_n": inst.h_n,
+        "separation": inst.separation,
+        "mass": mass,
+        "min_density": dmin,
+        "bump_axis_integral": bump,
+        "ok": abs(mass - 1.0) <= 1e-6 and dmin >= -1e-12 and abs(bump) <= 1e-8,
+    }
+
+
 @dataclass(frozen=True)
 class TwoPointReport:
     per_sample_jeffreys: float
@@ -237,12 +256,7 @@ class TwoPointReport:
     condition3_ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "per_sample_jeffreys": self.per_sample_jeffreys,
-            "n_times_jeffreys": self.n_times_jeffreys,
-            "bound": self.bound,
-            "condition3_ok": self.condition3_ok,
-        }
+        return asdict(self)
 
 
 def verify_two_point(inst: TwoPointInstance, channels, n: int) -> TwoPointReport:
@@ -275,3 +289,10 @@ def default_moment_channels(inst: TwoPointInstance):
         make_rr_channel(tuple(sup), float(a))
         for sup, a in zip(inst.P.supports, inst.budget.alphas)
     )
+
+
+def check_moment_instance(inst: TwoPointInstance, n: int) -> dict:
+    """The moment instance's divergence-budget check through the default
+    randomized-response channels, JSON-ready."""
+    report = verify_two_point(inst, default_moment_channels(inst), n)
+    return {"delta": inst.delta, "separation": inst.separation, **report.to_json()}

@@ -153,6 +153,8 @@ class DiscreteDist:
         shape = tuple(len(s) for s in supports)
         table = np.zeros(shape)
         for entry in obj["probs"]:
+            if not isinstance(entry, dict):
+                raise ValueError(f'probs entries must be {{"idx": [...], "p": ...}} objects, got {entry!r}')
             table[tuple(entry["idx"])] = entry["p"]
         return cls(supports, table)
 

@@ -131,10 +131,6 @@ class ParetoFactorModel:
             return 0.0
         return float(self.component_scales()[j - 1]) * self._axis_abs_moment(j - 1, 1.0)
 
-    def abs_moment(self, j: int) -> float:
-        """E |X^j|^{k_j}; equals scale^{k_j} by construction."""
-        return self.scale ** self.ks[j - 1]
-
     def gamma(self) -> float:
         """E prod_j X^j; zero for odd d under sign symmetry."""
         if self.symmetric and self.d % 2 == 1:

@@ -11,7 +11,7 @@ import pytest
 import cldp
 from cldp.channels import LaplaceTruncChannel, channel_to_json, make_rr_channel
 from cldp.cli import _model_from_config, main, parse_kv_config
-from cldp.harness import RateCurve
+from cldp.harness import MODES, RateCurve
 from cldp.measures import DiscreteDist
 from cldp.simdata import ParetoFactorModel, model_from_json
 
@@ -19,6 +19,13 @@ from cldp.simdata import ParetoFactorModel, model_from_json
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def run_cli(*argv):
+    """``python -m cldp.cli argv`` in a fresh interpreter, to see what reaches the terminal."""
+    src = str(pathlib.Path(cldp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "cldp.cli", *argv], capture_output=True, text=True, env=env)
 
 
 class TestConfigParser:
@@ -53,12 +60,7 @@ class TestAuditCommand:
         spec = [{"variant": "laplace_trunc", "alpha": 800.0, "T": 1.0}]
         ch = write(tmp_path / "ch.json", json.dumps(spec))
         out = tmp_path / "audit.json"
-        src = str(pathlib.Path(cldp.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "cldp.cli", "audit", "--channels", ch, "--out", str(out)],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_cli("audit", "--channels", ch, "--out", str(out))
         assert "Traceback" not in proc.stderr
         rep = json.loads(out.read_text())
         assert rep["audits"][0]["bound"] == math.inf
@@ -96,6 +98,29 @@ class TestLeakageCommand:
         chp = write(tmp_path / "ch.json", json.dumps(chans))
         assert main(["leakage", "--dist", dist, "--channels", chp]) == 2
         assert "input support" in capsys.readouterr().err
+
+    def test_malformed_dist_exit_config(self, tmp_path, capsys):
+        # probs must list {"idx", "p"} entries, not a dense table
+        dist = write(tmp_path / "d.json", json.dumps({"supports": [[0.0, 1.0], [0.0, 1.0]],
+                                                       "probs": [[0.4, 0.1], [0.1, 0.4]]}))
+        chans = [channel_to_json(make_rr_channel((0.0, 1.0), 0.5))] * 2
+        chp = write(tmp_path / "ch.json", json.dumps(chans))
+        assert main(["leakage", "--dist", dist, "--channels", chp]) == 2
+        assert "probs" in capsys.readouterr().err
+
+    def test_alpha_beyond_exp_range(self, tmp_path):
+        # identity tables declared at alpha 800: e^800 overflows, so the bound reads inf
+        P = DiscreteDist([[0.0, 1.0], [0.0, 1.0]], [[0.4, 0.1], [0.1, 0.4]])
+        dist = write(tmp_path / "d.json", json.dumps(P.to_json()))
+        spec = {"variant": "randomized_response", "alpha": 800.0, "input_support": [0.0, 1.0],
+                "output_support": [0.0, 1.0], "transition_table": [[1.0, 0.0], [0.0, 1.0]]}
+        chp = write(tmp_path / "ch.json", json.dumps([spec, spec]))
+        out = tmp_path / "leak.json"
+        proc = run_cli("leakage", "--dist", dist, "--channels", chp, "--out", str(out))
+        assert "Traceback" not in proc.stderr
+        rep = json.loads(out.read_text())
+        assert rep["bound"] == math.inf
+        assert proc.returncode == (1 if rep["violation"] else 0)
 
 
 class TestEstimateCommand:
@@ -151,6 +176,16 @@ class TestEstimateCommand:
     def test_missing_key_exit_config(self, tmp_path):
         cfg = write(tmp_path / "cfg.txt", "n=100\n")
         assert main(["estimate", "--mode", "moment", "--config", cfg]) == 2
+
+    def test_estimator_fault_not_hidden(self, tmp_path, monkeypatch):
+        # only malformed input exits 2: a fault past the input boundary raises
+        def broken(Z):
+            raise ValueError("estimator fault")
+
+        monkeypatch.setattr("cldp.harness.private_joint_moment", broken)
+        cfg = write(tmp_path / "cfg.txt", "n=256\nalphas=0.5,0.5\nks=4,4\na=5,5\n")
+        with pytest.raises(ValueError, match="estimator fault"):
+            main(["estimate", "--mode", "moment", "--config", cfg])
 
 
 class TestAdaptiveCommand:
@@ -237,6 +272,11 @@ class TestUnknownConfigKeys:
         assert exp.n_grid == tuple(2**q for q in range(10, 18))
         assert exp.options == {"ks": (4.0, 4.0)}
         assert model_from_json(exp.model) == ParetoFactorModel(ks=[4.0, 4.0], a=[5.0, 5.0], rho=0.5)
+
+    def test_readme_mode_list_matches_mode_table(self):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (line,) = [ln for ln in readme.splitlines() if ln.startswith("mode=") and "# rates only:" in ln]
+        assert set(line.split("# rates only:", 1)[1].split()[0].split("|")) == set(MODES)
 
 
 class TestLowerboundCommand:

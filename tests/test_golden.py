@@ -3,8 +3,9 @@
 Refactors of the harness, the CLI or the selectors must leave every byte of
 these outputs unchanged.  Each case is a tiny configuration that still walks
 the paths a change could disturb: regime-warning rows, ``zero_noise``, a
-bandwidth override, the adaptive oracle table (with and without an
-``oracle_reps`` cap), and each ``cldp estimate`` / ``cldp adaptive`` mode.
+bandwidth override, replications whose correlation is undefined, the adaptive
+oracle table (with and without an ``oracle_reps`` cap), and each
+``cldp estimate`` / ``cldp adaptive`` mode.
 ``cldp report``, one ``cldp audit`` over every channel variant, one
 ``cldp leakage`` (a zero-mass cell and an identity channel walk the 0/0 and
 x/0 ratio branches), one ``cldp contract-verify`` and both
@@ -27,6 +28,7 @@ from cldp.simdata import HolderDensityModel, ParetoFactorModel
 PARETO_1 = ParetoFactorModel(ks=[4.0], a=[5.0]).to_json()
 PARETO_2 = ParetoFactorModel(ks=[4.0, 4.0], a=[5.0, 5.0], rho=0.5).to_json()
 PARETO_C07 = ParetoFactorModel(ks=[2.0], a=[2.1], scale=16.0, coupling="power", symmetric=False).to_json()
+PARETO_CORR = ParetoFactorModel(ks=[6.0, 6.0], a=[8.0, 8.0], rho=0.6).to_json()
 HOLDER_2 = HolderDensityModel(beta=2.0).to_json()
 HOLDER_C08 = HolderDensityModel(beta=1.0, kink_b=0.2).to_json()
 
@@ -41,6 +43,8 @@ RATE_CASES = {
     "mean": _rate("mean", (2, 256, 512, 1024, 2048), (0.5,), PARETO_1, {"ks": [4.0]}),
     "moment_zero_noise": _rate("moment", (256, 1024), (0.5, 0.5), PARETO_2, {"ks": [4.0, 4.0], "zero_noise": True}),
     "cov": _rate("cov", (1, 256, 1024), (0.5, 0.5), PARETO_2, {"ks": [4.0, 4.0]}, workers=2),
+    # n = 1 is a warning row; at n = 64 some replication's correlation is undefined, so the MSE is nan
+    "corr": _rate("corr", (1, 64, 4096), (0.8, 0.8), PARETO_CORR, {"ks": [6.0, 6.0]}),
     # the override is used only where the rate-optimal bandwidth exists
     "kde_h": _rate("kde", (2, 512, 2048), (0.5,), HOLDER_2, {"beta": 2.0, "x0": [0.0], "h": 0.25}),
     "kde_nonprivate": _rate("kde", (1024, 4096), (4.0,), HOLDER_2, {"beta": 2.0, "x0": [0.1]}),
@@ -63,6 +67,10 @@ RATE_GOLDEN = {
     "cov": (
         "d2d3821f01dfc03ccc10bcd5bcedc493b886f3fc91dc429785c18803977255ad",
         "00287aed9a7ab2e7fa83a7ba3369c5f1f74ddb4b3fc76ce87b9eaf9b3188b513",
+    ),
+    "corr": (
+        "b3990b23927ba74832bd782cf784c2df5155ad0e14a4ddd2262cedbf2e9fa0a6",
+        "4dbfd1af6164db3fb6b81f058c15d248f62b270df93d17813141fc0dbaf0f11c",
     ),
     "kde_h": (
         "cc262e962c1fdeb813c9c3fe3b2ceb51ac2b2eb6c1a08a3f46e92d575c3f389c",

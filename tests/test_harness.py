@@ -7,17 +7,21 @@ import sys
 import numpy as np
 import pytest
 
+from cldp.channels import PrivacyBudget
+from cldp.estimators import MomentProfile, corr_release_plan, private_covariance_correlation, release_sample
 from cldp.harness import (
+    MODES,
     ExperimentConfig,
     RateCurve,
     RatePoint,
     ZeroNoiseRng,
     derive_rng,
     fit_loglog_slope,
+    run_mode,
     run_rate_experiment,
     run_verification_suite,
 )
-from cldp.simdata import HolderDensityModel, ParetoFactorModel
+from cldp.simdata import HolderDensityModel, ParetoFactorModel, sample_heavy_tailed
 
 
 def mean_cfg(**kw):
@@ -191,6 +195,32 @@ class TestCovarianceRate:
         )
         fit = fit_loglog_slope(run_rate_experiment(cfg))
         assert abs(fit.slope - (-0.5)) <= 0.15
+
+
+class TestCorrMode:
+    MODEL = ParetoFactorModel(ks=[6.0, 6.0], a=[8.0, 8.0], rho=0.6)
+    BUDGET = PrivacyBudget((0.8, 0.8))
+
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_equals_raw_and_squared_releases(self, n):
+        # one four-column release of [X, |X|^2] consumes the stream as two two-column releases do
+        X, est = run_mode(MODES["corr"], self.MODEL, n, self.BUDGET, {"ks": [6.0, 6.0]}, derive_rng(3, 900))
+        rng = derive_rng(3, 900)
+        X_ref = sample_heavy_tailed(self.MODEL, n, rng)
+        ch_raw, ch_sq = corr_release_plan(MomentProfile([6.0, 6.0]), self.BUDGET, n)
+        want = private_covariance_correlation(release_sample(X_ref, ch_raw, rng),
+                                              release_sample(np.abs(X_ref) ** 2, ch_sq, rng))
+        assert np.array_equal(X, X_ref)
+        assert est == want
+
+    def test_undefined_correlation_leaves_the_fit(self):
+        cfg = ExperimentConfig(mode="corr", n_grid=(64, 4096), alphas=(0.8, 0.8), replications=3, seed=11,
+                               model=self.MODEL.to_json(), options={"ks": [6.0, 6.0]})
+        curve = run_rate_experiment(cfg)
+        assert curve.axis == "n*prod(alpha^2)"
+        assert math.isnan(curve.points[0].mse) and curve.points[0].replications == 3
+        assert curve.valid_points() == [curve.points[1]]
+        assert MODES["corr"].truth(self.MODEL, {}) == self.MODEL.correlation()
 
 
 class TestReportCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -9,6 +10,7 @@ from cldp.estimators import HolderClass, MomentProfile
 from cldp.harness import derive_rng
 from cldp.lowerbounds import (
     bump_axis_integral,
+    check_density_instance,
     default_moment_channels,
     density_star_mass_and_min,
     density_two_point,
@@ -180,3 +182,11 @@ class TestDensityInstance:
         contrast = float(np.prod(np.abs(budget.exp_minus_one()) ** 2))
         expected = (eps0 / (c_k * n * contrast)) ** (hc.beta / (2.0 * (hc.d + hc.beta)))
         assert 1.0 / inst.M_n == pytest.approx(expected, rel=1e-12)
+
+    def test_check_flags_a_negative_density(self):
+        inst = density_two_point(HolderClass(beta=2.0, d=1), PrivacyBudget([0.5]), 50_000)
+        assert check_density_instance(inst)["ok"]
+        shifted = dataclasses.replace(inst, density_star=lambda x: inst.density_star(x) - 1.0)
+        rep = check_density_instance(shifted)
+        assert not rep["ok"]
+        assert rep["min_density"] < -0.5
