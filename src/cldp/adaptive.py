@@ -95,19 +95,19 @@ def multi_bandwidth_channels(
     )
 
 
-def _estimate_table(values: np.ndarray) -> np.ndarray:
+def _estimate_table(columns: Sequence[np.ndarray]) -> np.ndarray:
     """Means of row products for every grid combination.
 
-    values: (n, d, m) tensor of releases; returns an m^d table whose entry at
-    (r_1, ..., r_d) is the mean over rows of prod_j values[i, j, r_j].
+    columns: one (n, m) array per axis, or a (1, m) row shared by every row;
+    returns an m^d table whose entry at (r_1, ..., r_d) is the mean over rows
+    of prod_j columns[j][i, r_j].
     """
-    n, d, m = values.shape
+    d = len(columns)
     letters = "abcdefgh"
     if d > len(letters):
         raise ValueError("dimension too large")
     spec = ",".join(f"i{letters[j]}" for j in range(d)) + "->" + letters[:d]
-    tab = np.einsum(spec, *[values[:, j, :] for j in range(d)])
-    return tab / n
+    return np.einsum(spec, *columns) / max(c.shape[0] for c in columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +153,7 @@ def gl_select_truncation(Zm: PrivatizedSample, cfg: GLConfig) -> TruncationSelec
     m = grid.size
     d = Zm.d
     _check_multi_sample(Zm, cfg, m)
-    gamma = _estimate_table(Zm.values)  # m^d
+    gamma = _estimate_table([Zm.values[:, j, :] for j in range(d)])  # m^d
     beta = cfg.beta_n()
     denom = cfg.n * float(np.prod(beta**2))
     t_sq = grid**2

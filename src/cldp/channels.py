@@ -57,8 +57,8 @@ class PrivacyBudget:
 
     def __init__(self, alphas: Sequence[float]):
         a = tuple(float(x) for x in alphas)
-        if any(x < 0 for x in a):
-            raise ValueError("privacy levels must be nonnegative")
+        if not all(x >= 0 for x in a):  # NaN fails every comparison
+            raise ValueError(f"privacy levels alphas must be nonnegative, got {a!r}")
         object.__setattr__(self, "alphas", a)
 
     @property
@@ -270,10 +270,10 @@ class LaplaceTruncChannel(_ScalarLaplace):
     alpha: float
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("truncation T must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not self.T > 0:
+            raise ValueError(f"truncation T must be positive, got {self.T!r}")
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
 
     def clean(self, x):
         return np.clip(np.asarray(x, dtype=float), -self.T, self.T)
@@ -300,8 +300,8 @@ class KernelLaplaceChannel(_ScalarLaplace):
     def __post_init__(self):
         if not (0.0 < self.h < 1.0):
             raise ValueError("bandwidth h must lie in (0, 1)")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
 
     def clean(self, x):
         return kernel_clean(self.kernel, x, self.x0, self.h)
@@ -344,10 +344,10 @@ class MultiTruncChannel(_MultiLaplace):
 
     def __post_init__(self):
         g = tuple(float(t) for t in self.grid)
-        if len(g) == 0 or any(t <= 0 for t in g):
-            raise ValueError("truncation grid must be nonempty and positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if len(g) == 0 or not all(t > 0 for t in g):
+            raise ValueError(f"truncation grid must be nonempty and positive, got {g!r}")
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "beta_n", _validate_beta_n(self.alpha, len(g), self.beta_n))
 
@@ -383,8 +383,8 @@ class MultiBandwidthChannel(_MultiLaplace):
         g = tuple(float(h) for h in self.grid)
         if len(g) == 0 or any(not (0.0 < h <= 1.0) for h in g):
             raise ValueError("bandwidth grid entries must lie in (0, 1]")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "beta_n", _validate_beta_n(self.alpha, len(g), self.beta_n))
 
@@ -452,8 +452,8 @@ def make_rr_channel(input_support: Sequence[float], alpha: float) -> RandomizedR
     m = len(input_support)
     if m < 2:
         raise ValueError("randomized response needs at least 2 symbols")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
     stay = math.exp(alpha) / (math.exp(alpha) + m - 1)
     off = 1.0 / (math.exp(alpha) + m - 1)
     table = np.full((m, m), off)

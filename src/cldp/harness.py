@@ -43,7 +43,6 @@ from .channels import (
     kernel_clean,
     kernel_order,
     kernel_scale,
-    laplace_release,
     make_kernel,
     make_rr_channel,
     privacy_audit,
@@ -234,7 +233,8 @@ class Mode:
     estimate: Callable  # (Z, budget, options) -> estimate, or the adaptive selection
     n_eff: Callable = _n_prod  # (n, budget, options) -> effective sample size before log deflation
     point: Callable = lambda est: est  # the scalar scored against the truth
-    oracle: Optional[Callable] = None  # adaptive modes: (X, budget, options, rng) -> full-budget table
+    # adaptive modes: (X, budget, options) -> the full-budget estimate's mean and noise variance given X, per level
+    oracle: Optional[Callable] = None
     release_input: Callable = lambda X: X  # (n, d) raw sample -> the columns the channels release
 
     def check_model(self, model) -> None:
@@ -284,29 +284,47 @@ def _corr_estimate(Z: PrivatizedSample, budget: PrivacyBudget, options: dict):
     return private_covariance_correlation(raw, sq)
 
 
-def _oracle_moment_table(X: np.ndarray, budget: PrivacyBudget, options: dict, rng) -> np.ndarray:
-    """Full-budget single-release estimates for every grid combination.
+def _moments_given_x(clean: list, var: list, row_mean: Callable) -> tuple:
+    """Mean and variance over the Laplace noise, given X, of the full-budget estimate.
+
+    clean[j] is axis j's (n, m) clean map and var[j] = 2 b_j^2 its per-level
+    noise variance; ``row_mean`` maps per-axis factors, each (n, m) or a (1, m)
+    row shared by every row, to the mean over rows of their product on the
+    oracle's level table.  Rows and axes draw independent noise, so the
+    variance is n^-2 sum_i [prod_j (c_ij^2 + 2 b_j^2) - prod_j c_ij^2], summed
+    here as sum_j 2 b_j^2 prod_{k<j} (c_k^2 + 2 b_k^2) prod_{k>j} c_k^2, which
+    has no cancellation (on one axis it is 2 b^2 / n).
+    """
+    second = [c * c + v for c, v in zip(clean[:-1], var)]  # E[z^2 | x] on every axis but the last
+    clean_sq = [c * c for c in clean[1:]]
+    noise = sum(row_mean(second[:j] + [v[None, :]] + clean_sq[j:]) for j, v in enumerate(var))
+    return row_mean(clean), noise / clean[0].shape[0]
+
+
+def _shared_level_mean(factors: list) -> np.ndarray:
+    """Mean over rows of the product across axes, one shared level per entry."""
+    return functools.reduce(np.multiply, factors).mean(axis=0)
+
+
+def _oracle_moment_table(X: np.ndarray, budget: PrivacyBudget, options: dict) -> tuple:
+    """Mean and noise variance, given X, of the full-budget estimate at every grid combination.
 
     Reference only: releasing all levels at full budget is not a private
-    mechanism, but each fixed level is, and sharing draws across candidates is
-    the usual common-random-numbers device for oracle MSE curves.
+    mechanism, but each fixed level is.
     """
     grid = ad.build_truncation_grid(X.shape[0])
-    cols = [
-        laplace_release(np.clip(X[:, j, None], -grid, grid), trunc_scale(grid, alpha), rng)
-        for j, alpha in enumerate(budget.alphas)
-    ]
-    return ad._estimate_table(np.stack(cols, axis=1))
+    clean = [np.clip(X[:, j, None], -grid, grid) for j in range(budget.d)]
+    var = [2.0 * trunc_scale(grid, alpha) ** 2 for alpha in budget.alphas]
+    return _moments_given_x(clean, var, ad._estimate_table)
 
 
-def _oracle_kde_per_h(X: np.ndarray, budget: PrivacyBudget, options: dict, rng) -> np.ndarray:
-    """Full-budget single-release pointwise estimates for every bandwidth."""
+def _oracle_kde_per_h(X: np.ndarray, budget: PrivacyBudget, options: dict) -> tuple:
+    """Mean and noise variance, given X, of the full-budget pointwise estimate at every bandwidth."""
     grid = ad.build_bandwidth_grid(X.shape[0])
     kernel = _kernel(options)
-    prod = np.ones((X.shape[0], grid.size))
-    for j, (alpha, x0) in enumerate(zip(budget.alphas, _x0(options))):
-        prod *= laplace_release(kernel_clean(kernel, X[:, j, None], x0, grid), kernel_scale(kernel, grid, alpha), rng)
-    return prod.mean(axis=0)
+    clean = [kernel_clean(kernel, X[:, j, None], x0, grid) for j, x0 in zip(range(budget.d), _x0(options))]
+    var = [2.0 * kernel_scale(kernel, grid, alpha) ** 2 for alpha in budget.alphas]
+    return _moments_given_x(clean, var, _shared_level_mean)
 
 
 MODES = {
@@ -398,7 +416,10 @@ def _run_replication(cfg_json: dict, n: int, rep: int) -> dict:
     if mode.oracle is not None:
         out["sel_index"] = np.atleast_1d(est.index).tolist()
         if options.get("oracle", True) and rep < int(options.get("oracle_reps", 10**9)):
-            out["oracle_sq"] = ((mode.oracle(X, budget, options, rng) - truth) ** 2).ravel().tolist()
+            # the squared error in expectation over the full-budget noise; zero_noise releases have none
+            mean, noise_var = mode.oracle(X, budget, options)
+            noise_var = 0.0 if options.get("zero_noise") else noise_var
+            out["oracle_sq"] = ((mean - truth) ** 2 + noise_var).ravel().tolist()
     return out
 
 
@@ -436,6 +457,9 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
             stderr = float(errs.std(ddof=1) / math.sqrt(errs.size)) if errs.size > 1 else 0.0
             points.append(RatePoint(n, n_eff, mse, stderr, cfg.replications, cfg.seed))
             per_n: dict = {}
+            undefined = int(np.isnan(errs).sum())  # replications whose estimate is undefined (corr)
+            if undefined:
+                per_n["undefined"] = undefined
             oracle_rows = [r["oracle_sq"] for r in results if "oracle_sq" in r]
             if oracle_rows:
                 per_n["oracle_mse"] = float(np.mean(oracle_rows, axis=0).min())

@@ -44,6 +44,10 @@ class TestPrivacyBudget:
         with pytest.raises(ValueError):
             PrivacyBudget([-0.1])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="alphas"):
+            PrivacyBudget([0.5, math.nan])
+
     def test_compose_ldp_level(self):
         assert compose_ldp_level(PrivacyBudget([0.0, 0.0])) == 0.0
         assert compose_ldp_level(PrivacyBudget([0.5, 0.5])) == pytest.approx(1.0)
@@ -100,6 +104,20 @@ class TestPrivatize:
             LaplaceTruncChannel(T=0.0, alpha=1.0)
         with pytest.raises(ValueError):
             KernelLaplaceChannel(h=1.0, x0=0.0, kernel=make_kernel(1), alpha=1.0)
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: LaplaceTruncChannel(T=math.nan, alpha=1.0), "truncation T"),
+        (lambda: LaplaceTruncChannel(T=1.0, alpha=math.nan), "alpha"),
+        (lambda: KernelLaplaceChannel(h=0.5, x0=0.0, kernel=make_kernel(1), alpha=math.nan), "alpha"),
+        (lambda: MultiTruncChannel(grid=(math.nan, 1.0), alpha=1.0), "truncation grid"),
+        (lambda: MultiTruncChannel(grid=(2.0, 1.0), alpha=math.nan), "alpha"),
+        (lambda: MultiBandwidthChannel(grid=(0.5, 1.0), alpha=math.nan, x0=0.0, kernel=make_kernel(1)), "alpha"),
+        (lambda: make_rr_channel((0.0, 1.0), math.nan), "alpha"),
+    ])
+    def test_nan_parameters_rejected(self, build, name):
+        # NaN passes the comparisons x <= 0 and x < 0, so each check is written to fail on it
+        with pytest.raises(ValueError, match=name):
+            build()
 
     def test_laplace_variance_identity(self):
         # var of the T=1, alpha=1 release at x=0 is 2 (2T/alpha)^2 = 8

@@ -55,6 +55,13 @@ class TestAuditCommand:
     def test_missing_file_exit_config(self, tmp_path):
         assert main(["audit", "--channels", str(tmp_path / "nope.json")]) == 2
 
+    def test_nan_alpha_exit_config(self, tmp_path):
+        # a NaN level is malformed input, not a privacy violation
+        ch = write(tmp_path / "ch.json", '[{"variant": "laplace_trunc", "alpha": NaN, "T": 1.0}]')
+        proc = run_cli("audit", "--channels", ch, "--out", str(tmp_path / "audit.json"))
+        assert proc.returncode == 2
+        assert "alpha must be positive" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_alpha_beyond_exp_range(self, tmp_path):
         # e^800 overflows a float: the bound reads inf and the exit code is the verdict's
         spec = [{"variant": "laplace_trunc", "alpha": 800.0, "T": 1.0}]

@@ -70,7 +70,7 @@ RATE_GOLDEN = {
     ),
     "corr": (
         "b3990b23927ba74832bd782cf784c2df5155ad0e14a4ddd2262cedbf2e9fa0a6",
-        "4dbfd1af6164db3fb6b81f058c15d248f62b270df93d17813141fc0dbaf0f11c",
+        "39217a642ac064d9f22db38b2e01a32fa491f209c111afd7b78f1ac6371d65ee",
     ),
     "kde_h": (
         "cc262e962c1fdeb813c9c3fe3b2ceb51ac2b2eb6c1a08a3f46e92d575c3f389c",
@@ -82,15 +82,15 @@ RATE_GOLDEN = {
     ),
     "adaptive_moment": (
         "18948bbaf364a6e257a3d147ff8a6ddb4c7498aa3b04a6139ff83f278538b7e6",
-        "60707ab81555d1362bc2786e421631adf415ab913d36d18b554f9b0bd332229d",
+        "58233d66d93be324b36603430f710c74d5b6cb6bc35039e07b6541e76055fa28",
     ),
     "adaptive_moment_d2": (
         "2dbbc7f397dc8b2fb80d0c74a3ae6a225191d2b05a01a427d34e815df7902d4f",
-        "85e1b7fb52eb15803bfa067086e7c103818f7f12f45d506ca34f07a7f2e6db9d",
+        "78877545930495e19de1fb0c95d8498adfe658c436da7d63dcee05af557c4b31",
     ),
     "adaptive_density": (
         "eeb8eaac810e9235348e9cede1aff83eb4632e8fec0822e0c59b06b498d319c5",
-        "b61d212ff560fddc80e3d819a414694e646673f7b936354f069ab5b0ccec5696",
+        "f7679e3c605c3c1060caa1df2b9659efb321c8c8689bfaeb6079bd3c71e4fce8",
     ),
 }
 

@@ -7,7 +7,17 @@ import sys
 import numpy as np
 import pytest
 
-from cldp.channels import PrivacyBudget
+import cldp.harness
+from cldp.adaptive import _estimate_table, build_bandwidth_grid, build_truncation_grid
+from cldp.channels import (
+    PrivacyBudget,
+    kernel_clean,
+    kernel_order,
+    kernel_scale,
+    laplace_release,
+    make_kernel,
+    trunc_scale,
+)
 from cldp.estimators import MomentProfile, corr_release_plan, private_covariance_correlation, release_sample
 from cldp.harness import (
     MODES,
@@ -15,13 +25,19 @@ from cldp.harness import (
     RateCurve,
     RatePoint,
     ZeroNoiseRng,
+    _run_replication,
     derive_rng,
     fit_loglog_slope,
     run_mode,
     run_rate_experiment,
     run_verification_suite,
 )
-from cldp.simdata import HolderDensityModel, ParetoFactorModel, sample_heavy_tailed
+from cldp.simdata import (
+    HolderDensityModel,
+    ParetoFactorModel,
+    sample_heavy_tailed,
+    sample_holder_density,
+)
 
 
 def mean_cfg(**kw):
@@ -220,7 +236,144 @@ class TestCorrMode:
         assert curve.axis == "n*prod(alpha^2)"
         assert math.isnan(curve.points[0].mse) and curve.points[0].replications == 3
         assert curve.valid_points() == [curve.points[1]]
+        assert curve.extras["per_n"]["64"]["undefined"] >= 1
+        assert "undefined" not in curve.extras["per_n"].get("4096", {})
         assert MODES["corr"].truth(self.MODEL, {}) == self.MODEL.correlation()
+
+
+C07_MODEL = ParetoFactorModel(ks=[2.0], a=[2.1], scale=16.0, coupling="power", symmetric=False)
+PARETO_2 = ParetoFactorModel(ks=[4.0, 4.0], a=[5.0, 5.0], rho=0.5)
+C08_MODEL = HolderDensityModel(beta=1, d=1, kink_b=0.2, kink_weight=0.7)
+
+# (mode, model, alphas, options) as in c07, the moment table at d = 2, and c08
+ORACLE_CASES = {
+    "c07": ("adaptive_moment", C07_MODEL, (1.0,), {"ks": [2.0], "c0": 12.0}),
+    "pareto_d2": ("adaptive_moment", PARETO_2, (1.0, 1.0), {"ks": [4.0, 4.0], "c0": 128.0}),
+    "c08": ("adaptive_density", C08_MODEL, (8.0,), {"beta": 1.0, "x0": [0.0], "c0": 2.5}),
+}
+
+
+def full_budget_release(mode, X, alphas, options):
+    """Per-axis clean maps (n, m) and Laplace scales (m,) of the oracle's full-budget release, and
+    the map from per-axis releases to the estimate table."""
+    n, d = X.shape
+    if mode == "adaptive_moment":
+        grid = build_truncation_grid(n)
+        clean = [np.clip(X[:, j, None], -grid, grid) for j in range(d)]
+        scales = [trunc_scale(grid, a) for a in alphas]
+        return clean, scales, _estimate_table
+    grid = build_bandwidth_grid(n)
+    kernel = make_kernel(kernel_order(options["beta"]))
+    clean = [kernel_clean(kernel, X[:, j, None], options["x0"][j], grid) for j in range(d)]
+    scales = [kernel_scale(kernel, grid, a) for a in alphas]
+    return clean, scales, lambda cols: np.prod(cols, axis=0).mean(axis=0)
+
+
+def sample_for(mode, model, n, rng):
+    return (sample_heavy_tailed if mode == "adaptive_moment" else sample_holder_density)(model, n, rng)
+
+
+class TestExactOracle:
+    """The oracle scores each level by its squared error in expectation over the Laplace noise, given X."""
+
+    @pytest.mark.parametrize("mode, d", [
+        ("adaptive_moment", 1), ("adaptive_moment", 2), ("adaptive_moment", 3),
+        ("adaptive_density", 1), ("adaptive_density", 2),
+    ])
+    def test_noise_term_matches_row_loop(self, mode, d):
+        n = 64
+        rng = derive_rng(17, d)
+        alphas = tuple(0.6 + 0.3 * j for j in range(d))
+        if mode == "adaptive_moment":
+            X, options = 20.0 * rng.standard_normal((n, d)), {}
+        else:
+            X, options = rng.uniform(-1.2, 1.2, (n, d)), {"beta": 2.0, "x0": [0.1, -0.2][:d]}
+        mean, noise_var = MODES[mode].oracle(X, PrivacyBudget(alphas), options)
+        clean, scales, table = full_budget_release(mode, X, alphas, options)
+        assert np.allclose(mean, table(clean), rtol=1e-12, atol=0)
+        # each level (tuple) of the table, in the order of its entries
+        if mode == "adaptive_moment":
+            cells = [tuple(idx) for idx in np.ndindex(*noise_var.shape)]
+        else:
+            cells = [(r,) * d for r in range(noise_var.size)]
+        want = []
+        for cell in cells:
+            total = 0.0
+            for i in range(n):
+                second = clean_sq = 1.0
+                for j, r in enumerate(cell):
+                    c = float(clean[j][i, r])
+                    second *= c * c + 2.0 * float(scales[j][r]) ** 2
+                    clean_sq *= c * c
+                total += second - clean_sq
+            want.append(total / n**2)
+        assert np.allclose(noise_var.ravel(), want, rtol=1e-12, atol=0)
+
+    def test_agrees_with_monte_carlo(self):
+        # the Monte Carlo oracle this replaces: full-budget releases of every level from
+        # one stream, scored by the squared error of each table entry
+        draws, worst, cells = 400, 0.0, 0
+        for case, (mode, model, alphas, options) in ORACLE_CASES.items():
+            truth = MODES[mode].truth(model, options)
+            for n in (2**8, 2**10, 2**12):
+                X = sample_for(mode, model, n, derive_rng(31, n))
+                mean, noise_var = MODES[mode].oracle(X, PrivacyBudget(alphas), options)
+                exact = (mean - truth) ** 2 + noise_var
+                clean, scales, table = full_budget_release(mode, X, alphas, options)
+                rng = derive_rng(32, n)
+                sq = np.array([
+                    (table([laplace_release(c, b, rng) for c, b in zip(clean, scales)]) - truth) ** 2
+                    for _ in range(draws)
+                ])
+                z = (sq.mean(axis=0) - exact) / (sq.std(axis=0, ddof=1) / math.sqrt(draws))
+                worst, cells = max(worst, float(np.abs(z).max())), cells + z.size
+        assert cells == 2 * (8 + 10 + 12) + (64 + 100 + 144)
+        assert worst <= 5.0
+
+    @pytest.mark.parametrize("case", ["pareto_d2", "c08"])
+    def test_zero_noise_scores_the_clean_mean(self, case):
+        mode, model, alphas, options = ORACLE_CASES[case]
+        n = 256
+        cfg = ExperimentConfig(mode=mode, n_grid=(n,), alphas=alphas, replications=1, seed=3,
+                               model=model.to_json(), options={**options, "zero_noise": True})
+        out = _run_replication(cfg.to_json(), n, 0)
+        X, _ = run_mode(MODES[mode], model, n, PrivacyBudget(alphas), options,
+                        ZeroNoiseRng(derive_rng(3, MODES[mode].id, n, 0)))
+        clean, _, table = full_budget_release(mode, X, alphas, options)
+        assert out["oracle_sq"] == ((table(clean) - MODES[mode].truth(model, options)) ** 2).ravel().tolist()
+
+    @pytest.mark.parametrize("case", ["pareto_d2", "c08"])
+    def test_replication_draws_only_the_release(self, case, monkeypatch):
+        # the oracle draws nothing: past the data sampler's own draws (the kink
+        # component of the Holder density is Laplace), a replication's Laplace
+        # variates are its release's n * d * m
+        drawn = []
+
+        class Counting:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def laplace(self, loc=0.0, scale=1.0, size=None):
+                out = self._rng.laplace(loc, scale, size)
+                drawn.append(np.size(out))
+                return out
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        mode, model, alphas, options = ORACLE_CASES[case]
+        n = 256
+        sample_for(mode, model, n, Counting(derive_rng(3, MODES[mode].id, n, 0)))
+        sampled = sum(drawn)
+        drawn.clear()
+        derive = cldp.harness.derive_rng
+        monkeypatch.setattr(cldp.harness, "derive_rng", lambda *key: Counting(derive(*key)))
+        cfg = ExperimentConfig(mode=mode, n_grid=(n,), alphas=alphas, replications=1, seed=3,
+                               model=model.to_json(), options=options)
+        out = _run_replication(cfg.to_json(), n, 0)
+        assert "oracle_sq" in out
+        m = 8  # floor(log2 256) levels
+        assert sum(drawn) - sampled == n * len(alphas) * m
 
 
 class TestReportCommand:
