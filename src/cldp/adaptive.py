@@ -8,6 +8,7 @@ functions of the released tensor and are returned in full as diagnostics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -62,10 +63,10 @@ class GLConfig:
     c0: float = 8.0
 
     def __post_init__(self):
+        if self.n < 4:
+            raise ValueError("adaptive grids need n >= 4")
         if self.c0 <= 0:
             raise ValueError("c0 must be positive")
-        if self.n < 4:
-            raise ValueError("n must be >= 4")
 
     @property
     def grid_cardinality(self) -> int:
@@ -110,6 +111,11 @@ def _estimate_table(columns: Sequence[np.ndarray]) -> np.ndarray:
     return np.einsum(spec, *columns) / max(c.shape[0] for c in columns)
 
 
+def _diagonal_table(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """The diagonal of ``_estimate_table`` on the same columns: one level shared by every axis."""
+    return functools.reduce(np.multiply, columns).mean(axis=0)
+
+
 @dataclass(frozen=True, eq=False)
 class TruncationSelection:
     T_hat: tuple[float, ...]
@@ -141,6 +147,34 @@ def _check_multi_sample(Zm: PrivatizedSample, cfg: GLConfig, grid_len: int):
         raise ValueError(f"sample size {Zm.n} does not match config n={cfg.n}")
 
 
+def _gl_select(table: np.ndarray, V: np.ndarray, prefer: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """The Goldenshluger-Lepski rule over a level table of any rank k.
+
+    Each axis's levels are ordered so that the auxiliary estimate of the pair
+    (I, J) is table[max(I, J)], componentwise.  Returns the index minimizing
+    B + V, ties resolved to the largest ``prefer``, and the bias proxy
+        B_I = max_J ((table[max(I, J)] - table[J])^2 - V_J)_+.
+    """
+    m, k = table.shape[0], table.ndim
+    # one block per leading index i_1 holds the m^(2k-1) pairs (i_2..i_k, J),
+    # axes (i_2..i_k, j_1..j_k)
+    ar = np.arange(m)
+    K = np.maximum(ar[:, None], ar[None, :])
+    B = np.empty_like(V)
+    for i in range(m):
+        index = [np.maximum(i, ar).reshape((m,) + (1,) * (k - 1))]
+        for j in range(1, k):
+            shape = [1] * (2 * k - 1)
+            shape[j - 1] = shape[k - 1 + j] = m
+            index.append(K.reshape(shape))
+        diff = table[tuple(index)] - table
+        B[i] = np.maximum(diff * diff - V, 0.0).max(axis=tuple(range(k - 1, 2 * k - 1)))
+    score = B + V
+    ties = np.argwhere(score == score.min())
+    best = max(ties, key=lambda I: prefer[tuple(I)])
+    return tuple(int(i) for i in best), B
+
+
 def gl_select_truncation(Zm: PrivatizedSample, cfg: GLConfig) -> TruncationSelection:
     """Select clamp levels by minimizing bias proxy plus variance penalty.
 
@@ -150,36 +184,14 @@ def gl_select_truncation(Zm: PrivatizedSample, cfg: GLConfig) -> TruncationSelec
     Ties resolve to the largest prod_j T_j (the lowest-variance representative).
     """
     grid = build_truncation_grid(cfg.n)  # decreasing
-    m = grid.size
-    d = Zm.d
-    _check_multi_sample(Zm, cfg, m)
-    gamma = _estimate_table([Zm.values[:, j, :] for j in range(d)])  # m^d
-    beta = cfg.beta_n()
-    denom = cfg.n * float(np.prod(beta**2))
-    t_sq = grid**2
-    V = cfg.a_n * _outer_product([t_sq] * d) / denom
-    prod_T = _outer_product([grid] * d)
-
-    # componentwise minimum of (grid[i], grid[j]) is grid[max(i, j)] since the
-    # grid is decreasing.  One block per leading selector index i_1 holds the
-    # m^(2d-1) pairs (i_2..i_d, J), axes (i_2..i_d, j_1..j_d).
-    ar = np.arange(m)
-    K = np.maximum(ar[:, None], ar[None, :])
-    B = np.empty_like(V)
-    for i in range(m):
-        index = [np.maximum(i, ar).reshape((m,) + (1,) * (d - 1))]
-        for j in range(1, d):
-            shape = [1] * (2 * d - 1)
-            shape[j - 1] = shape[d - 1 + j] = m
-            index.append(K.reshape(shape))
-        diff = gamma[tuple(index)] - gamma
-        B[i] = np.maximum(diff * diff - V, 0.0).max(axis=tuple(range(d - 1, 2 * d - 1)))
-
-    score = B + V
-    best = _argmin_tiebreak(score, prod_T)
-    T_hat = tuple(float(grid[i]) for i in best)
+    _check_multi_sample(Zm, cfg, grid.size)
+    gamma = _estimate_table([Zm.values[:, j, :] for j in range(Zm.d)])  # m^d
+    denom = cfg.n * float(np.prod(cfg.beta_n() ** 2))
+    V = cfg.a_n * _outer_product([grid**2] * Zm.d) / denom
+    # the grid is decreasing, so the componentwise minimum of (grid[i], grid[j]) is grid[max(i, j)]
+    best, B = _gl_select(gamma, V, _outer_product([grid] * Zm.d))
     return TruncationSelection(
-        T_hat=T_hat,
+        T_hat=tuple(float(grid[i]) for i in best),
         gamma_hat=float(gamma[best]),
         index=best,
         B_table=B,
@@ -203,29 +215,19 @@ def gl_select_bandwidth(Zm: PrivatizedSample, cfg: GLConfig) -> BandwidthSelecti
     selection constant at h_max regardless of the data.
     """
     grid = build_bandwidth_grid(cfg.n)  # increasing
-    m = grid.size
-    d = Zm.d
-    _check_multi_sample(Zm, cfg, m)
-    # one shared bandwidth across axes: only the level diagonal is needed
-    diag = np.prod(Zm.values, axis=1).mean(axis=0)  # (m,)
-    beta = cfg.beta_n()
-    denom = cfg.n * float(np.prod(beta**2))
-    V = cfg.a_n / (grid ** (2 * d)) / denom
-
-    ar = np.arange(m)
-    K = np.maximum(ar[:, None], ar[None, :])  # coarser scale max(h, eta)
-    diff = diag[K] - diag[None, :]
-    B = np.maximum(diff * diff - V[None, :], 0.0).max(axis=1)
-
-    score = B + V
-    best = int(np.flatnonzero(score == score.min())[-1])  # largest h among ties
+    _check_multi_sample(Zm, cfg, grid.size)
+    pi = _diagonal_table([Zm.values[:, j, :] for j in range(Zm.d)])  # (m,)
+    denom = cfg.n * float(np.prod(cfg.beta_n() ** 2))
+    V = cfg.a_n / (grid ** (2 * Zm.d)) / denom
+    # the grid is increasing, so the coarser scale max(grid[i], grid[j]) is grid[max(i, j)]
+    (best,), B = _gl_select(pi, V, grid)
     return BandwidthSelection(
         h_hat=float(grid[best]),
-        pi_hat=float(diag[best]),
+        pi_hat=float(pi[best]),
         index=best,
         B_table=B,
         V_table=V,
-        pi_table=np.asarray(diag),
+        pi_table=pi,
     )
 
 
@@ -235,10 +237,3 @@ def _outer_product(vectors: list[np.ndarray]) -> np.ndarray:
         out = np.multiply.outer(out, v)
     return out
 
-
-def _argmin_tiebreak(score: np.ndarray, prefer: np.ndarray) -> tuple[int, ...]:
-    """Index of the minimal score; among exact ties, the largest ``prefer``."""
-    smin = score.min()
-    ties = np.argwhere(score == smin)
-    best = max(ties, key=lambda I: prefer[tuple(I)])
-    return tuple(int(i) for i in best)

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -107,15 +107,10 @@ class KernelFn:
     order: int
     kappa: float
     coeffs: tuple[float, ...] = ()  # monomial coefficients, low to high degree
-    eval_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        inside = np.abs(u) <= 1.0
-        if self.eval_fn is not None:
-            vals = np.where(inside, self.eval_fn(u), 0.0)
-        else:
-            vals = np.where(inside, np.polynomial.polynomial.polyval(u, np.asarray(self.coeffs)), 0.0)
+        vals = np.where(np.abs(u) <= 1.0, np.polynomial.polynomial.polyval(u, np.asarray(self.coeffs)), 0.0)
         return vals if vals.ndim else float(vals)
 
     def moment(self, l: int, nodes: int = 64) -> float:
@@ -288,6 +283,12 @@ class LaplaceTruncChannel(_ScalarLaplace):
         return np.union1d(np.linspace(-self.T - 1.0, self.T + 1.0, n), [-self.T, 0.0, self.T])
 
 
+def _check_x0(x0: float) -> None:
+    # a NaN or infinite evaluation point would make every clean value 0
+    if not math.isfinite(x0):
+        raise ValueError(f"evaluation point x0 must be finite, got {x0!r}")
+
+
 @dataclass(frozen=True)
 class KernelLaplaceChannel(_ScalarLaplace):
     """Release (1/h) K((x - x0)/h) plus Laplace noise of scale 2 kappa/(alpha h)."""
@@ -302,6 +303,7 @@ class KernelLaplaceChannel(_ScalarLaplace):
             raise ValueError("bandwidth h must lie in (0, 1)")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        _check_x0(self.x0)
 
     def clean(self, x):
         return kernel_clean(self.kernel, x, self.x0, self.h)
@@ -385,6 +387,7 @@ class MultiBandwidthChannel(_MultiLaplace):
             raise ValueError("bandwidth grid entries must lie in (0, 1]")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        _check_x0(self.x0)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "beta_n", _validate_beta_n(self.alpha, len(g), self.beta_n))
 

@@ -267,6 +267,17 @@ class BandwidthChoice:
     regime: str  # "private" | "nonprivate"
 
 
+def _bandwidth_regime(hc: HolderClass, budget: PrivacyBudget, n: int) -> str:
+    """The regime: "nonprivate" for a common level alpha at or above n^(1/(2(2 beta + d))), else "private"."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if budget.d != hc.d:
+        raise ValueError("budget dimension does not match class")
+    alphas = np.asarray(budget.alphas)
+    threshold = n ** (1.0 / (2.0 * (2.0 * hc.beta + hc.d)))
+    return "nonprivate" if np.all(alphas == alphas[0]) and alphas[0] >= threshold else "private"
+
+
 def optimal_bandwidth(hc: HolderClass, budget: PrivacyBudget, n: int) -> BandwidthChoice:
     """Rate-optimal bandwidth with the privacy-threshold regime switch.
 
@@ -275,22 +286,14 @@ def optimal_bandwidth(hc: HolderClass, budget: PrivacyBudget, n: int) -> Bandwid
     applies; otherwise (and always for unequal levels) the private bandwidth
     (n prod alpha_j^2)^(-1/(2(beta + d))) is used.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if budget.d != hc.d:
-        raise ValueError("budget dimension does not match class")
-    alphas = np.asarray(budget.alphas)
-    equal = np.all(alphas == alphas[0])
-    threshold = n ** (1.0 / (2.0 * (2.0 * hc.beta + hc.d)))
-    if equal and alphas[0] >= threshold:
+    regime = _bandwidth_regime(hc, budget, n)
+    if regime == "nonprivate":
         h = n ** (-1.0 / (2.0 * hc.beta + hc.d))
-        regime = "nonprivate"
     else:
         base = n * budget.prod_alpha_sq()
         if base <= 1.0:
             raise ValueError("sample too small: private bandwidth would reach 1")
         h = base ** (-1.0 / (2.0 * (hc.beta + hc.d)))
-        regime = "private"
     if h >= 1.0:
         raise ValueError("sample too small: bandwidth >= 1")
     return BandwidthChoice(h_star=float(h), regime=regime)

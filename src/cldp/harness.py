@@ -52,6 +52,7 @@ from .estimators import (
     HolderClass,
     MomentProfile,
     PrivatizedSample,
+    _bandwidth_regime,
     corr_release_plan,
     kde_channels,
     optimal_bandwidth,
@@ -256,11 +257,12 @@ def _holder_class(budget: PrivacyBudget, options: dict) -> HolderClass:
 
 
 def kde_bandwidth(n: int, budget: PrivacyBudget, options: dict) -> tuple[float, str]:
-    """The ``h`` option, else the rate-optimal bandwidth, and the latter's regime.
-
-    ValueError where no rate-optimal bandwidth exists, even with ``h`` given."""
-    choice = optimal_bandwidth(_holder_class(budget, options), budget, n)
-    return float(options.get("h", choice.h_star)), choice.regime
+    """The ``h`` option, else the rate-optimal bandwidth (ValueError where none exists), and the regime."""
+    hc = _holder_class(budget, options)
+    if "h" in options:
+        return float(options["h"]), _bandwidth_regime(hc, budget, n)
+    choice = optimal_bandwidth(hc, budget, n)
+    return choice.h_star, choice.regime
 
 
 def _trunc_channels(n: int, budget: PrivacyBudget, options: dict, trunc_mode: str) -> tuple:
@@ -269,8 +271,6 @@ def _trunc_channels(n: int, budget: PrivacyBudget, options: dict, trunc_mode: st
 
 
 def _gl_config(n: int, budget: PrivacyBudget, options: dict) -> ad.GLConfig:
-    if n < 4:
-        raise ValueError("adaptive grids need n >= 4")
     return ad.GLConfig(n=n, budget=budget, c0=float(options.get("c0", 8.0)))
 
 
@@ -301,11 +301,6 @@ def _moments_given_x(clean: list, var: list, row_mean: Callable) -> tuple:
     return row_mean(clean), noise / clean[0].shape[0]
 
 
-def _shared_level_mean(factors: list) -> np.ndarray:
-    """Mean over rows of the product across axes, one shared level per entry."""
-    return functools.reduce(np.multiply, factors).mean(axis=0)
-
-
 def _oracle_moment_table(X: np.ndarray, budget: PrivacyBudget, options: dict) -> tuple:
     """Mean and noise variance, given X, of the full-budget estimate at every grid combination.
 
@@ -324,7 +319,7 @@ def _oracle_kde_per_h(X: np.ndarray, budget: PrivacyBudget, options: dict) -> tu
     kernel = _kernel(options)
     clean = [kernel_clean(kernel, X[:, j, None], x0, grid) for j, x0 in zip(range(budget.d), _x0(options))]
     var = [2.0 * kernel_scale(kernel, grid, alpha) ** 2 for alpha in budget.alphas]
-    return _moments_given_x(clean, var, _shared_level_mean)
+    return _moments_given_x(clean, var, ad._diagonal_table)
 
 
 MODES = {
@@ -393,11 +388,13 @@ MODES = {
 
 def run_mode(mode: Mode, model, n: int, budget: PrivacyBudget, options: dict, rng):
     """(X, estimate): n rows of ``model`` released through the mode's channels and
-    estimated; for adaptive modes the estimate is the selection."""
+    estimated; for adaptive modes the estimate is the selection.  Under the
+    ``zero_noise`` option the channels draw no noise; the sampler draws as usual."""
     mode.check_model(model)
     sample = sample_heavy_tailed if mode.model is ParetoFactorModel else sample_holder_density
     X = sample(model, n, rng)
-    Z = release_sample(mode.release_input(X), mode.channels(n, budget, options), rng)
+    release_rng = ZeroNoiseRng(rng) if options.get("zero_noise") else rng
+    Z = release_sample(mode.release_input(X), mode.channels(n, budget, options), release_rng)
     return X, mode.estimate(Z, budget, options)
 
 
@@ -407,10 +404,7 @@ def _run_replication(cfg_json: dict, n: int, rep: int) -> dict:
     options = cfg_json["options"]
     budget = PrivacyBudget(cfg_json["alphas"])
     model = model_from_json(cfg_json["model"])
-    rng = derive_rng(cfg_json["seed"], mode.id, n, rep)
-    if options.get("zero_noise"):
-        rng = ZeroNoiseRng(rng)
-    X, est = run_mode(mode, model, n, budget, options, rng)
+    X, est = run_mode(mode, model, n, budget, options, derive_rng(cfg_json["seed"], mode.id, n, rep))
     truth = mode.truth(model, options)
     out = {"sq_err": (mode.point(est) - truth) ** 2}
     if mode.oracle is not None:

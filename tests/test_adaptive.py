@@ -16,7 +16,7 @@ from cldp.adaptive import (
 from cldp.channels import PrivacyBudget, make_kernel, privacy_audit
 from cldp.estimators import PrivatizedSample, optimal_truncations, MomentProfile, optimal_bandwidth, HolderClass, release_sample
 from cldp.harness import ZeroNoiseRng, derive_rng
-from cldp.simdata import ParetoFactorModel, sample_heavy_tailed
+from cldp.simdata import HolderDensityModel, ParetoFactorModel, sample_heavy_tailed, sample_holder_density
 
 
 class TestGrids:
@@ -221,6 +221,46 @@ class TestTruncationTablesMatchLoopReference:
         assert sel.index == index
 
 
+def _reference_bandwidth_tables(pi, grid, cfg, d):
+    """The bandwidth selector's (B, V, index) as computed before the shared GL
+    core: one m x m broadcast, and the last minimal score (the largest h)."""
+    beta = cfg.beta_n()
+    denom = cfg.n * float(np.prod(beta**2))
+    V = cfg.a_n / (grid ** (2 * d)) / denom
+    ar = np.arange(grid.size)
+    K = np.maximum(ar[:, None], ar[None, :])
+    diff = pi[K] - pi[None, :]
+    B = np.maximum(diff * diff - V[None, :], 0.0).max(axis=1)
+    score = B + V
+    return B, V, int(np.flatnonzero(score == score.min())[-1])
+
+
+class TestBandwidthTablesMatchLoopReference:
+    # c08's density and budget.  Noisy releases at c0 = 2.5 and 1.0 (interior
+    # selections) and 0.01 (the finest h); noiseless releases at c0 = 1e-3,
+    # where the proxy is positive on part of the grid, and at c0 = 1e308, where
+    # every penalty is inf, every score ties and the tie-break alone decides
+    @pytest.mark.parametrize(
+        "d, n, c0, noise",
+        [(1, 2**14, 2.5, True), (1, 2**14, 0.01, True), (1, 2**14, 1e-3, False), (1, 2**14, 1e308, False),
+         (2, 256, 2.5, True), (2, 1024, 1.0, True)],
+    )
+    def test_exact_tables_and_index(self, d, n, c0, noise):
+        cfg = GLConfig(n=n, budget=PrivacyBudget([8.0] * d), c0=c0)
+        model = HolderDensityModel(beta=1, d=d, kink_b=0.2)
+        rng = derive_rng(19, d, n)
+        X = sample_holder_density(model, n, rng)
+        chans = multi_bandwidth_channels(cfg, [0.0] * d, make_kernel(0))
+        Zm = release_sample(X, chans, rng if noise else ZeroNoiseRng(rng))
+        sel = gl_select_bandwidth(Zm, cfg)
+        pi = np.prod(Zm.values, axis=1).mean(axis=0)
+        B, V, index = _reference_bandwidth_tables(pi, build_bandwidth_grid(n), cfg, d)
+        assert np.array_equal(sel.pi_table, pi)
+        assert np.array_equal(sel.B_table, B)
+        assert np.array_equal(sel.V_table, V)
+        assert sel.index == index
+
+
 class TestSelectBandwidth:
     def test_constant_density_noiseless_selects_largest_h(self):
         # a flat density has no bias at any bandwidth: penalty decides, and the
@@ -250,8 +290,6 @@ class TestSelectBandwidth:
             assert sel.V_table[i] == pytest.approx(expected, rel=1e-12)
 
     def test_selection_near_oracle_bandwidth(self):
-        from cldp.simdata import HolderDensityModel, sample_holder_density
-
         n = 2**14
         budget = PrivacyBudget([0.5])
         cfg = GLConfig(n=n, budget=budget, c0=8.0)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cldp.channels import (
     AuditResult,
-    KernelFn,
     KernelLaplaceChannel,
     LaplaceTruncChannel,
     MultiBandwidthChannel,
@@ -89,10 +88,9 @@ class TestPrivatize:
         assert privatize(ch, -7.0, zero_rng()) == -2.0
 
     def test_kernel_release_zero_noise(self):
-        # K(0) = 1 triangular kernel: release is (1/h) K(0) = 2 at h = 0.5
-        tri = KernelFn(order=1, kappa=1.0, eval_fn=lambda u: 1.0 - np.abs(u))
-        ch = KernelLaplaceChannel(h=0.5, x0=0.3, kernel=tri, alpha=1.0)
-        assert privatize(ch, 0.3, zero_rng()) == pytest.approx(2.0)
+        # box kernel K(0) = 1/2: release is (1/h) K(0) = 1 at h = 0.5
+        ch = KernelLaplaceChannel(h=0.5, x0=0.3, kernel=make_kernel(0), alpha=1.0)
+        assert privatize(ch, 0.3, zero_rng()) == pytest.approx(1.0)
 
     def test_nonfinite_input_rejected(self):
         ch = LaplaceTruncChannel(T=1.0, alpha=1.0)
@@ -113,9 +111,12 @@ class TestPrivatize:
         (lambda: MultiTruncChannel(grid=(2.0, 1.0), alpha=math.nan), "alpha"),
         (lambda: MultiBandwidthChannel(grid=(0.5, 1.0), alpha=math.nan, x0=0.0, kernel=make_kernel(1)), "alpha"),
         (lambda: make_rr_channel((0.0, 1.0), math.nan), "alpha"),
+        (lambda: KernelLaplaceChannel(h=0.5, x0=math.nan, kernel=make_kernel(1), alpha=1.0), "x0"),
+        (lambda: MultiBandwidthChannel(grid=(0.5, 1.0), alpha=1.0, x0=math.nan, kernel=make_kernel(1)), "x0"),
     ])
     def test_nan_parameters_rejected(self, build, name):
-        # NaN passes the comparisons x <= 0 and x < 0, so each check is written to fail on it
+        # NaN passes the comparisons x <= 0 and x < 0, so each check is written to fail on it;
+        # a NaN x0 makes every clean kernel value 0
         with pytest.raises(ValueError, match=name):
             build()
 

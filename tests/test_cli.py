@@ -62,6 +62,15 @@ class TestAuditCommand:
         assert proc.returncode == 2
         assert "alpha must be positive" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_nan_x0_exit_config(self, tmp_path):
+        # a NaN evaluation point is malformed input; the clean map would read 0 everywhere
+        spec = '[{"variant": "kernel_laplace", "alpha": 1.0, "h": 0.5, "x0": NaN, "kernel_order": 2}]'
+        out = tmp_path / "audit.json"
+        proc = run_cli("audit", "--channels", write(tmp_path / "ch.json", spec), "--out", str(out))
+        assert proc.returncode == 2
+        assert "x0 must be finite" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_alpha_beyond_exp_range(self, tmp_path):
         # e^800 overflows a float: the bound reads inf and the exit code is the verdict's
         spec = [{"variant": "laplace_trunc", "alpha": 800.0, "T": 1.0}]
@@ -161,6 +170,17 @@ class TestEstimateCommand:
         assert main(["estimate", "--mode", "kde", "--config", cfg, "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         assert rep["regime"] == "private"
+
+    def test_kde_h_override_without_optimal_bandwidth(self, tmp_path):
+        # n alpha^2 = 0.5: no rate-optimal bandwidth exists, but a given h needs none
+        base = "n=2\nalphas=0.5\nmodel=holder_density\nbeta=2\nd=1\nx0=0.0\nseed=3\n"
+        out = tmp_path / "est.json"
+        cfg = write(tmp_path / "cfg.txt", base + "h=0.25\n")
+        assert main(["estimate", "--mode", "kde", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert (rep["h"], rep["regime"]) == (0.25, "private")
+        assert math.isfinite(rep["estimate"])
+        assert main(["estimate", "--mode", "kde", "--config", write(tmp_path / "no_h.txt", base)]) == 2
 
     def test_pareto_coupling_and_symmetry_forwarded(self, tmp_path):
         # the c07 model: one-sided power coupling, true mean 6.67

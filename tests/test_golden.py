@@ -45,7 +45,7 @@ RATE_CASES = {
     "cov": _rate("cov", (1, 256, 1024), (0.5, 0.5), PARETO_2, {"ks": [4.0, 4.0]}, workers=2),
     # n = 1 is a warning row; at n = 64 some replication's correlation is undefined, so the MSE is nan
     "corr": _rate("corr", (1, 64, 4096), (0.8, 0.8), PARETO_CORR, {"ks": [6.0, 6.0]}),
-    # the override is used only where the rate-optimal bandwidth exists
+    # the override needs no rate-optimal bandwidth: n = 2 (n alpha^2 < 1) is a valid row
     "kde_h": _rate("kde", (2, 512, 2048), (0.5,), HOLDER_2, {"beta": 2.0, "x0": [0.0], "h": 0.25}),
     "kde_nonprivate": _rate("kde", (1024, 4096), (4.0,), HOLDER_2, {"beta": 2.0, "x0": [0.1]}),
     "adaptive_moment": _rate("adaptive_moment", (2, 64, 128), (1.0,), PARETO_C07, {"ks": [2.0], "c0": 12.0}),
@@ -73,8 +73,8 @@ RATE_GOLDEN = {
         "39217a642ac064d9f22db38b2e01a32fa491f209c111afd7b78f1ac6371d65ee",
     ),
     "kde_h": (
-        "cc262e962c1fdeb813c9c3fe3b2ceb51ac2b2eb6c1a08a3f46e92d575c3f389c",
-        "7ca8aab0caa4820e1a428e62ef47e0fedca84095a0021661a58a91fb8139a1d6",
+        "eafee5420e7453e517a0e6bb4488c3276298e956d35c40c0b6db322eb0ac7e46",
+        "3e967939b0ef5d54a16835c7245fdf87f644fbb71c94d6d4ae886df608435222",
     ),
     "kde_nonprivate": (
         "a69128ccbbb70551351f80515f37ac405cec979faf9271c471ce39fe9d489365",

@@ -196,6 +196,28 @@ class TestZeroNoiseRng:
         assert np.all(rng.laplace(0.0, 5.0, size=4) == 0.0)
         assert rng.integers(0, 10) in range(10)
 
+    def test_zero_noise_keeps_the_sampler_draws(self, monkeypatch):
+        # c08's density draws its kink component with rng.laplace: under zero_noise
+        # the sample is the unwrapped stream's and only the release is noise-free
+        mode, model, alphas, options = ORACLE_CASES["c08"]
+        n = 256
+        cfg = ExperimentConfig(mode=mode, n_grid=(n,), alphas=alphas, replications=1, seed=3,
+                               model=model.to_json(), options={**options, "zero_noise": True})
+        released = []
+        release = cldp.harness.release_sample
+
+        def recording(X, *args):
+            released.append((X, release(X, *args)))
+            return released[-1][1]
+
+        monkeypatch.setattr(cldp.harness, "release_sample", recording)
+        _run_replication(cfg.to_json(), n, 0)
+        X, Z = released[0]
+        assert np.array_equal(X, sample_holder_density(model, n, derive_rng(3, MODES[mode].id, n, 0)))
+        assert np.count_nonzero(X == 0.0) == 0
+        chans = MODES[mode].channels(n, PrivacyBudget(alphas), options)
+        assert np.array_equal(Z.values[:, 0, :], chans[0].clean(X[:, 0]))
+
 
 class TestCovarianceRate:
     def test_cov_slope_matches_moment_rate(self):
@@ -337,8 +359,8 @@ class TestExactOracle:
         cfg = ExperimentConfig(mode=mode, n_grid=(n,), alphas=alphas, replications=1, seed=3,
                                model=model.to_json(), options={**options, "zero_noise": True})
         out = _run_replication(cfg.to_json(), n, 0)
-        X, _ = run_mode(MODES[mode], model, n, PrivacyBudget(alphas), options,
-                        ZeroNoiseRng(derive_rng(3, MODES[mode].id, n, 0)))
+        X, _ = run_mode(MODES[mode], model, n, PrivacyBudget(alphas), {**options, "zero_noise": True},
+                        derive_rng(3, MODES[mode].id, n, 0))
         clean, _, table = full_budget_release(mode, X, alphas, options)
         assert out["oracle_sq"] == ((table(clean) - MODES[mode].truth(model, options)) ** 2).ravel().tolist()
 
