@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import KernelFn, MultiBandwidthChannel, MultiTruncChannel, PrivacyBudget
-from .estimators import PrivatizedSample
+from .estimators import PrivatizedSample, RegimeError
 
 __all__ = [
     "build_truncation_grid",
@@ -64,9 +64,11 @@ class GLConfig:
 
     def __post_init__(self):
         if self.n < 4:
-            raise ValueError("adaptive grids need n >= 4")
-        if self.c0 <= 0:
-            raise ValueError("c0 must be positive")
+            raise RegimeError("adaptive grids need n >= 4")
+        if not self.c0 > 0:  # NaN fails the comparison
+            raise ValueError(f"c0 must be positive, got {self.c0!r}")
+        if not math.isfinite(self.a_n):
+            raise ValueError(f"c0 = {self.c0!r} makes the penalty constant a_n = c0 ln n overflow")
 
     @property
     def grid_cardinality(self) -> int:
@@ -90,6 +92,8 @@ def multi_bandwidth_channels(
 ) -> tuple[MultiBandwidthChannel, ...]:
     grid = tuple(build_bandwidth_grid(cfg.n))
     x0 = np.asarray(x0, dtype=float)
+    if x0.size != cfg.budget.d:
+        raise ValueError(f"x0 dimension {x0.size} does not match the budget's {cfg.budget.d}")
     return tuple(
         MultiBandwidthChannel(grid=grid, alpha=a, x0=float(x0[j]), kernel=kernel)
         for j, a in enumerate(cfg.budget.alphas)

@@ -109,8 +109,17 @@ class KernelFn:
     coeffs: tuple[float, ...] = ()  # monomial coefficients, low to high degree
 
     def __call__(self, u):
+        """K(u): Horner's rule from the leading coefficient, as ``polyval``, in one
+        array, and 0 off [-1, 1] (NaN included)."""
         u = np.asarray(u, dtype=float)
-        vals = np.where(np.abs(u) <= 1.0, np.polynomial.polynomial.polyval(u, np.asarray(self.coeffs)), 0.0)
+        vals = np.abs(u, out=np.empty_like(u))  # an array even for a scalar u
+        outside = ~(vals <= 1.0)
+        *lower, lead = self.coeffs
+        vals.fill(lead)
+        for c in reversed(lower):
+            vals *= u
+            vals += c
+        np.copyto(vals, 0.0, where=outside)
         return vals if vals.ndim else float(vals)
 
     def moment(self, l: int, nodes: int = 64) -> float:
@@ -192,8 +201,10 @@ def trunc_scale(T, level):
 
 
 def kernel_clean(kernel: KernelFn, x, x0, h):
-    """The kernel map (1/h) K((x - x0)/h)."""
-    return kernel((np.asarray(x, dtype=float) - x0) / h) / h
+    """The kernel map (1/h) K((x - x0)/h), divided by h in K's own array."""
+    k = kernel((np.asarray(x, dtype=float) - x0) / h)
+    k /= h
+    return k
 
 
 def kernel_scale(kernel: KernelFn, h, level):
@@ -202,8 +213,15 @@ def kernel_scale(kernel: KernelFn, h, level):
 
 
 def laplace_release(clean, scales, rng):
-    """clean + scales * L(1), one independent unit-Laplace draw per entry of ``clean``."""
-    return clean + rng.laplace(0.0, 1.0, size=np.shape(clean)) * scales
+    """clean + scales * L(1), one independent unit-Laplace draw per entry of ``clean``.
+
+    The draws are scaled and shifted in place, so the release is the one array
+    allocated; ``scales`` must broadcast to the shape of ``clean``.
+    """
+    z = rng.laplace(0.0, 1.0, size=np.shape(clean))
+    z *= scales
+    z += clean
+    return z
 
 
 def _laplace_pdf(z, clean, scale):

@@ -40,7 +40,13 @@ __all__ = [
     "optimal_bandwidth",
     "BandwidthChoice",
     "release_sample",
+    "RegimeError",
 ]
+
+
+class RegimeError(ValueError):
+    """No rate-optimal tuning exists at this sample size: the grid point is
+    outside the rate statement's regime, not a malformed input."""
 
 
 @dataclass(frozen=True)
@@ -90,15 +96,24 @@ class PrivatizedSample:
     channels: tuple
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        # the sample keeps its own copy, so later writes to the caller's array cannot reach it
+        self._hold(np.array(self.values, dtype=float, order="C"), self.channels)
+
+    @classmethod
+    def _take(cls, values: np.ndarray, channels) -> "PrivatizedSample":
+        """A sample over ``values`` without the copy: for a fresh release nothing else holds."""
+        sample = object.__new__(cls)
+        sample._hold(values, channels)
+        return sample
+
+    def _hold(self, v: np.ndarray, channels) -> None:
         if v.ndim not in (2, 3):
             raise ValueError("values must be (n, d) or (n, d, m)")
-        if v.shape[1] != len(self.channels):
+        if v.shape[1] != len(channels):
             raise ValueError("one channel per column required")
-        v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "channels", tuple(self.channels))
+        object.__setattr__(self, "channels", tuple(channels))
 
     @property
     def n(self) -> int:
@@ -117,15 +132,17 @@ def release_sample(X: np.ndarray, channels, rng) -> PrivatizedSample:
     """Push an (n, d) raw matrix through per-column channels.
 
     Columns are released in axis order from a single stream, so a fixed stream
-    state yields a fixed sample.
+    state yields a fixed sample.  Each release is drawn into a fresh array that
+    the sample takes over: one column is viewed, not copied, and several are
+    stacked once.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(channels):
         raise ValueError("X must be (n, d) with one channel per column")
     cols = [ch.privatize_array(X[:, j], rng) for j, ch in enumerate(channels)]
     # scalar channels give (n,) columns, multi-level channels give (n, m)
-    values = np.stack(cols, axis=1)
-    return PrivatizedSample(values, tuple(channels))
+    values = cols[0][:, None] if len(cols) == 1 else np.stack(cols, axis=1)
+    return PrivatizedSample._take(values, channels)
 
 
 def optimal_truncations(
@@ -148,7 +165,7 @@ def optimal_truncations(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if np.any(base < 1.0):
-        raise ValueError("regime violated: effective sample size below 1")
+        raise RegimeError("regime violated: effective sample size below 1")
     return base ** (1.0 / (2.0 * ks))
 
 
@@ -230,7 +247,7 @@ def corr_release_plan(profile: MomentProfile, budget: PrivacyBudget, n: int):
     sq_orders = np.asarray([k / 2.0 for k in profile.ks])
     base = n * np.square(np.asarray(half.alphas))
     if np.any(base < 1.0):
-        raise ValueError("regime violated: effective sample size below 1")
+        raise RegimeError("regime violated: effective sample size below 1")
     t_sq = base ** (1.0 / (2.0 * sq_orders))
     chans_raw = tuple(LaplaceTruncChannel(T=float(t), alpha=a) for t, a in zip(t_raw, half.alphas))
     chans_sq = tuple(LaplaceTruncChannel(T=float(t), alpha=a) for t, a in zip(t_sq, half.alphas))
@@ -292,10 +309,10 @@ def optimal_bandwidth(hc: HolderClass, budget: PrivacyBudget, n: int) -> Bandwid
     else:
         base = n * budget.prod_alpha_sq()
         if base <= 1.0:
-            raise ValueError("sample too small: private bandwidth would reach 1")
+            raise RegimeError("sample too small: private bandwidth would reach 1")
         h = base ** (-1.0 / (2.0 * (hc.beta + hc.d)))
     if h >= 1.0:
-        raise ValueError("sample too small: bandwidth >= 1")
+        raise RegimeError("sample too small: bandwidth >= 1")
     return BandwidthChoice(h_star=float(h), regime=regime)
 
 

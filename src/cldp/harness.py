@@ -52,6 +52,7 @@ from .estimators import (
     HolderClass,
     MomentProfile,
     PrivatizedSample,
+    RegimeError,
     _bandwidth_regime,
     corr_release_plan,
     kde_channels,
@@ -128,6 +129,13 @@ class ExperimentConfig:
             raise ValueError("empty n grid")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if min(self.n_grid) < 1:
+            raise ValueError(f"n grid entries must be >= 1, got {self.n_grid!r}")
+        # a malformed option raises here; a grid point outside the regime is a warning row of the run
+        mode, budget = MODES[self.mode], PrivacyBudget(self.alphas)
+        for n in self.n_grid:
+            with contextlib.suppress(RegimeError):
+                mode.channels(n, budget, self.options)
 
     def validate_for_slope(self):
         """Invariants demanded of slope experiments (enforced at the CLI)."""
@@ -230,7 +238,7 @@ class Mode:
     model: type  # the data model the mode samples
     config_keys: tuple[str, ...]  # config keys the pipeline reads besides the model's
     truth: Callable  # (model, options) -> estimand
-    channels: Callable  # (n, budget, options) -> channels; ValueError outside the regime
+    channels: Callable  # (n, budget, options) -> channels; RegimeError outside the regime, ValueError on a bad option
     estimate: Callable  # (Z, budget, options) -> estimate, or the adaptive selection
     n_eff: Callable = _n_prod  # (n, budget, options) -> effective sample size before log deflation
     point: Callable = lambda est: est  # the scalar scored against the truth
@@ -440,8 +448,8 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
             try:
                 mode.channels(n, budget, cfg.options)  # the regime check, before any replication
                 n_eff = mode.axis_n_eff(n, budget, cfg.options)
-            except ValueError as exc:
-                # regime violation: keep a warning row, excluded from fits
+            except RegimeError as exc:
+                # keep a warning row, excluded from fits
                 points.append(RatePoint(n, float("nan"), float("nan"), float("nan"), 0, cfg.seed))
                 extras["per_n"][str(n)] = {"warning": str(exc)}
                 continue

@@ -6,6 +6,7 @@ import pytest
 
 from cldp.adaptive import (
     GLConfig,
+    _gl_select,
     build_bandwidth_grid,
     build_truncation_grid,
     gl_select_bandwidth,
@@ -14,7 +15,15 @@ from cldp.adaptive import (
     multi_trunc_channels,
 )
 from cldp.channels import PrivacyBudget, make_kernel, privacy_audit
-from cldp.estimators import PrivatizedSample, optimal_truncations, MomentProfile, optimal_bandwidth, HolderClass, release_sample
+from cldp.estimators import (
+    HolderClass,
+    MomentProfile,
+    PrivatizedSample,
+    RegimeError,
+    optimal_bandwidth,
+    optimal_truncations,
+    release_sample,
+)
 from cldp.harness import ZeroNoiseRng, derive_rng
 from cldp.simdata import HolderDensityModel, ParetoFactorModel, sample_heavy_tailed, sample_holder_density
 
@@ -45,6 +54,20 @@ class TestGLConfig:
         assert cfg.grid_cardinality == 10
         assert cfg.a_n == pytest.approx(8.0 * math.log(1024))
         assert np.allclose(cfg.beta_n(), [0.05, 0.08])
+
+    @pytest.mark.parametrize("c0", [0.0, -1.0, math.nan, -math.inf])
+    def test_rejects_nonpositive_c0(self, c0):
+        with pytest.raises(ValueError, match="c0 must be positive"):
+            GLConfig(n=256, budget=PrivacyBudget([1.0]), c0=c0)
+
+    @pytest.mark.parametrize("c0", [1e308, math.inf])
+    def test_rejects_c0_whose_penalty_constant_overflows(self, c0):
+        with pytest.raises(ValueError, match="a_n"):
+            GLConfig(n=256, budget=PrivacyBudget([1.0]), c0=c0)
+
+    def test_small_n_is_a_regime_error(self):
+        with pytest.raises(RegimeError, match="n >= 4"):
+            GLConfig(n=3, budget=PrivacyBudget([1.0]), c0=math.nan)
 
     def test_channels_pass_audit_at_declared_level(self):
         cfg = GLConfig(n=64, budget=PrivacyBudget([0.9]))
@@ -238,11 +261,11 @@ def _reference_bandwidth_tables(pi, grid, cfg, d):
 class TestBandwidthTablesMatchLoopReference:
     # c08's density and budget.  Noisy releases at c0 = 2.5 and 1.0 (interior
     # selections) and 0.01 (the finest h); noiseless releases at c0 = 1e-3,
-    # where the proxy is positive on part of the grid, and at c0 = 1e308, where
-    # every penalty is inf, every score ties and the tie-break alone decides
+    # where the proxy is positive on part of the grid, and at c0 = 1e298, where
+    # penalties near the top of the float range swamp every proxy
     @pytest.mark.parametrize(
         "d, n, c0, noise",
-        [(1, 2**14, 2.5, True), (1, 2**14, 0.01, True), (1, 2**14, 1e-3, False), (1, 2**14, 1e308, False),
+        [(1, 2**14, 2.5, True), (1, 2**14, 0.01, True), (1, 2**14, 1e-3, False), (1, 2**14, 1e298, False),
          (2, 256, 2.5, True), (2, 1024, 1.0, True)],
     )
     def test_exact_tables_and_index(self, d, n, c0, noise):
@@ -259,6 +282,13 @@ class TestBandwidthTablesMatchLoopReference:
         assert np.array_equal(sel.B_table, B)
         assert np.array_equal(sel.V_table, V)
         assert sel.index == index
+
+
+def test_gl_ties_go_to_the_largest_preference():
+    # every score ties (all inf, or all equal): the tie-break alone decides
+    for V in (np.full(4, np.inf), np.ones(4)):
+        assert _gl_select(np.zeros(4), V, np.array([2.0, 5.0, 3.0, 1.0]))[0] == (1,)
+    assert _gl_select(np.zeros((3, 3)), np.full((3, 3), np.inf), np.arange(9.0).reshape(3, 3))[0] == (2, 2)
 
 
 class TestSelectBandwidth:

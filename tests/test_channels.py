@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cldp.channels import (
     AuditResult,
@@ -15,7 +16,9 @@ from cldp.channels import (
     channel_from_json,
     channel_to_json,
     compose_ldp_level,
+    kernel_clean,
     kernel_order,
+    laplace_release,
     RandomizedResponseChannel,
     make_constant_channel,
     make_identity_channel,
@@ -455,3 +458,83 @@ class TestAuditMatchesLoopReference:
         res = privacy_audit(ch, x_grid=xs, z_grid=zs)
         assert res == reference_audit(ch, x_grid=xs, z_grid=zs)
         assert res.max_ratio <= math.exp(alpha) * (1 + 1e-9)
+
+
+def _same_bytes(a, b) -> bool:
+    return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _polyval_kernel(k, u):
+    """K(u) as np.where(|u| <= 1, polyval(u, coeffs), 0), the form the in-place evaluation replaces."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.where(np.abs(u) <= 1.0, np.polynomial.polynomial.polyval(u, np.asarray(k.coeffs)), 0.0)
+    return vals if vals.ndim else float(vals)
+
+
+_EDGES = [-1.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), np.nextafter(1.0, 0.0), 0.0, -0.0,
+          1e200, -1e200, math.inf, -math.inf, math.nan]
+
+
+class TestLeanReleaseIsBitwiseTheFormula:
+    """The in-place release and kernel evaluation give the bytes of the plain formulas."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        shape=st.sampled_from([(), (7,), (5, 3), (1, 4)]),
+        seed=st.integers(0, 2**32 - 1),
+        zero=st.booleans(),
+    )
+    def test_laplace_release(self, data, shape, seed, zero):
+        value = st.floats(-1e6, 1e6, allow_subnormal=True)
+        clean = data.draw(hnp.arrays(np.float64, shape, elements=value))
+        # one scale per entry, per level (the trailing axis) or one for all
+        scale_shape = data.draw(st.sampled_from([(), shape[-1:], shape]))
+        scales = data.draw(hnp.arrays(np.float64, scale_shape, elements=st.floats(1e-3, 1e3)))
+
+        def stream():
+            rng = np.random.default_rng(seed)
+            return ZeroNoiseRng(rng) if zero else rng
+
+        old = clean + stream().laplace(0.0, 1.0, size=np.shape(clean)) * scales
+        assert _same_bytes(laplace_release(clean, scales, stream()), old)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        order=st.integers(0, 3),
+        u=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+            elements=st.one_of(st.floats(-3.0, 3.0), st.sampled_from(_EDGES)),
+        ),
+    )
+    def test_kernel_evaluation(self, order, u):
+        k = make_kernel(order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = k(u)
+        assert type(vals) is type(_polyval_kernel(k, u))
+        assert _same_bytes(vals, _polyval_kernel(k, u))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_kernel_edges(self, order):
+        k = make_kernel(order)
+        edges = np.array(_EDGES)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _same_bytes(k(edges), _polyval_kernel(k, edges))
+        assert (k(-1.0), k(1.0)) == (_polyval_kernel(k, -1.0), _polyval_kernel(k, 1.0))
+        assert k(1.0) != 0.0 and k(-1.0) != 0.0
+        assert k(np.nextafter(1.0, 2.0)) == k(np.nextafter(-1.0, -2.0)) == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        order=st.integers(0, 3),
+        xs=hnp.arrays(np.float64, st.integers(1, 30), elements=st.floats(-4.0, 4.0)),
+        x0=st.floats(-1.0, 1.0),
+        hs=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5),
+    )
+    def test_kernel_clean(self, order, xs, x0, hs):
+        k, h = make_kernel(order), np.asarray(hs)
+        old = _polyval_kernel(k, (xs[:, None] - x0) / h) / h
+        assert _same_bytes(kernel_clean(k, xs[:, None], x0, h), old)
+        assert _same_bytes(kernel_clean(k, xs, x0, h[0]), _polyval_kernel(k, (xs - x0) / h[0]) / h[0])

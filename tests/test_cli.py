@@ -237,6 +237,16 @@ class TestAdaptiveCommand:
         rep = json.loads(out.read_text())
         assert 0.0 < rep["selected"] <= 1.0
 
+    @pytest.mark.parametrize("mode", ["moment", "density"])
+    @pytest.mark.parametrize("c0", ["nan", "1e308", "-1"])
+    def test_malformed_c0_exit_config(self, tmp_path, capsys, mode, c0):
+        model = "ks=2\na=2.1\n" if mode == "moment" else "model=holder_density\nbeta=1\nx0=0.0\n"
+        cfg = write(tmp_path / "cfg.txt", f"n=256\nalphas=1.0\nseed=3\nc0={c0}\n" + model)
+        out = tmp_path / "adapt.json"
+        assert main(["adaptive", "--mode", mode, "--config", cfg, "--out", str(out)]) == 2
+        assert "c0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRatesCommand:
     def test_rates_with_fit(self, tmp_path, capsys):
@@ -260,6 +270,27 @@ class TestRatesCommand:
             "replications=30\nseed=3\n",
         )
         assert main(["rates", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "mode, options, message",
+        [
+            ("adaptive_moment", "ks=2\na=2.1\nc0=-1\n", "c0 must be positive"),
+            ("adaptive_moment", "ks=2\na=2.1\nc0=nan\n", "c0 must be positive"),
+            ("adaptive_moment", "ks=2\na=2.1\nc0=1e308\n", "a_n"),
+            ("kde", "model=holder_density\nbeta=2\nx0=0.0\nh=1.5\n", "bandwidth h"),
+            ("adaptive_density", "model=holder_density\nbeta=1\nx0=0.0,0.0\n", "x0 dimension"),
+        ],
+    )
+    def test_malformed_option_exit_config(self, tmp_path, capsys, mode, options, message, monkeypatch):
+        # a malformed option fails at the boundary instead of turning every row into a warning
+        monkeypatch.setattr("cldp.cli.run_rate_experiment", lambda exp: pytest.fail("the run started"))
+        cfg = write(
+            tmp_path / "cfg.txt",
+            f"mode={mode}\nn_grid=256,1024,4096,16384,65536,262144\nalphas=1\n"
+            f"replications=30\nseed=3\n{options}",
+        )
+        assert main(["rates", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestUnknownConfigKeys:

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from cldp.channels import KernelLaplaceChannel, LaplaceTruncChannel, PrivacyBudget, make_kernel
+from cldp.channels import (
+    KernelLaplaceChannel,
+    LaplaceTruncChannel,
+    MultiBandwidthChannel,
+    MultiTruncChannel,
+    PrivacyBudget,
+    make_kernel,
+)
 from cldp.estimators import (
     HolderClass,
     MomentProfile,
@@ -97,6 +104,66 @@ class TestPointEstimators:
         Z = PrivatizedSample(np.zeros((2, 2)), (None, None))
         with pytest.raises(ValueError):
             private_mean(Z, 3)
+
+
+class TestSampleOwnsItsValues:
+    """A sample's values are read-only and shared with no array a caller holds."""
+
+    SCALAR = (
+        LaplaceTruncChannel(T=2.0, alpha=1.0),
+        KernelLaplaceChannel(h=0.5, x0=0.0, kernel=make_kernel(1), alpha=1.0),
+    )
+    MULTI = (
+        MultiTruncChannel(grid=(4.0, 2.0, 1.0), alpha=1.0),
+        MultiBandwidthChannel(grid=(0.25, 0.5, 1.0), alpha=1.0, x0=0.0, kernel=make_kernel(0)),
+    )
+
+    def test_caller_array_is_copied(self):
+        vals = derive_rng(5, 0).normal(size=(6, 2))
+        Z = PrivatizedSample(vals, (None, None))
+        kept = Z.values.copy()
+        vals[0, 0] = 99.0
+        assert np.array_equal(Z.values, kept)
+        assert not np.shares_memory(Z.values, vals)
+
+    def test_read_only_view_of_a_writeable_base_is_copied(self):
+        base = derive_rng(5, 1).normal(size=(6, 2, 3))
+        view = base[:, :, :]
+        view.flags.writeable = False
+        Z = PrivatizedSample(view, (None, None))
+        kept = Z.values.copy()
+        base[0, 0, 0] = 99.0
+        assert np.array_equal(Z.values, kept)
+        assert not np.shares_memory(Z.values, base)
+
+    def test_read_only_owner_is_copied(self):
+        # an array that owns its memory can be made writeable again by its holder
+        vals = derive_rng(5, 2).normal(size=(6, 1))
+        vals.flags.writeable = False
+        Z = PrivatizedSample(vals, (None,))
+        vals.flags.writeable = True
+        vals[0, 0] = 99.0
+        assert Z.values[0, 0] != 99.0
+
+    def test_values_are_read_only(self):
+        Z = PrivatizedSample(np.zeros((3, 2)), (None, None))
+        with pytest.raises(ValueError):
+            Z.values[0, 0] = 1.0
+
+    @pytest.mark.parametrize("channels", [SCALAR[:1], SCALAR, MULTI[:1], MULTI[1:], MULTI])
+    def test_release_shares_nothing_with_its_input(self, channels):
+        X = derive_rng(5, 3).normal(size=(40, len(channels)))
+        X_before = X.copy()
+        Z = release_sample(X, channels, derive_rng(5, 4))
+        assert not Z.values.flags.writeable
+        assert not np.shares_memory(Z.values, X)
+        assert np.array_equal(X, X_before)
+        # the bytes of the stacked per-column releases, drawn from the same stream
+        rng = derive_rng(5, 4)
+        stacked = np.stack([ch.privatize_array(X[:, j], rng) for j, ch in enumerate(channels)], axis=1)
+        assert Z.values.shape == stacked.shape and Z.values.tobytes() == stacked.tobytes()
+        again = release_sample(X, channels, derive_rng(5, 4))
+        assert not np.shares_memory(Z.values, again.values)
 
 
 class TestCovarianceCorrelation:

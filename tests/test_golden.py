@@ -6,6 +6,8 @@ the paths a change could disturb: regime-warning rows, ``zero_noise``, a
 bandwidth override, replications whose correlation is undefined, the adaptive
 oracle table (with and without an ``oracle_reps`` cap), and each
 ``cldp estimate`` / ``cldp adaptive`` mode.
+At n = 2^12, beyond the tiny configs, c07's and c08's multi-level releases and
+their oracle tables are pinned array by array.
 ``cldp report``, one ``cldp audit`` over every channel variant, one
 ``cldp leakage`` (a zero-mass cell and an identity channel walk the 0/0 and
 x/0 ratio branches), one ``cldp contract-verify`` and both
@@ -17,13 +19,21 @@ outputs, and say so where the change is recorded.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from cldp.channels import channel_to_json, make_identity_channel, make_rr_channel
+from cldp.channels import PrivacyBudget, channel_to_json, make_identity_channel, make_rr_channel
 from cldp.cli import main
-from cldp.harness import ExperimentConfig, run_rate_experiment
+from cldp.estimators import release_sample
+from cldp.harness import MODES, ExperimentConfig, derive_rng, run_rate_experiment
 from cldp.measures import DiscreteDist
-from cldp.simdata import HolderDensityModel, ParetoFactorModel
+from cldp.simdata import (
+    HolderDensityModel,
+    ParetoFactorModel,
+    model_from_json,
+    sample_heavy_tailed,
+    sample_holder_density,
+)
 
 PARETO_1 = ParetoFactorModel(ks=[4.0], a=[5.0]).to_json()
 PARETO_2 = ParetoFactorModel(ks=[4.0, 4.0], a=[5.0, 5.0], rho=0.5).to_json()
@@ -93,6 +103,43 @@ RATE_GOLDEN = {
         "f7679e3c605c3c1060caa1df2b9659efb321c8c8689bfaeb6079bd3c71e4fce8",
     ),
 }
+
+# c07's and c08's gate configurations at n = 2^12: the multi-level release
+# (12 clamp levels, 12 bandwidths) and the oracle's per-level mean and noise variance
+ARRAY_N = 2**12
+ARRAY_CASES = {
+    "c07": ("adaptive_moment", PARETO_C07, (1.0,), {"ks": [2.0], "c0": 12.0}),
+    "c08": ("adaptive_density", HOLDER_C08, (8.0,), {"beta": 1.0, "x0": [0.0], "c0": 2.5}),
+}
+
+ARRAY_GOLDEN = {  # (release, oracle mean, oracle noise variance)
+    "c07": (
+        "b3646882f2d4c3583d770b29db296983be4aa479050d2b6b3ab30d7858ed8008",
+        "c3d5450c03c9534a939f439eb41afc2f1d2875db10a78b728d9c3958a8a5fc26",
+        "6923931471d4594c7dbf73deefc32f2f7a01438985e14aabe88acd9e7dc196da",
+    ),
+    "c08": (
+        "22f9055efd126096092e68228c542e4ccc00ddc4e24d1de740041a7cb6509a97",
+        "bb41b2a2eb664a3eeb8988e02e1d6c3a2388ad83699025c64cbefb6dc55bb676",
+        "80893be24bd9b55830608f530f0d407e10375ec70e2e741b026512e2eea0cea2",
+    ),
+}
+
+
+def _array_sha(a) -> str:
+    return hashlib.sha256(np.asarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+def test_multi_level_release_and_oracle_unchanged(name):
+    mode_name, model_json, alphas, options = ARRAY_CASES[name]
+    mode, budget, model = MODES[mode_name], PrivacyBudget(alphas), model_from_json(model_json)
+    rng = derive_rng(11, mode.id, ARRAY_N, 0)
+    X = (sample_heavy_tailed if isinstance(model, ParetoFactorModel) else sample_holder_density)(model, ARRAY_N, rng)
+    Z = release_sample(X, mode.channels(ARRAY_N, budget, options), rng)
+    mean, noise_var = mode.oracle(X, budget, options)
+    assert (_array_sha(Z.values), _array_sha(mean), _array_sha(noise_var)) == ARRAY_GOLDEN[name]
+
 
 PARETO_CFG = "alphas=0.5,0.5\nks=4,4\nmodel=pareto_factor\na=5,5\nrho=0.5\nseed=3\n"
 HOLDER_CFG = "alphas=0.5\nmodel=holder_density\nbeta=2\nd=1\nx0=0.0\nseed=3\n"

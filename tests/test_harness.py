@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -138,6 +139,34 @@ class TestRunRateExperiment:
         assert [p.replications for p in curve.points] == [0, 0, 2]
         for n in ("1", "2"):
             assert curve.extras["per_n"][n] == {"warning": "adaptive grids need n >= 4"}
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"options": {"ks": [0.5]}}, "k_j must exceed 1"),
+            ({"options": {}}, "ks"),
+            ({"n_grid": (0, 256)}, "n grid entries"),
+            ({"mode": "adaptive_moment", "options": {"c0": -1.0}}, "c0 must be positive"),
+            ({"mode": "adaptive_moment", "options": {"c0": math.nan}}, "c0 must be positive"),
+        ],
+    )
+    def test_malformed_option_fails_at_config(self, changes, message):
+        with pytest.raises((ValueError, KeyError), match=message):
+            mean_cfg(**changes)
+
+    def test_only_regime_errors_become_warning_rows(self, monkeypatch):
+        # a fault in the channel builder past the config check raises instead of hiding in a row
+        cfg = mean_cfg(n_grid=(2, 256, 512, 1024))
+        mean = cldp.harness.MODES["mean"]
+
+        def faulty(n, budget, options):
+            if n == 512:
+                raise ValueError("builder fault")
+            return mean.channels(n, budget, options)
+
+        monkeypatch.setitem(cldp.harness.MODES, "mean", dataclasses.replace(mean, channels=faulty))
+        with pytest.raises(ValueError, match="builder fault"):
+            run_rate_experiment(cfg)
 
     def test_csv_round_and_meta(self, tmp_path):
         out = tmp_path / "curve.csv"
