@@ -67,8 +67,15 @@ class GLConfig:
             raise RegimeError("adaptive grids need n >= 4")
         if not self.c0 > 0:  # NaN fails the comparison
             raise ValueError(f"c0 must be positive, got {self.c0!r}")
-        if not math.isfinite(self.a_n):
-            raise ValueError(f"c0 = {self.c0!r} makes the penalty constant a_n = c0 ln n overflow")
+        # both selectors form a_n (n/2)^(2d), then divide it by n prod beta_n^2 (0 if an alpha is 0)
+        try:
+            peak = self.a_n * (self.n / 2.0) ** (2 * self.budget.d)
+        except OverflowError:
+            peak = math.inf
+        denom = self.n * float(np.prod(self.beta_n() ** 2))
+        if not (math.isfinite(peak) and (denom == 0.0 or math.isfinite(peak / denom))):
+            raise ValueError(f"c0 = {self.c0!r} makes the penalty a_n (n/2)^(2d) / (n prod beta_n^2), "
+                             "a_n = c0 ln n, overflow")
 
     @property
     def grid_cardinality(self) -> int:

@@ -1,12 +1,12 @@
-"""Privacy channels: construction, sampling, density evaluation, auditing.
+"""Privacy channels: construction, sampling, auditing.
 
 Laplace parameterization: L(b) has density (1/(2b)) exp(-|x|/b).  The four
 Laplace-type channels share one release, z = c(x) + b L(1), drawn once per
 component (per grid level for multi-level channels), where c is a bounded
 clean map and b = 2 sup|c| / level: the clamp to [-T, T] with b = 2T/level, or
 (1/h) K((x - x0)/h) with b = 2 kappa/(h level).  The conditional density is
-q(z|x) = (1/(2b)) exp(-|z - c(x)|/b); the exponent is negative, a positive
-sign would not integrate to one.
+q(z|x) = (1/(2b)) exp(-|z - c(x)|/b), so sup_z q(z|x)/q(z|x') = exp(|c(x) - c(x')|/b)
+and the audit is the closed form exp(range(c)/b) per level.
 
 Channel specs are immutable and shareable.  ``privatize`` takes an explicit
 per-call RNG stream (no ambient randomness): identical stream state implies an
@@ -154,18 +154,21 @@ def make_kernel(order: int) -> KernelFn:
     b[0] = 1.0
     leg_coeffs = np.linalg.solve(A, b)
     mono = legendre.leg2poly(leg_coeffs)
-    kappa = _poly_sup(mono)
-    return KernelFn(order=order, kappa=kappa, coeffs=tuple(float(c) for c in mono))
+    _, lo, _, hi = _poly_extremes(mono)
+    return KernelFn(order=order, kappa=max(-lo, hi), coeffs=tuple(float(c) for c in mono))
 
 
-def _poly_sup(mono_coeffs: np.ndarray) -> float:
-    """Exact sup of |polynomial| over [-1, 1] via critical points."""
+def _poly_extremes(mono_coeffs) -> tuple[float, float, float, float]:
+    """(u_lo, p(u_lo), u_hi, p(u_hi)): the polynomial's exact extremes on [-1, 1] and where
+    they occur, from its critical points and the ends; a constant's witness is u = 0."""
     p = np.polynomial.Polynomial(mono_coeffs)
-    candidates = [-1.0, 1.0]
+    us = [0.0]
     if len(mono_coeffs) > 1:
         roots = p.deriv().roots()
-        candidates.extend(float(r.real) for r in roots if abs(r.imag) < 1e-12 and -1 <= r.real <= 1)
-    return float(max(abs(p(c)) for c in candidates))
+        us = [-1.0, 1.0] + [float(r.real) for r in roots if abs(r.imag) < 1e-12 and -1 <= r.real <= 1]
+    vals = [float(p(u)) for u in us]
+    lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
+    return us[lo], vals[lo], us[hi], vals[hi]
 
 
 def validate_kernel(k: KernelFn, tol: float = 1e-8, nodes: int = 64) -> None:
@@ -212,6 +215,15 @@ def kernel_scale(kernel: KernelFn, h, level):
     return 2.0 * kernel.kappa / (h * level)
 
 
+def kernel_extremes(kernel: KernelFn, x0, h):
+    """(x_lo, c_lo, x_hi, c_hi): the extremes of (1/h) K((x - x0)/h) per bandwidth and their
+    inputs.  K is 0 off [-1, 1], so a kernel positive on it reaches its minimum 0 at u = 2."""
+    u_lo, k_lo, u_hi, k_hi = _poly_extremes(kernel.coeffs)
+    if k_lo > 0.0:
+        u_lo, k_lo = 2.0, 0.0
+    return x0 + u_lo * h, k_lo / h, x0 + u_hi * h, k_hi / h
+
+
 def laplace_release(clean, scales, rng):
     """clean + scales * L(1), one independent unit-Laplace draw per entry of ``clean``.
 
@@ -224,22 +236,13 @@ def laplace_release(clean, scales, rng):
     return z
 
 
-def _laplace_pdf(z, clean, scale):
-    return (1.0 / (2.0 * scale)) * np.exp(-np.abs(np.asarray(z, dtype=float) - clean) / scale)
-
-
-def _laplace_z_grid(sup, scale, n: int) -> np.ndarray:
-    """Release grid over the clean range [-sup, sup] widened by eight noise scales."""
-    span = sup + 8.0 * scale
-    return np.union1d(np.linspace(-span, span, n), [-sup, 0.0, sup])
-
-
 class _LaplaceRelease:
     """Release clean(x) + scales() * L(1).
 
     A channel supplies ``clean`` (its bounded map; multi-level channels add a
     trailing level axis), ``scales`` (one Laplace scale per level) and
-    ``clean_sup`` (sup |clean| per level, which centres the audit's z grid).
+    ``clean_extremes`` (per level, the inputs where the map is smallest and
+    largest and those values, which the audit reads).
     """
 
     def privatize(self, x, rng):
@@ -254,29 +257,13 @@ class _LaplaceRelease:
         return laplace_release(self.clean(xs), self.scales(), rng)
 
 
-class _ScalarLaplace(_LaplaceRelease):
-    def density(self, z, x) -> np.ndarray:
-        return _laplace_pdf(z, self.clean(x), self.scales())
-
-    def default_z_grid(self, n: int = 121) -> np.ndarray:
-        return _laplace_z_grid(self.clean_sup(), self.scales(), n)
-
-
-class _MultiLaplace(_LaplaceRelease):
-    def level_density(self, level: int, z, x) -> np.ndarray:
-        return _laplace_pdf(z, self.clean(x)[..., level], self.scales()[level])
-
-    def level_z_grid(self, level: int, n: int = 121) -> np.ndarray:
-        return _laplace_z_grid(self.clean_sup()[level], self.scales()[level], n)
-
-
 # ---------------------------------------------------------------------------
 # channel variants
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LaplaceTruncChannel(_ScalarLaplace):
+class LaplaceTruncChannel(_LaplaceRelease):
     """Clamp to [-T, T] and add Laplace noise of scale 2T/alpha."""
 
     T: float
@@ -291,14 +278,11 @@ class LaplaceTruncChannel(_ScalarLaplace):
     def clean(self, x):
         return np.clip(np.asarray(x, dtype=float), -self.T, self.T)
 
-    def clean_sup(self) -> float:
-        return self.T
+    def clean_extremes(self) -> tuple[float, float, float, float]:
+        return -self.T, -self.T, self.T, self.T
 
     def scales(self) -> float:
         return trunc_scale(self.T, self.alpha)
-
-    def default_x_grid(self, n: int = 61) -> np.ndarray:
-        return np.union1d(np.linspace(-self.T - 1.0, self.T + 1.0, n), [-self.T, 0.0, self.T])
 
 
 def _check_x0(x0: float) -> None:
@@ -308,8 +292,11 @@ def _check_x0(x0: float) -> None:
 
 
 @dataclass(frozen=True)
-class KernelLaplaceChannel(_ScalarLaplace):
-    """Release (1/h) K((x - x0)/h) plus Laplace noise of scale 2 kappa/(alpha h)."""
+class KernelLaplaceChannel(_LaplaceRelease):
+    """Release (1/h) K((x - x0)/h) plus Laplace noise of scale 2 kappa/(alpha h).
+
+    The box kernel (orders 0 and 1) spans [0, kappa/h], half the range 2 kappa/h the
+    scale covers, so with it the release is (alpha/2)-private."""
 
     h: float
     x0: float
@@ -326,17 +313,11 @@ class KernelLaplaceChannel(_ScalarLaplace):
     def clean(self, x):
         return kernel_clean(self.kernel, x, self.x0, self.h)
 
-    def clean_sup(self) -> float:
-        return self.kernel.kappa / self.h
+    def clean_extremes(self) -> tuple[float, float, float, float]:
+        return kernel_extremes(self.kernel, self.x0, self.h)
 
     def scales(self) -> float:
         return kernel_scale(self.kernel, self.h, self.alpha)
-
-    def default_x_grid(self, n: int = 61) -> np.ndarray:
-        return np.union1d(
-            np.linspace(self.x0 - self.h - 1.0, self.x0 + self.h + 1.0, n),
-            [self.x0 - self.h, self.x0, self.x0 + self.h],
-        )
 
 
 def _validate_beta_n(alpha: float, card: int, beta_n: float | None) -> float:
@@ -351,7 +332,7 @@ def _validate_beta_n(alpha: float, card: int, beta_n: float | None) -> float:
 
 
 @dataclass(frozen=True)
-class MultiTruncChannel(_MultiLaplace):
+class MultiTruncChannel(_LaplaceRelease):
     """One clamp-plus-Laplace release per truncation level, noise scale 2T/beta_n.
 
     The per-level budget beta_n = alpha / card(grid) keeps the joint release at
@@ -372,26 +353,22 @@ class MultiTruncChannel(_MultiLaplace):
         object.__setattr__(self, "beta_n", _validate_beta_n(self.alpha, len(g), self.beta_n))
 
     def clean(self, x) -> np.ndarray:
-        ts = self.clean_sup()
+        ts = np.asarray(self.grid)
         return np.clip(np.asarray(x, dtype=float)[..., None], -ts, ts)
 
-    def clean_sup(self) -> np.ndarray:
-        return np.asarray(self.grid)
+    def clean_extremes(self) -> tuple[np.ndarray, ...]:
+        ts = np.asarray(self.grid)
+        return -ts, -ts, ts, ts
 
     def scales(self) -> np.ndarray:
         return trunc_scale(np.asarray(self.grid), self.beta_n)
 
-    def default_x_grid(self, n: int = 61) -> np.ndarray:
-        tmax = max(self.grid)
-        return np.union1d(
-            np.linspace(-tmax - 1.0, tmax + 1.0, n),
-            np.concatenate([[-t, t] for t in self.grid] + [[0.0]]),
-        )
-
 
 @dataclass(frozen=True)
-class MultiBandwidthChannel(_MultiLaplace):
-    """One kernel-Laplace release per candidate bandwidth, noise scale 2 kappa/(h beta_n)."""
+class MultiBandwidthChannel(_LaplaceRelease):
+    """One kernel-Laplace release per candidate bandwidth, noise scale 2 kappa/(h beta_n).
+
+    As for ``KernelLaplaceChannel``, with the box kernel the release is (alpha/2)-private."""
 
     grid: tuple[float, ...]
     alpha: float
@@ -412,17 +389,11 @@ class MultiBandwidthChannel(_MultiLaplace):
     def clean(self, x) -> np.ndarray:
         return kernel_clean(self.kernel, np.asarray(x, dtype=float)[..., None], self.x0, np.asarray(self.grid))
 
-    def clean_sup(self) -> np.ndarray:
-        return self.kernel.kappa / np.asarray(self.grid)
+    def clean_extremes(self) -> tuple[np.ndarray, ...]:
+        return kernel_extremes(self.kernel, self.x0, np.asarray(self.grid))
 
     def scales(self) -> np.ndarray:
         return kernel_scale(self.kernel, np.asarray(self.grid), self.beta_n)
-
-    def default_x_grid(self, n: int = 61) -> np.ndarray:
-        hmax = max(self.grid)
-        return np.union1d(
-            np.linspace(self.x0 - hmax - 1.0, self.x0 + hmax + 1.0, n), [self.x0]
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,12 +431,6 @@ class RandomizedResponseChannel:
             support_index(self.output_support, z, "channel output support"),
         ]
         return p if np.ndim(p) else float(p)
-
-    def default_x_grid(self) -> np.ndarray:
-        return np.asarray(self.input_support)
-
-    def default_z_grid(self) -> np.ndarray:
-        return np.asarray(self.output_support)
 
 
 def make_rr_channel(input_support: Sequence[float], alpha: float) -> RandomizedResponseChannel:
@@ -505,70 +470,70 @@ def privatize(ch, x, rng):
 
 @dataclass(frozen=True)
 class AuditResult:
+    """sup q(z|x)/q(z|x') and a witness (x, x', z), one entry per level for a multi-level
+    channel; ``achieved_alpha``, the log of the sup, stays finite where the ratio overflows."""
+
     max_ratio: float
-    arg_x: float
-    arg_xp: float
+    arg_x: object
+    arg_xp: object
     arg_z: object
+    achieved_alpha: float = None  # type: ignore[assignment]
+
+    def __post_init__(self):
+        if self.achieved_alpha is None:
+            object.__setattr__(self, "achieved_alpha", math.log(self.max_ratio))
 
     def to_json(self) -> dict:
-        z = self.arg_z
-        if isinstance(z, (tuple, list, np.ndarray)):
-            z = [float(v) for v in z]
-        else:
-            z = float(z)
+        arg = {"x": self.arg_x, "xp": self.arg_xp, "z": self.arg_z}
         return {
             "max_ratio": self.max_ratio,
-            "arg": {"x": self.arg_x, "xp": self.arg_xp, "z": z},
+            "achieved_alpha": self.achieved_alpha,
+            "arg": {k: [float(e) for e in v] if isinstance(v, tuple) else float(v) for k, v in arg.items()},
         }
 
 
-def privacy_audit(ch, x_grid=None, z_grid=None) -> AuditResult:
-    """Grid supremum of the conditional-density likelihood ratio q(z|x)/q(z|x').
+def _exp(x: float) -> float:
+    """e^x, inf where it exceeds the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
-    For the Laplace mechanism with the extremal points (+-T, z=T) on the grids
-    the supremum equals e^alpha exactly; for randomized response the full
-    alphabets are enumerated, so the audit is exact.
 
-    Scalar releases and randomized response reduce the (x, z) density matrix
-    column by column; a zero minimum reads inf, or 1 in an all-zero column.  A
-    multi-level release takes the product over levels of sup_z q_l(z|x)/q_l(z|x')
-    from one (x, z) density matrix per level, dividing one x row by all x' rows
-    at a time so no block larger than (x', z) is held: O(m |x|^2 |z|) array
-    work for m levels.  Ties go to the first (x, x', z) in grid order.
+def privacy_audit(ch) -> AuditResult:
+    """sup over (x, x', z) of the likelihood ratio q(z|x)/q(z|x').
+
+    Randomized response: exact, column by column over the transition table as the
+    (x, z) matrix; a zero minimum reads inf, or 1 in an all-zero column, and ties
+    go to the first symbol.  A Laplace-type channel: level l adds
+    (max c_l - min c_l)/b_l to the log ratio, reached at the extremal inputs for
+    any z_l at or beyond the larger clean value, the witness z_l = max c_l.  This
+    is exact for one level, and for several when one input pair reaches every
+    level's range: clamp grids and kernels with no negative lobe (the box).  For
+    a multi-level kernel with a negative lobe it is the per-level composition
+    bound, an upper bound on the sup and the quantity the alpha-privacy proof bounds.
     """
-    if isinstance(ch, _MultiLaplace):
-        xs = ch.default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
-        joint = np.ones((len(xs), len(xs)))  # (x, x'), multiplied in level order
-        levels = []
-        for lev in range(len(ch.grid)):
-            zs = ch.level_z_grid(lev) if z_grid is None else np.asarray(z_grid, dtype=float)
-            dens = ch.level_density(lev, zs[None, :], xs[:, None])  # (x, z)
-            for i, row in enumerate(dens):
-                joint[i] *= (row / dens).max(axis=1)
-            levels.append((zs, dens))
-        i, j = np.unravel_index(int(np.argmax(joint)), joint.shape)
-        argz = tuple(float(zs[np.argmax(dens[i] / dens[j])]) for zs, dens in levels)
-        return AuditResult(float(joint[i, j]), float(xs[i]), float(xs[j]), argz)
-
-    xs = ch.default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
-    zs = ch.default_z_grid() if z_grid is None else np.asarray(z_grid, dtype=float)
-    dens = ch.density(zs[None, :], xs[:, None])  # (x, z)
-    hi, lo = dens.max(axis=0), dens.min(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(lo == 0.0, np.where(hi > 0.0, math.inf, 1.0), hi / lo)
-    iz = int(np.argmax(ratios))
-    col = dens[:, iz]
-    return AuditResult(float(ratios[iz]), float(xs[col.argmax()]), float(xs[col.argmin()]), float(zs[iz]))
+    if isinstance(ch, RandomizedResponseChannel):
+        table = ch.transition_table
+        hi, lo = table.max(axis=0), table.min(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(lo == 0.0, np.where(hi > 0.0, math.inf, 1.0), hi / lo)
+        iz = int(np.argmax(ratios))
+        col = table[:, iz]
+        x, xp = ch.input_support[col.argmax()], ch.input_support[col.argmin()]
+        return AuditResult(float(ratios[iz]), x, xp, ch.output_support[iz])
+    x_lo, c_lo, x_hi, c_hi = ch.clean_extremes()
+    log_ratio = sum(np.ravel((c_hi - c_lo) / ch.scales()).tolist())  # in level order
+    if np.ndim(c_hi):
+        x_hi, x_lo, c_hi = (tuple(v.tolist()) for v in (x_hi, x_lo, c_hi))
+    return AuditResult(_exp(log_ratio), x_hi, x_lo, c_hi, log_ratio)
 
 
 def audit_verdict(ratio: float, alpha: float, exact: bool = False) -> tuple[float, bool]:
     """The bound e^alpha and whether an audited ``ratio`` stays within it (to 1e-9
     relative); ``exact`` also asks that it reach the bound (to 1e-6 relative).
     The bound is inf where e^alpha exceeds the float range."""
-    try:
-        bound = math.exp(alpha)
-    except OverflowError:
-        bound = math.inf
+    bound = _exp(alpha)
     ok = ratio <= bound * (1 + 1e-9) and (not exact or bound * (1 - 1e-6) <= ratio)
     return bound, ok
 

@@ -146,8 +146,11 @@ class ExperimentConfig:
         # the undeflated effective size: the log-corrected adaptive axes
         # compress decades, and feasible sweeps must remain admissible
         mode, budget = MODES[self.mode], PrivacyBudget(self.alphas)
-        effs = [mode.n_eff(n, budget, self.options) for n in self.n_grid]
-        if max(effs) < 100.0 * min(effs):
+        effs = []
+        for n in self.n_grid:
+            with contextlib.suppress(RegimeError):  # a warning row of the run, outside the fit
+                effs.append(mode.n_eff(n, budget, self.options))
+        if not effs or max(effs) < 100.0 * min(effs):
             raise ValueError("n grid must span >= 2 decades of effective sample size")
 
     def to_json(self) -> dict:
@@ -531,9 +534,10 @@ def _privacy_suite(seed: int) -> dict:
     rows = []
 
     def audit(name: str, ch, exact: bool = False, **fields) -> None:
-        ratio = privacy_audit(ch).max_ratio
-        bound, ok = audit_verdict(ratio, ch.alpha, exact)
-        rows.append({"channel": name, **fields, "alpha": ch.alpha, "ratio": ratio, "bound": bound, "ok": ok})
+        res = privacy_audit(ch)
+        bound, ok = audit_verdict(res.max_ratio, ch.alpha, exact)
+        rows.append({"channel": name, **fields, "alpha": ch.alpha, "ratio": res.max_ratio,
+                     "achieved_alpha": res.achieved_alpha, "bound": bound, "ok": ok})
 
     for _ in range(20):
         T = float(rng.uniform(0.5, 5.0))

@@ -65,6 +65,17 @@ class TestGLConfig:
         with pytest.raises(ValueError, match="a_n"):
             GLConfig(n=256, budget=PrivacyBudget([1.0]), c0=c0)
 
+    @pytest.mark.parametrize("d, n, c0", [(1, 2**14, 1e298), (2, 256, 1e296)])
+    def test_rejects_c0_whose_selector_penalty_overflows(self, d, n, c0):
+        # a_n is finite, but both selectors form a_n (n/2)^(2d) before dividing, and that overflows
+        GLConfig(n=n, budget=PrivacyBudget([1.0] * d), c0=c0)  # accepted
+        assert math.isfinite(100.0 * c0 * math.log(n))
+        with pytest.raises(ValueError, match="a_n"):
+            GLConfig(n=n, budget=PrivacyBudget([1.0] * d), c0=100.0 * c0)
+        # a small budget's denominator lifts the penalty past the float range after the division
+        with pytest.raises(ValueError, match="a_n"):
+            GLConfig(n=n, budget=PrivacyBudget([0.01] * d), c0=c0)
+
     def test_small_n_is_a_regime_error(self):
         with pytest.raises(RegimeError, match="n >= 4"):
             GLConfig(n=3, budget=PrivacyBudget([1.0]), c0=math.nan)

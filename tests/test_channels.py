@@ -170,8 +170,10 @@ class TestAudit:
 
     def test_laplace_trunc_exact(self):
         ch = LaplaceTruncChannel(T=1.0, alpha=0.8)
-        res = privacy_audit(ch, x_grid=[-1.0, 0.0, 1.0], z_grid=[-1.0, 0.0, 1.0])
+        res = privacy_audit(ch)
         assert res.max_ratio == pytest.approx(math.exp(0.8), rel=1e-12)
+        assert (res.arg_x, res.arg_xp, res.arg_z) == (1.0, -1.0, 1.0)
+        assert res.achieved_alpha == pytest.approx(0.8, rel=1e-12)
 
     def test_laplace_trunc_default_grids_exact(self):
         for T, alpha in [(0.5, 0.3), (2.0, 1.2), (7.0, 0.05)]:
@@ -186,6 +188,7 @@ class TestAudit:
         res = privacy_audit(ch)
         assert res.max_ratio <= math.exp(0.6) * (1 + 1e-9)
         assert res.max_ratio == pytest.approx(math.exp(0.3), rel=1e-9)
+        assert res.achieved_alpha == pytest.approx(0.3, rel=1e-12)  # the box kernel is (alpha/2)-private
 
     def test_multi_trunc_joint_ratio_at_level_alpha(self):
         ch = MultiTruncChannel(grid=(4.0, 2.0, 1.0), alpha=0.9)
@@ -198,6 +201,18 @@ class TestAudit:
         ch = MultiBandwidthChannel(grid=(0.25, 0.5, 1.0), alpha=0.7, x0=0.0, kernel=make_kernel(1))
         res = privacy_audit(ch)
         assert res.max_ratio <= math.exp(0.7) * (1 + 1e-9)
+        assert res.achieved_alpha == pytest.approx(0.35, rel=1e-12)
+
+    def test_order_four_kernel_pin(self):
+        # K = (225 - 1050 u^2 + 945 u^4)/128 peaks at K(0) = 225/128 = kappa and bottoms
+        # out at K(+-sqrt(5/9)) = -25/48, between the grid points of a plain x grid
+        ch = KernelLaplaceChannel(h=0.5, x0=0.0, kernel=make_kernel(4), alpha=1.0)
+        k_max, k_min = 225.0 / 128.0, -25.0 / 48.0
+        b = 2.0 * k_max / (0.5 * 1.0)
+        res = privacy_audit(ch)
+        assert res.max_ratio == pytest.approx(math.exp((k_max - k_min) / (0.5 * b)), rel=1e-12)
+        assert res.max_ratio == pytest.approx(1.91200, abs=5e-6)
+        assert (res.arg_x, abs(res.arg_xp)) == pytest.approx((0.0, 0.5 * math.sqrt(5.0 / 9.0)), abs=1e-12)
 
     def test_product_channel_attains_sum_level(self):
         chans = [LaplaceTruncChannel(T=1.0, alpha=0.4), LaplaceTruncChannel(T=2.0, alpha=0.9)]
@@ -275,14 +290,24 @@ class TestSharedLaplaceRelease:
 
     @pytest.mark.parametrize("ch, clean, scales", LAPLACE_TYPE)
     def test_density_is_closed_form_laplace_pdf(self, ch, clean, scales):
-        xs = np.linspace(-2.0, 2.0, 9)[:, None]
-        zs = np.linspace(-6.0, 6.0, 13)[None, :]
-        if isinstance(ch, (MultiTruncChannel, MultiBandwidthChannel)):
-            for level in range(len(ch.grid)):
-                expected = _laplace_pdf(zs, clean(xs)[..., level], scales[level])
-                np.testing.assert_allclose(ch.level_density(level, zs, xs), expected, rtol=1e-12)
-        else:
-            np.testing.assert_allclose(ch.density(zs, xs), _laplace_pdf(zs, clean(xs), scales), rtol=1e-12)
+        # the grid audit's density, built from the channel's clean map and scales
+        xs = np.linspace(-2.0, 2.0, 9)
+        zs = np.linspace(-6.0, 6.0, 13)
+        for level in range(np.size(scales)):
+            hand = np.asarray(clean(xs)).reshape(len(xs), -1)[:, level]
+            expected = _laplace_pdf(zs[None, :], hand[:, None], np.ravel(scales)[level])
+            np.testing.assert_allclose(_level_density(ch, level, zs, xs), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("ch, clean, scales", LAPLACE_TYPE)
+    def test_clean_extremes_bound_the_clean_map(self, ch, clean, scales):
+        # every level's map stays within its extremes and reaches both at the witness inputs
+        x_lo, c_lo, x_hi, c_hi = (np.atleast_1d(v) for v in ch.clean_extremes())
+        dense = np.asarray(clean(np.linspace(-12.0, 12.0, 24001))).reshape(24001, -1)
+        assert np.all(dense.min(axis=0) >= c_lo - 1e-12) and np.all(dense.max(axis=0) <= c_hi + 1e-12)
+        for lev, (xl, xh) in enumerate(zip(x_lo, x_hi)):
+            lo, hi = (np.ravel(clean(_inside(ch, x, lev)))[lev] for x in (xl, xh))
+            assert lo == pytest.approx(c_lo[lev], rel=1e-12, abs=1e-12)
+            assert hi == pytest.approx(c_hi[lev], rel=1e-12, abs=1e-12)
 
 
 class TestSerialization:
@@ -300,8 +325,41 @@ class TestSerialization:
             assert back.alpha == pytest.approx(ch.alpha)
 
 
+def _level_density(ch, level: int, zs, xs) -> np.ndarray:
+    """The (x, z) matrix of q_l(z|x) of a Laplace-type channel's level l, from its clean map and scales."""
+    clean = np.asarray(ch.clean(np.asarray(xs, dtype=float)))
+    if clean.ndim > 1:  # a trailing level axis
+        clean = clean[:, level]
+    return _laplace_pdf(np.asarray(zs, dtype=float)[None, :], clean[:, None], np.ravel(ch.scales())[level])
+
+
+def _inside(ch, x, level: int = 0) -> float:
+    """x moved toward x0 until (x - x0)/h rounds into [-1, 1]: a kernel witness x0 +- h can
+    round just off the support, where K reads 0.  Clamp witnesses and the off-support
+    witness u = 2 are left as they are."""
+    if not hasattr(ch, "kernel"):
+        return float(x)
+    h = np.ravel(getattr(ch, "grid", getattr(ch, "h", None)))[level]
+    while 1.0 < abs((x - ch.x0) / h) < 1.5:
+        x = np.nextafter(x, ch.x0)
+    return float(x)
+
+
+def _witness_grids(ch) -> tuple[np.ndarray, np.ndarray]:
+    """x and z grids holding every level's extremal inputs, nudged inside the support,
+    and every level's extreme clean values, on top of a coarse linspace."""
+    x_lo, c_lo, x_hi, c_hi = (np.atleast_1d(v) for v in ch.clean_extremes())
+    witnesses = [_inside(ch, x, lev) for xs in (x_lo, x_hi) for lev, x in enumerate(xs)]
+    xs = np.union1d(np.linspace(-4.0, 4.0, 41), witnesses)
+    zs = np.union1d(np.linspace(-20.0, 20.0, 41), np.concatenate([c_lo, c_hi]))
+    return xs, zs
+
+
 def reference_audit(ch, x_grid=None, z_grid=None) -> AuditResult:
-    """The audit as nested Python loops over z, and over (x, x', level) for multi-level channels."""
+    """The grid audit as nested Python loops: over z for randomized response (its full
+    alphabets by default) and for scalar Laplace-type releases, and over (x, x', level)
+    for multi-level ones, whose ratio is the product over levels of the sup over z at
+    one input pair.  Laplace-type channels default to ``_witness_grids``."""
     if isinstance(ch, RandomizedResponseChannel):
         xs = np.asarray(ch.input_support) if x_grid is None else np.asarray(x_grid, dtype=float)
         zs = np.asarray(ch.output_support) if z_grid is None else np.asarray(z_grid, dtype=float)
@@ -319,16 +377,18 @@ def reference_audit(ch, x_grid=None, z_grid=None) -> AuditResult:
                 best = (ratio, ix, ixp, iz)
         return AuditResult(best[0], float(xs[best[1]]), float(xs[best[2]]), float(zs[best[3]]))
 
+    default_xs, default_zs = _witness_grids(ch)
+    xs = default_xs if x_grid is None else np.asarray(x_grid, dtype=float)
+    zs = default_zs if z_grid is None else np.asarray(z_grid, dtype=float)
     if isinstance(ch, (MultiTruncChannel, MultiBandwidthChannel)):
-        xs = ch.default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
+        dens = [_level_density(ch, lev, zs, xs) for lev in range(len(ch.grid))]
         best = (-math.inf, 0.0, 0.0, None)
-        for x in xs:
-            for xp in xs:
+        for i, x in enumerate(xs):
+            for j, xp in enumerate(xs):
                 ratio = 1.0
                 argz = []
-                for lev in range(len(ch.grid)):
-                    zs = ch.level_z_grid(lev) if z_grid is None else np.asarray(z_grid, dtype=float)
-                    r = ch.level_density(lev, zs, x) / ch.level_density(lev, zs, xp)
+                for d in dens:
+                    r = d[i] / d[j]
                     k = int(np.argmax(r))
                     ratio *= float(r[k])
                     argz.append(float(zs[k]))
@@ -336,9 +396,7 @@ def reference_audit(ch, x_grid=None, z_grid=None) -> AuditResult:
                     best = (ratio, float(x), float(xp), tuple(argz))
         return AuditResult(*best)
 
-    xs = ch.default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
-    zs = ch.default_z_grid() if z_grid is None else np.asarray(z_grid, dtype=float)
-    dens = ch.density(zs[None, :], xs[:, None])
+    dens = _level_density(ch, 0, zs, xs)
     best = (-math.inf, 0, 0, 0)
     for iz in range(len(zs)):
         col = dens[:, iz]
@@ -348,6 +406,22 @@ def reference_audit(ch, x_grid=None, z_grid=None) -> AuditResult:
         if ratio > best[0]:
             best = (float(ratio), ix, ixp, iz)
     return AuditResult(best[0], float(xs[best[1]]), float(xs[best[2]]), float(zs[best[3]]))
+
+
+def _meets_every_level(ch) -> bool:
+    """Whether one input pair reaches every level's range, so that the closed form is
+    the sup itself: one level, a clamp grid, or a kernel with no negative lobe."""
+    return np.size(ch.scales()) == 1 or not hasattr(ch, "kernel") or bool(np.all(ch.clean_extremes()[1] >= 0.0))
+
+
+def _check_against_grid(ch, xs=None, zs=None) -> None:
+    """The grid sup never exceeds the closed form; on grids holding the witness points
+    it equals the closed form wherever that is the sup."""
+    closed = privacy_audit(ch)
+    grid = reference_audit(ch, xs, zs)
+    assert grid.max_ratio <= closed.max_ratio * (1 + 1e-12)
+    if xs is None and zs is None and _meets_every_level(ch):
+        assert grid.max_ratio == pytest.approx(closed.max_ratio, rel=1e-12)
 
 
 MULTI_LEVEL = [
@@ -380,19 +454,24 @@ class TestRandomizedResponseLookup:
 
 
 class TestAuditMatchesLoopReference:
-    """The array reductions reproduce the loop audit exactly, ties and argmax points included."""
+    """The closed-form audit against the grid audit: never below it, and equal to it on
+    grids that hold the witness points wherever the closed form is the sup.  Randomized
+    response matches the loop over its alphabets exactly, ties and witnesses included."""
 
     @pytest.mark.parametrize("ch", MULTI_LEVEL, ids=["trunc", "bandwidth_k1", "bandwidth_k3"])
     def test_multi_level_default_grids(self, ch):
-        assert privacy_audit(ch) == reference_audit(ch)
+        _check_against_grid(ch)
+        if ch is MULTI_LEVEL[2]:
+            # the order-3 kernel's negative lobe: no one input pair reaches every level's
+            # minimum, so the closed form is the per-level composition bound, above the sup
+            assert not _meets_every_level(ch)
+            assert reference_audit(ch).max_ratio < privacy_audit(ch).max_ratio * (1 - 1e-3)
 
     @pytest.mark.parametrize("ch", MULTI_LEVEL, ids=["trunc", "bandwidth_k1", "bandwidth_k3"])
     def test_multi_level_explicit_grids(self, ch):
-        xs = np.linspace(-5.0, 5.0, 21)
-        zs = np.linspace(-30.0, 30.0, 41)
-        res = privacy_audit(ch, x_grid=xs, z_grid=zs)
-        assert res == reference_audit(ch, x_grid=xs, z_grid=zs)
-        assert len(res.arg_z) == len(ch.grid)
+        _check_against_grid(ch, np.linspace(-5.0, 5.0, 21), np.linspace(-30.0, 30.0, 41))
+        res = privacy_audit(ch)
+        assert len(res.arg_x) == len(res.arg_xp) == len(res.arg_z) == len(ch.grid)
 
     @pytest.mark.parametrize(
         "ch",
@@ -403,9 +482,8 @@ class TestAuditMatchesLoopReference:
         ],
     )
     def test_scalar_release(self, ch):
-        assert privacy_audit(ch) == reference_audit(ch)
-        xs, zs = [-1.0, 0.0, 1.0, 1.0], [-1.0, 0.0, 1.0]
-        assert privacy_audit(ch, x_grid=xs, z_grid=zs) == reference_audit(ch, x_grid=xs, z_grid=zs)
+        _check_against_grid(ch)
+        _check_against_grid(ch, [-1.0, 0.0, 1.0, 1.0], [-1.0, 0.0, 1.0])
 
     @pytest.mark.parametrize(
         "ch",
@@ -418,13 +496,11 @@ class TestAuditMatchesLoopReference:
     )
     def test_randomized_response(self, ch):
         assert privacy_audit(ch) == reference_audit(ch)
-        xs, zs = ch.input_support[::-1], ch.output_support[1:]
-        assert privacy_audit(ch, x_grid=xs, z_grid=zs) == reference_audit(ch, x_grid=xs, z_grid=zs)
 
     def test_zero_probability_columns(self):
         # a zero minimum reads inf; an all-zero column reads 1
         assert privacy_audit(make_identity_channel((0.0, 1.0))).max_ratio == math.inf
-        res = privacy_audit(make_constant_channel((0.0, 1.0, 2.0), symbol_index=2), z_grid=[0.0, 1.0])
+        res = privacy_audit(make_constant_channel((0.0, 1.0, 2.0), symbol_index=2))
         assert res == AuditResult(1.0, 0.0, 0.0, 0.0)
 
     @settings(max_examples=60, deadline=None)
@@ -432,7 +508,7 @@ class TestAuditMatchesLoopReference:
         variant=st.sampled_from(["trunc", "bandwidth"]),
         levels=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
         alpha=st.floats(0.05, 3.0),
-        kernel=st.integers(0, 3),
+        kernel=st.integers(0, 5),
         x0=st.floats(-1.0, 1.0),
         xs=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=7),
         zs=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=9),
@@ -442,9 +518,8 @@ class TestAuditMatchesLoopReference:
             ch = MultiTruncChannel(grid=tuple(8.0 * t for t in levels), alpha=alpha)
         else:
             ch = MultiBandwidthChannel(grid=tuple(levels), alpha=alpha, x0=x0, kernel=make_kernel(kernel))
-        res = privacy_audit(ch, x_grid=xs, z_grid=zs)
-        assert res == reference_audit(ch, x_grid=xs, z_grid=zs)
-        assert res.max_ratio <= math.exp(alpha) * (1 + 1e-9)
+        _check_against_grid(ch, xs, zs)
+        assert privacy_audit(ch).max_ratio <= math.exp(alpha) * (1 + 1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -455,9 +530,26 @@ class TestAuditMatchesLoopReference:
     )
     def test_scalar_release_property(self, T, alpha, xs, zs):
         ch = LaplaceTruncChannel(T=T, alpha=alpha)
-        res = privacy_audit(ch, x_grid=xs, z_grid=zs)
-        assert res == reference_audit(ch, x_grid=xs, z_grid=zs)
-        assert res.max_ratio <= math.exp(alpha) * (1 + 1e-9)
+        _check_against_grid(ch, xs, zs)
+        assert privacy_audit(ch).max_ratio == pytest.approx(math.exp(alpha), rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        variant=st.sampled_from(["trunc", "kernel", "multi_trunc", "multi_bandwidth"]),
+        levels=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
+        alpha=st.floats(0.05, 3.0),
+        kernel=st.integers(0, 5),
+        x0=st.floats(-1.0, 1.0),
+    )
+    def test_closed_form_meets_the_witness_grid(self, variant, levels, alpha, kernel, x0):
+        ch = {
+            "trunc": lambda: LaplaceTruncChannel(T=8.0 * levels[0], alpha=alpha),
+            "kernel": lambda: KernelLaplaceChannel(h=levels[0], x0=x0, kernel=make_kernel(kernel), alpha=alpha),
+            "multi_trunc": lambda: MultiTruncChannel(grid=tuple(8.0 * t for t in levels), alpha=alpha),
+            "multi_bandwidth": lambda: MultiBandwidthChannel(
+                grid=tuple(levels), alpha=alpha, x0=x0, kernel=make_kernel(kernel)),
+        }[variant]()
+        _check_against_grid(ch)
 
 
 def _same_bytes(a, b) -> bool:

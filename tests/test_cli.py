@@ -80,6 +80,7 @@ class TestAuditCommand:
         assert "Traceback" not in proc.stderr
         rep = json.loads(out.read_text())
         assert rep["audits"][0]["bound"] == math.inf
+        assert rep["audits"][0]["achieved_alpha"] == pytest.approx(800.0, rel=1e-12)
         assert proc.returncode == (1 if rep["violations"] else 0)
 
 
@@ -247,6 +248,15 @@ class TestAdaptiveCommand:
         assert "c0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_c0_whose_penalty_overflows_exit_config(self, tmp_path, capsys):
+        # a_n is finite at c0 = 1e300, but the finest level's penalty is not
+        cfg = write(tmp_path / "cfg.txt",
+                    "n=16384\nalphas=1.0\nmodel=holder_density\nbeta=1\nd=1\nx0=0.0\nc0=1e300\n")
+        out = tmp_path / "adapt.json"
+        assert main(["adaptive", "--mode", "density", "--config", cfg, "--out", str(out)]) == 2
+        assert "c0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRatesCommand:
     def test_rates_with_fit(self, tmp_path, capsys):
@@ -262,6 +272,20 @@ class TestRatesCommand:
         assert len(lines) == 6
         meta = json.loads((tmp_path / "curve.csv.meta.json").read_text())
         assert -1.0 < meta["fit"]["slope"] < -0.5
+
+    def test_kde_point_below_the_regime_is_a_warning_row(self, tmp_path):
+        # at n = 2, n alpha^2 < 1 leaves no private bandwidth: the slope check skips the
+        # point and the run keeps it as a warning row, as for every other mode
+        cfg = write(
+            tmp_path / "cfg.txt",
+            "mode=kde\nn_grid=2,256,1024,4096,16384,65536\nalphas=0.5\nbeta=2\nmodel=holder_density\n"
+            "d=1\nx0=0.0\nreplications=30\nseed=3\n",
+        )
+        out = tmp_path / "curve.csv"
+        assert main(["rates", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "2,nan,nan,nan,0,3"
+        meta = json.loads((tmp_path / "curve.csv.meta.json").read_text())
+        assert "private bandwidth" in meta["extras"]["per_n"]["2"]["warning"]
 
     def test_invalid_grid_exit_config(self, tmp_path):
         cfg = write(

@@ -203,8 +203,8 @@ AUDIT_SPECS = [
 ]
 
 VERIFY_GOLDEN = {
-    "audit": "ba06164298f6b2d0861ed376d9a7952511b3662db020ac5d5d5374278e1ced8b",
-    "report": "73991971d3c2f117eb6c50bf4e7abf779cdf614cb678d1a860ad2c5485d64799",
+    "audit": "e113b8957c795b29979d04f40d77a63b8814126ec7c1fc962e9d68e80d95a894",
+    "report": "acaf651067dd557f674a946b3751562060ce87d538d3a8123c10026dce68f177",
 }
 
 
