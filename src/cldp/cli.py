@@ -22,7 +22,7 @@ from . import adaptive as ad
 from . import effective_privacy as ep
 from . import lowerbounds as lb
 from .channels import PrivacyBudget, audit_verdict, channel_from_json, privacy_audit
-from .contraction import run_contraction_sweep
+from .contraction import check_sweep_size, run_contraction_sweep
 from .estimators import HolderClass, MomentProfile
 from .harness import (
     MODES,
@@ -172,6 +172,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_contract_verify(args) -> int:
+    with _reading_inputs():
+        check_sweep_size(args.instances, args.dims)
     report = run_contraction_sweep(dims=tuple(args.dims), instances=args.instances, seed=args.seed)
     write_json(args.out, report)
     return EXIT_VIOLATION if report["violations"] else EXIT_OK
@@ -289,6 +291,9 @@ def cmd_lowerbound(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.instances is not None:
+        with _reading_inputs():
+            check_sweep_size(args.instances)
     status = EXIT_OK
     combined = {}
     for suite in ("contraction", "privacy", "leakage", "lowerbound"):

@@ -17,22 +17,12 @@ stream per instance, so results are deterministic under any execution order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import PrivacyBudget, make_rr_channel
-from .measures import (
-    DiscreteDist,
-    SubsetIndex,
-    divergence,
-    fl_term,
-    marginal,
-    nonempty_subsets,
-    pushforward,
-    tv_distance,
-)
+from .measures import DiscreteDist, SubsetIndex, fl_term, kl_term, nonempty_subsets, pushforward
 
 __all__ = [
     "MarginalTVTable",
@@ -44,6 +34,7 @@ __all__ = [
     "verify_contraction",
     "ContractionReport",
     "random_instance",
+    "check_sweep_size",
     "run_contraction_sweep",
 ]
 
@@ -73,9 +64,16 @@ class MarginalTVTable:
 
     @classmethod
     def from_dists(cls, P: DiscreteDist, Pt: DiscreteDist) -> "MarginalTVTable":
-        vals = {
-            S: tv_distance(marginal(P, S), marginal(Pt, S)) for S in nonempty_subsets(P.d)
-        }
+        """tv_distance(marginal(P, S), marginal(Pt, S)) for every S, read from the
+        mass tables: each S-marginal is normalized by its own total, as
+        ``marginal`` does through DiscreteDist, so the values are bit-identical."""
+        if not P.same_support(Pt):
+            raise ValueError("distributions must share the same supports")
+        vals = {}
+        for S in nonempty_subsets(P.d):
+            drop = tuple(ax for ax in range(P.d) if ax + 1 not in S.members)
+            p, q = (D.probs.sum(axis=drop) if drop else D.probs for D in (P, Pt))
+            vals[S] = float(np.abs(p / float(p.sum()) - q / float(q.sum())).sum())
         return cls(P.d, vals)
 
 
@@ -122,11 +120,11 @@ def tensorized_bound(per_sample_terms, n: int) -> float:
 
 def f_divergence_bound(tvs: MarginalTVTable, eps, l: float) -> float:
     """(sum over S of prod_{j in S} eps_j * tvs[S])^l bounding D_{f_l}(M || M~)."""
-    if l <= 1:
+    if not l > 1:
         raise ValueError(f"f_l bound requires l > 1, got {l}")
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps < 0):
-        raise ValueError("epsilons must be nonnegative")
+    if not np.all(eps >= 0):
+        raise ValueError(f"epsilons must be nonnegative, got {eps.tolist()}")
     if eps.size != tvs.d:
         raise ValueError("epsilon vector dimension does not match table")
     return _subset_sum(tvs, eps) ** l
@@ -135,13 +133,23 @@ def f_divergence_bound(tvs: MarginalTVTable, eps, l: float) -> float:
 def channel_fl_epsilons(channels, l: float) -> np.ndarray:
     """Per-channel eps_j with sup_{x,x'} D_{f_l}(Q^j(.|x') || Q^j(.|x)) = eps_j^l.
 
-    Exhaustive over all ordered input pairs; finite channels only.
+    Exhaustive over all ordered input pairs, as one (m, m, k) table of the
+    ``fl_term`` cells per channel; finite channels only.  A pair (x, x) adds
+    exactly 0 and no cell is negative, so a one-row table gives 0.  The sums
+    equal ``fl_term``'s bit for bit unless a row has zero cells and k >= 8,
+    where the zeros shift numpy's pairwise summation (agreement to rounding).
     """
+    if not l > 1:
+        raise ValueError(f"f_l divergence requires l > 1, got {l}")
     out = []
     for ch in channels:
         rows = np.asarray(ch.transition_table, dtype=float)
-        worst = max((fl_term(p, q, l) for q, p in itertools.permutations(rows, 2)), default=0.0)
-        out.append(worst ** (1.0 / l))
+        q, p = rows[:, None, :], rows[None, :, :]
+        if np.any((q == 0) & (p > 0)):
+            raise ValueError("divergence undefined: P > 0 where Q = 0")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cells = np.where(q > 0, q * np.abs(p / q - 1.0) ** l, 0.0)
+        out.append(float(cells.sum(axis=-1).max()) ** (1.0 / l))
     return np.asarray(out)
 
 
@@ -188,17 +196,17 @@ def verify_contraction(
         raise ValueError("priors must share supports")
     alphas = tuple(ch.alpha for ch in channels)
     budget = PrivacyBudget(alphas)
-    M = pushforward(P, channels)
-    Mt = pushforward(Pt, channels)
-    lhs_j = divergence(M, Mt, "jeffreys")
-    lhs_f = divergence(M, Mt, "kl")
-    lhs_r = divergence(Mt, M, "kl")
+    m = pushforward(P, channels).probs.ravel()
+    mt = pushforward(Pt, channels).probs.ravel()
+    lhs_f = kl_term(m, mt)
+    lhs_r = kl_term(mt, m)
+    lhs_j = lhs_f + lhs_r
     tvs = MarginalTVTable.from_dists(P, Pt)
     rhs = cldp_kl_bound(tvs, budget)
     checks = []
     for l in l_values:
         eps = channel_fl_epsilons(channels, l)
-        lhs = divergence(M, Mt, "fl", l=l)
+        lhs = fl_term(m, mt, l)
         bound = f_divergence_bound(tvs, eps, l)
         checks.append(FlCheck(l, lhs, bound, lhs > bound + VIOLATION_TOL))
     return ContractionReport(
@@ -233,6 +241,15 @@ def _random_table(rng, sizes) -> np.ndarray:
     return raw / raw.sum()
 
 
+def check_sweep_size(instances: int, dims=(1,)) -> None:
+    """ValueError unless a randomized suite runs at least one instance and every
+    drawn dimension is at least 1: zero instances would pass vacuously."""
+    if not instances >= 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
+    if len(dims) == 0 or not min(dims) >= 1:
+        raise ValueError(f"dims must be one or more axis counts >= 1, got {list(dims)}")
+
+
 def run_contraction_sweep(
     dims=(2, 3),
     instances: int = 500,
@@ -242,6 +259,7 @@ def run_contraction_sweep(
     alpha_range=(0.1, 1.5),
 ) -> dict:
     """Randomized brute-force sweep; returns a JSON-ready report."""
+    check_sweep_size(instances, dims)
     reports = []
     violations = 0
     for i in range(instances):

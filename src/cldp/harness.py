@@ -514,13 +514,13 @@ def write_json(path: Optional[str], obj: dict) -> None:
 def run_verification_suite(which: str, seed: int = 7, instances: Optional[int] = None) -> tuple[int, dict]:
     """Dispatch to the module-level verify operations; nonzero exit on violation."""
     if which == "contraction":
-        report = ct.run_contraction_sweep(instances=instances or 500, seed=seed)
+        report = ct.run_contraction_sweep(instances=500 if instances is None else instances, seed=seed)
         return (1 if report["violations"] else 0), report
     if which == "privacy":
         report = _privacy_suite(seed)
         return (1 if report["violations"] else 0), report
     if which == "leakage":
-        report = _leakage_suite(seed, instances or 200)
+        report = _leakage_suite(seed, 200 if instances is None else instances)
         return (1 if report["violations"] else 0), report
     if which == "lowerbound":
         report = _lowerbound_suite()
@@ -561,6 +561,7 @@ def _random_joint_dist(rng, d: int, max_support: int = 3):
 
 
 def _leakage_suite(seed: int, instances: int) -> dict:
+    ct.check_sweep_size(instances)
     rows = []
     violations = 0
     for i in range(instances):

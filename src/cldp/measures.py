@@ -19,6 +19,7 @@ All values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ __all__ = [
     "transition_rows",
     "push_axes",
     "fl_term",
+    "kl_term",
 ]
 
 
@@ -64,13 +66,14 @@ class SubsetIndex:
         return len(self.members)
 
 
-def nonempty_subsets(d: int) -> list[SubsetIndex]:
+@functools.cache
+def nonempty_subsets(d: int) -> tuple[SubsetIndex, ...]:
     """All 2^d - 1 nonempty subsets of {1, ..., d}, sorted by (size, members)."""
-    out = []
-    for size in range(1, d + 1):
-        for combo in itertools.combinations(range(1, d + 1), size):
-            out.append(SubsetIndex(combo))
-    return out
+    return tuple(
+        SubsetIndex(combo)
+        for size in range(1, d + 1)
+        for combo in itertools.combinations(range(1, d + 1), size)
+    )
 
 
 class DiscreteDist:
@@ -198,9 +201,9 @@ def divergence(P: DiscreteDist, Q: DiscreteDist, kind: str = "kl", l: float | No
     p = P.probs.ravel()
     q = Q.probs.ravel()
     if kind == "kl":
-        return _kl(p, q)
+        return kl_term(p, q)
     if kind == "jeffreys":
-        return _kl(p, q) + _kl(q, p)
+        return kl_term(p, q) + kl_term(q, p)
     if kind == "fl":
         return fl_term(p, q, l)
     raise ValueError(f"unknown divergence kind {kind!r}")
@@ -209,7 +212,7 @@ def divergence(P: DiscreteDist, Q: DiscreteDist, kind: str = "kl", l: float | No
 def fl_term(p: np.ndarray, q: np.ndarray, l: float | None) -> float:
     """sum q |p/q - 1|^l over the cells where q > 0, for l > 1; P must be
     absolutely continuous with respect to Q."""
-    if l is None or l <= 1:
+    if l is None or not l > 1:
         raise ValueError(f"f_l divergence requires l > 1, got {l}")
     if np.any(q[p > 0] == 0):
         raise ValueError("divergence undefined: P > 0 where Q = 0")
@@ -217,7 +220,9 @@ def fl_term(p: np.ndarray, q: np.ndarray, l: float | None) -> float:
     return float(np.sum(q[mask] * np.abs(p[mask] / q[mask] - 1.0) ** l))
 
 
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
+def kl_term(p: np.ndarray, q: np.ndarray) -> float:
+    """sum p log(p/q) over the cells where p > 0; P must be absolutely
+    continuous with respect to Q."""
     mask = p > 0
     if np.any(q[mask] == 0):
         raise ValueError("divergence undefined: P > 0 where Q = 0")
@@ -229,7 +234,9 @@ def support_index(support, values, where: str):
     within 1e-12 absolute.  ValueError naming ``where`` for a value that matches
     no point or several."""
     vals = np.asarray(values, dtype=float)
-    hits = np.isclose(np.asarray(support, dtype=float), vals[..., None], rtol=0.0, atol=1e-12)
+    s = np.asarray(support, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf; the == term matches equal infinities
+        hits = (np.abs(s - vals[..., None]) <= 1e-12) | (s == vals[..., None])
     unmatched = hits.sum(axis=-1) != 1
     if np.any(unmatched):
         raise ValueError(f"value {float(vals[unmatched].flat[0])!r} not in {where}")

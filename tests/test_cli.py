@@ -95,6 +95,29 @@ class TestContractVerify:
         assert rep["violations"] == 0
         assert len(rep["reports"]) == 20
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--dims", "0"], "dims must be"),
+        (["--dims", "2,-1"], "dims must be"),
+        (["--instances", "0"], "instances must be >= 1, got 0"),
+        (["--instances", "-3"], "instances must be >= 1, got -3"),
+    ])
+    def test_bad_size_exit_config(self, tmp_path, argv, message):
+        out = tmp_path / "rep.json"
+        proc = run_cli("contract-verify", *argv, "--out", str(out))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+        assert not out.exists()
+
+
+class TestReportInstances:
+    @pytest.mark.parametrize("instances", ["0", "-1"])
+    def test_nonpositive_instances_exit_config(self, tmp_path, capsys, instances):
+        out = tmp_path / "report.json"
+        assert main(["report", "--instances", instances, "--out", str(out)]) == 2
+        assert f"instances must be >= 1, got {instances}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLeakageCommand:
     def test_report_fields(self, tmp_path):

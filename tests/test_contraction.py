@@ -3,19 +3,38 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cldp.channels import PrivacyBudget, make_rr_channel
+from cldp.channels import (
+    PrivacyBudget,
+    RandomizedResponseChannel,
+    make_constant_channel,
+    make_identity_channel,
+    make_rr_channel,
+)
 from cldp.contraction import (
+    VIOLATION_TOL,
     MarginalTVTable,
     channel_fl_epsilons,
     cldp_kl_bound,
     equal_marginals_bound,
     f_divergence_bound,
+    random_instance,
     run_contraction_sweep,
     tensorized_bound,
     verify_contraction,
 )
-from cldp.measures import DiscreteDist, SubsetIndex, divergence, nonempty_subsets
+from cldp.measures import (
+    DiscreteDist,
+    SubsetIndex,
+    divergence,
+    fl_term,
+    marginal,
+    nonempty_subsets,
+    pushforward,
+    tv_distance,
+)
 
 
 def table_d2(t1, t2, t12):
@@ -188,3 +207,175 @@ class TestVerifyContraction:
         a = run_contraction_sweep(instances=5, seed=5)
         b = run_contraction_sweep(instances=5, seed=5)
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the table paths against the per-distribution loops they replace
+# ---------------------------------------------------------------------------
+
+
+def _reference_tvs(P, Pt):
+    """One marginal DiscreteDist per side and subset, compared by tv_distance."""
+    return {S: tv_distance(marginal(P, S), marginal(Pt, S)) for S in nonempty_subsets(P.d)}
+
+
+def _reference_fl_epsilons(channels, l):
+    """fl_term over every ordered pair of distinct transition rows, one pair at a time."""
+    out = []
+    for ch in channels:
+        rows = np.asarray(ch.transition_table, dtype=float)
+        worst = max((fl_term(p, q, l) for q, p in itertools.permutations(rows, 2)), default=0.0)
+        out.append(worst ** (1.0 / l))
+    return np.asarray(out)
+
+
+def _reference_report(P, Pt, channels, l_values):
+    """verify_contraction's JSON through DiscreteDist divergences, each checking supports."""
+    M, Mt = pushforward(P, channels), pushforward(Pt, channels)
+    tvs = MarginalTVTable(P.d, _reference_tvs(P, Pt))
+    rhs = cldp_kl_bound(tvs, PrivacyBudget([ch.alpha for ch in channels]))
+    lhs_j = divergence(M, Mt, "jeffreys")
+    checks = []
+    for l in l_values:
+        lhs = divergence(M, Mt, "fl", l=l)
+        bound = f_divergence_bound(tvs, _reference_fl_epsilons(channels, l), l)
+        checks.append({"l": l, "lhs": lhs, "rhs": bound, "violation": lhs > bound + VIOLATION_TOL})
+    return {
+        "lhs_jeffreys": lhs_j,
+        "lhs_kl_forward": divergence(M, Mt, "kl"),
+        "lhs_kl_reverse": divergence(Mt, M, "kl"),
+        "rhs": rhs,
+        "tvs": {"".join(str(j) for j in S): t for S, t in tvs.values.items()},
+        "alphas": [ch.alpha for ch in channels],
+        "violation": lhs_j > rhs + VIOLATION_TOL,
+        "f_checks": checks,
+    }
+
+
+@st.composite
+def prior_pair(draw):
+    """Two laws on one product support: d in 1..4, 1-3 points per axis, zero-mass cells."""
+    d = draw(st.integers(1, 4))
+    sizes = [draw(st.integers(1, 3)) for _ in range(d)]
+    supports = [np.arange(k, dtype=float) for k in sizes]
+    cell = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    laws = []
+    for _ in range(2):
+        raw = np.array(draw(st.lists(cell, min_size=math.prod(sizes), max_size=math.prod(sizes))))
+        raw[0] += raw.sum() == 0.0
+        laws.append(DiscreteDist(supports, raw.reshape(sizes) / raw.sum()))
+    return laws
+
+
+rr_channels = st.lists(
+    st.builds(lambda m, a: make_rr_channel(tuple(range(m)), a), st.integers(2, 5), st.floats(0.0, 3.0)),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestTablesMatchLoopReference:
+    @settings(max_examples=150, deadline=None)
+    @given(laws=prior_pair())
+    def test_marginal_tvs_bit_exact(self, laws):
+        P, Pt = laws
+        tvs = MarginalTVTable.from_dists(P, Pt)
+        ref = _reference_tvs(P, Pt)
+        assert list(tvs.values) == list(ref)
+        assert tvs.values == ref
+
+    def test_marginal_tvs_reject_mismatched_supports(self):
+        P = DiscreteDist([[0.0, 1.0]], [0.5, 0.5])
+        Pt = DiscreteDist([[0.0, 2.0]], [0.5, 0.5])
+        with pytest.raises(ValueError, match="share the same supports"):
+            MarginalTVTable.from_dists(P, Pt)
+
+    @settings(max_examples=150, deadline=None)
+    @given(channels=rr_channels, l=st.sampled_from([1.5, 2.0, 3.0]))
+    def test_fl_epsilons_bit_exact(self, channels, l):
+        eps = channel_fl_epsilons(channels, l)
+        ref = _reference_fl_epsilons(channels, l)
+        assert eps.dtype == ref.dtype and eps.shape == ref.shape
+        assert np.array_equal(eps, ref)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(2, 4),
+        k=st.integers(1, 10),
+        l=st.floats(1.05, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fl_epsilons_with_shared_zero_columns(self, m, k, l, seed):
+        # rows that vanish on the same outputs: every pair is defined.  Below
+        # 8 outputs the zero cells do not move the summation order, so the
+        # result is bit-exact; from 8 on it agrees to rounding
+        rng = np.random.default_rng(seed)
+        raw = rng.gamma(1.0, 1.0, size=(m, k)) * (rng.uniform(size=k) < 0.7)
+        raw[:, 0] += 0.1
+        ch = RandomizedResponseChannel(tuple(range(m)), tuple(range(k)), raw / raw.sum(1, keepdims=True), 1.0)
+        eps, ref = channel_fl_epsilons([ch], l), _reference_fl_epsilons([ch], l)
+        if k < 8:
+            assert np.array_equal(eps, ref)
+        else:
+            np.testing.assert_allclose(eps, ref, rtol=1e-14, atol=0)
+
+    def test_fl_epsilons_identity_channel_raises_as_reference(self):
+        ch = make_identity_channel((0.0, 1.0, 2.0))
+        with pytest.raises(ValueError, match="P > 0 where Q = 0") as ref:
+            _reference_fl_epsilons([ch], 2.0)
+        with pytest.raises(ValueError, match="P > 0 where Q = 0") as got:
+            channel_fl_epsilons([make_rr_channel((0.0, 1.0), 0.5), ch], 2.0)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_fl_epsilons_constant_channel_is_zero(self, m):
+        ch = make_constant_channel(tuple(range(m)))
+        assert np.array_equal(channel_fl_epsilons([ch], 2.0), _reference_fl_epsilons([ch], 2.0))
+        assert channel_fl_epsilons([ch], 2.0).tolist() == [0.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(1,), (2,), (3,), (1, 2, 3)]))
+    def test_verify_contraction_bit_exact(self, seed, dims):
+        P, Pt, channels = random_instance(np.random.default_rng(seed), dims)
+        l_values = (1.5, 2.0, 3.0)
+        got = verify_contraction(P, Pt, channels, l_values=l_values).to_json()
+        assert got == _reference_report(P, Pt, channels, l_values)
+
+
+class TestRejectsMalformedArguments:
+    @pytest.mark.parametrize("l", [math.nan, 1.0, 0.5])
+    def test_order_must_exceed_one(self, l):
+        with pytest.raises(ValueError, match="l > 1"):
+            f_divergence_bound(table_d2(0.1, 0.1, 0.1), [0.5, 0.5], l)
+        with pytest.raises(ValueError, match="l > 1"):
+            channel_fl_epsilons([make_rr_channel((0.0, 1.0), 0.5)], l)
+        with pytest.raises(ValueError, match="l > 1"):  # no row pair to reach fl_term
+            channel_fl_epsilons([make_constant_channel((0.0,))], l)
+
+    @pytest.mark.parametrize("eps", [[math.nan, 1.0], [1.0, -0.5]])
+    def test_epsilons_must_be_nonnegative_numbers(self, eps):
+        with pytest.raises(ValueError, match="nonnegative"):
+            f_divergence_bound(table_d2(0.1, 0.1, 0.1), eps, 2.0)
+
+    def test_nan_check_cannot_pass_silently(self):
+        # with eps = NaN the bound was NaN and lhs > NaN read as "no violation"
+        P = DiscreteDist([[0.0, 1.0]], [0.3, 0.7])
+        Pt = DiscreteDist([[0.0, 1.0]], [0.6, 0.4])
+        with pytest.raises(ValueError, match="l > 1"):
+            verify_contraction(P, Pt, [make_rr_channel((0.0, 1.0), 0.5)], l_values=(math.nan,))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"instances": 0}, "instances"),
+        ({"instances": -1}, "instances"),
+        ({"dims": (0,)}, "dims"),
+        ({"dims": (2, -1)}, "dims"),
+        ({"dims": ()}, "dims"),
+    ])
+    def test_sweep_size(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            run_contraction_sweep(**kwargs)
+
+    def test_one_axis_sweep(self):
+        report = run_contraction_sweep(dims=(1,), instances=3, seed=2)
+        assert report["violations"] == 0
+        assert all(len(r["alphas"]) == 1 for r in report["reports"])

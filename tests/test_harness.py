@@ -217,6 +217,13 @@ class TestVerificationSuites:
         with pytest.raises(ValueError):
             run_verification_suite("nope")
 
+    @pytest.mark.parametrize("suite", ["contraction", "leakage"])
+    @pytest.mark.parametrize("instances", [0, -1])
+    def test_instance_count_must_be_positive(self, suite, instances):
+        # 0 once fell back to the default count and -1 ran nothing and passed
+        with pytest.raises(ValueError, match="instances must be >= 1"):
+            run_verification_suite(suite, instances=instances)
+
 
 class TestZeroNoiseRng:
     def test_laplace_zeroed_other_methods_proxied(self):

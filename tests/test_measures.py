@@ -1,16 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cldp.channels import make_constant_channel, make_identity_channel, make_rr_channel
 from cldp.measures import (
     DiscreteDist,
     SubsetIndex,
     divergence,
+    fl_term,
     marginal,
     nonempty_subsets,
     pushforward,
+    support_index,
     tv_distance,
 )
 
@@ -229,3 +234,77 @@ class TestPushforward:
             right = pushforward(marginal(P, S), [chans[j - 1] for j in S])
             assert left.same_support(right)
             assert np.allclose(left.probs, right.probs, atol=1e-14)
+
+
+def _reference_support_index(support, values, where):
+    """The np.isclose(rtol=0, atol=1e-12) match, one row of hits per value."""
+    vals = np.asarray(values, dtype=float)
+    hits = np.isclose(np.asarray(support, dtype=float), vals[..., None], rtol=0.0, atol=1e-12)
+    unmatched = hits.sum(axis=-1) != 1
+    if np.any(unmatched):
+        raise ValueError(f"value {float(vals[unmatched].flat[0])!r} not in {where}")
+    return hits.argmax(axis=-1)
+
+
+POINTS = [-math.inf, -2.5, -1.0, 0.0, 1e-13, 5e-13, 0.3, 1.0, 1e12, math.inf]
+OFFSETS = [0.0, 5e-13, -5e-13, 1e-12, -1e-12, 1.5e-12, -1.5e-12, 1e-9]
+
+
+@st.composite
+def support_and_values(draw):
+    support = sorted(draw(st.lists(st.sampled_from(POINTS), min_size=1, max_size=5, unique=True)))
+    near = st.builds(lambda s, o: s + o, st.sampled_from(support), st.sampled_from(OFFSETS))
+    value = st.one_of(near, st.sampled_from([math.inf, -math.inf, math.nan]), st.floats(-3.0, 3.0))
+    shape = draw(st.sampled_from([(), (4,), (2, 3)]))
+    values = np.array(draw(st.lists(value, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+    return support, values
+
+
+class TestSupportIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(case=support_and_values())
+    def test_matches_isclose_rule_without_warnings(self, case):
+        support, values = case
+        try:
+            expected = _reference_support_index(support, values, "the support")
+        except ValueError as exc:
+            expected = exc
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                got = support_index(support, values, "the support")
+            except ValueError as exc:
+                got = exc
+        if isinstance(expected, ValueError):
+            assert isinstance(got, ValueError) and str(got) == str(expected)
+        else:
+            assert not isinstance(got, ValueError)
+            assert got.shape == expected.shape and np.array_equal(got, expected)
+
+    def test_offsets_at_the_tolerance(self):
+        assert support_index([0.0, 1.0], [1e-12, 1.0 - 1e-12], "s").tolist() == [0, 1]
+        with pytest.raises(ValueError, match="not in s"):
+            support_index([0.0, 1.0], [2e-12], "s")
+        with pytest.raises(ValueError, match="not in s"):
+            support_index([0.0, 1e-13], [0.0], "s")  # two points match
+        assert support_index([-math.inf, 0.0, math.inf], [math.inf, -math.inf], "s").tolist() == [2, 0]
+        with pytest.raises(ValueError, match="nan"):
+            support_index([0.0, 1.0], [math.nan], "s")
+
+
+class TestNonemptySubsets:
+    def test_shared_tuple_in_size_then_member_order(self):
+        subsets = nonempty_subsets(3)
+        assert isinstance(subsets, tuple)
+        assert nonempty_subsets(3) is subsets
+        assert [S.members for S in subsets] == [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+
+
+class TestNonFiniteOrder:
+    @pytest.mark.parametrize("l", [math.nan, 1.0, -math.inf])
+    def test_fl_term_rejects_order(self, l):
+        p = np.array([0.5, 0.5])
+        with pytest.raises(ValueError, match="l > 1"):
+            fl_term(p, np.array([0.25, 0.75]), l)
+        with pytest.raises(ValueError, match="l > 1"):
+            divergence(bern(0.5), bern(0.25), "fl", l=l)
