@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -262,6 +262,18 @@ class _LaplaceRelease:
 # ---------------------------------------------------------------------------
 
 
+def _check_alpha(alpha: float) -> None:
+    # an infinite level would make the Laplace scale 0 (NaN fails the comparison)
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+
+
+def _check_x0(x0: float) -> None:
+    # a NaN or infinite evaluation point would make every clean value 0
+    if not math.isfinite(x0):
+        raise ValueError(f"evaluation point x0 must be finite, got {x0!r}")
+
+
 @dataclass(frozen=True)
 class LaplaceTruncChannel(_LaplaceRelease):
     """Clamp to [-T, T] and add Laplace noise of scale 2T/alpha."""
@@ -272,8 +284,7 @@ class LaplaceTruncChannel(_LaplaceRelease):
     def __post_init__(self):
         if not self.T > 0:
             raise ValueError(f"truncation T must be positive, got {self.T!r}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        _check_alpha(self.alpha)
 
     def clean(self, x):
         return np.clip(np.asarray(x, dtype=float), -self.T, self.T)
@@ -283,12 +294,6 @@ class LaplaceTruncChannel(_LaplaceRelease):
 
     def scales(self) -> float:
         return trunc_scale(self.T, self.alpha)
-
-
-def _check_x0(x0: float) -> None:
-    # a NaN or infinite evaluation point would make every clean value 0
-    if not math.isfinite(x0):
-        raise ValueError(f"evaluation point x0 must be finite, got {x0!r}")
 
 
 @dataclass(frozen=True)
@@ -306,8 +311,7 @@ class KernelLaplaceChannel(_LaplaceRelease):
     def __post_init__(self):
         if not (0.0 < self.h < 1.0):
             raise ValueError("bandwidth h must lie in (0, 1)")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        _check_alpha(self.alpha)
         _check_x0(self.x0)
 
     def clean(self, x):
@@ -347,8 +351,7 @@ class MultiTruncChannel(_LaplaceRelease):
         g = tuple(float(t) for t in self.grid)
         if len(g) == 0 or not all(t > 0 for t in g):
             raise ValueError(f"truncation grid must be nonempty and positive, got {g!r}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        _check_alpha(self.alpha)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "beta_n", _validate_beta_n(self.alpha, len(g), self.beta_n))
 
@@ -360,8 +363,9 @@ class MultiTruncChannel(_LaplaceRelease):
         ts = np.asarray(self.grid)
         return -ts, -ts, ts, ts
 
-    def scales(self) -> np.ndarray:
-        return trunc_scale(np.asarray(self.grid), self.beta_n)
+    def scales(self, level: float | None = None) -> np.ndarray:
+        """Per-level Laplace scales at privacy level ``level`` per release, beta_n by default."""
+        return trunc_scale(np.asarray(self.grid), self.beta_n if level is None else level)
 
 
 @dataclass(frozen=True)
@@ -380,8 +384,7 @@ class MultiBandwidthChannel(_LaplaceRelease):
         g = tuple(float(h) for h in self.grid)
         if len(g) == 0 or any(not (0.0 < h <= 1.0) for h in g):
             raise ValueError("bandwidth grid entries must lie in (0, 1]")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        _check_alpha(self.alpha)
         _check_x0(self.x0)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "beta_n", _validate_beta_n(self.alpha, len(g), self.beta_n))
@@ -392,8 +395,9 @@ class MultiBandwidthChannel(_LaplaceRelease):
     def clean_extremes(self) -> tuple[np.ndarray, ...]:
         return kernel_extremes(self.kernel, self.x0, np.asarray(self.grid))
 
-    def scales(self) -> np.ndarray:
-        return kernel_scale(self.kernel, np.asarray(self.grid), self.beta_n)
+    def scales(self, level: float | None = None) -> np.ndarray:
+        """Per-level Laplace scales at privacy level ``level`` per release, beta_n by default."""
+        return kernel_scale(self.kernel, np.asarray(self.grid), self.beta_n if level is None else level)
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,63 +547,53 @@ def audit_verdict(ratio: float, alpha: float, exact: bool = False) -> tuple[floa
 # ---------------------------------------------------------------------------
 
 
+# a spec is "variant" plus the class's fields, except that the kernel is written as
+# "kernel_order" and an infinite alpha (the identity channel's) as null
+_VARIANTS = {
+    "laplace_trunc": LaplaceTruncChannel,
+    "kernel_laplace": KernelLaplaceChannel,
+    "multi_trunc": MultiTruncChannel,
+    "multi_bandwidth": MultiBandwidthChannel,
+    "randomized_response": RandomizedResponseChannel,
+}
+
+
+def _spec_keys(cls) -> dict:
+    """Spec key -> the field it sets."""
+    return {"kernel_order" if f.name == "kernel" else f.name: f for f in fields(cls)}
+
+
 def channel_to_json(ch) -> dict:
-    if isinstance(ch, LaplaceTruncChannel):
-        return {"variant": "laplace_trunc", "alpha": ch.alpha, "T": ch.T}
-    if isinstance(ch, KernelLaplaceChannel):
-        return {
-            "variant": "kernel_laplace",
-            "alpha": ch.alpha,
-            "h": ch.h,
-            "x0": ch.x0,
-            "kernel_order": ch.kernel.order,
-        }
-    if isinstance(ch, MultiTruncChannel):
-        return {"variant": "multi_trunc", "alpha": ch.alpha, "grid": list(ch.grid), "beta_n": ch.beta_n}
-    if isinstance(ch, MultiBandwidthChannel):
-        return {
-            "variant": "multi_bandwidth",
-            "alpha": ch.alpha,
-            "grid": list(ch.grid),
-            "beta_n": ch.beta_n,
-            "x0": ch.x0,
-            "kernel_order": ch.kernel.order,
-        }
-    if isinstance(ch, RandomizedResponseChannel):
-        return {
-            "variant": "randomized_response",
-            "alpha": None if math.isinf(ch.alpha) else ch.alpha,
-            "input_support": list(ch.input_support),
-            "output_support": list(ch.output_support),
-            "transition_table": np.asarray(ch.transition_table).tolist(),
-        }
-    raise TypeError(f"unknown channel type {type(ch)!r}")
+    variant = next((v for v, cls in _VARIANTS.items() if type(ch) is cls), None)
+    if variant is None:
+        raise TypeError(f"unknown channel type {type(ch)!r}")
+    spec = {"variant": variant}
+    for key, f in _spec_keys(type(ch)).items():
+        value = getattr(ch, f.name)
+        if isinstance(value, KernelFn):
+            value = value.order
+        elif isinstance(value, (tuple, np.ndarray)):
+            value = np.asarray(value).tolist()
+        spec[key] = None if f.name == "alpha" and value == math.inf else value
+    return spec
 
 
 def channel_from_json(obj: dict):
-    variant = obj["variant"]
-    if variant == "laplace_trunc":
-        return LaplaceTruncChannel(T=obj["T"], alpha=obj["alpha"])
-    if variant == "kernel_laplace":
-        return KernelLaplaceChannel(
-            h=obj["h"], x0=obj["x0"], kernel=make_kernel(obj["kernel_order"]), alpha=obj["alpha"]
-        )
-    if variant == "multi_trunc":
-        return MultiTruncChannel(grid=tuple(obj["grid"]), alpha=obj["alpha"], beta_n=obj.get("beta_n"))
-    if variant == "multi_bandwidth":
-        return MultiBandwidthChannel(
-            grid=tuple(obj["grid"]),
-            alpha=obj["alpha"],
-            x0=obj["x0"],
-            kernel=make_kernel(obj["kernel_order"]),
-            beta_n=obj.get("beta_n"),
-        )
-    if variant == "randomized_response":
-        alpha = obj["alpha"]
-        return RandomizedResponseChannel(
-            tuple(obj["input_support"]),
-            tuple(obj["output_support"]),
-            np.asarray(obj["transition_table"]),
-            math.inf if alpha is None else alpha,
-        )
-    raise ValueError(f"unknown channel variant {variant!r}")
+    """The channel a spec describes; an unknown variant, or a key its class lacks or needs,
+    raises a ValueError naming the variant and the keys."""
+    variant = obj.get("variant") if isinstance(obj, dict) else None
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown channel variant {variant!r}")
+    keys = _spec_keys(_VARIANTS[variant])
+    unknown = sorted(set(obj) - set(keys) - {"variant"})
+    missing = [key for key, f in keys.items() if key not in obj and f.default is MISSING]
+    problems = [f"{what} key(s) {', '.join(map(repr, ks))}"
+                for what, ks in (("unknown", unknown), ("missing", missing)) if ks]
+    if problems:
+        raise ValueError(f"{variant} channel spec: {'; '.join(problems)}")
+    kwargs = {f.name: obj[key] for key, f in keys.items() if key in obj}
+    if "kernel" in kwargs:
+        kwargs["kernel"] = make_kernel(kwargs["kernel"])
+    if kwargs["alpha"] is None:
+        kwargs["alpha"] = math.inf
+    return _VARIANTS[variant](**kwargs)

@@ -89,6 +89,14 @@ def _bool(val: str) -> bool:
     raise ConfigError(f"expected a boolean (true/false, yes/no, 1/0), got {val!r}")
 
 
+def _seed(value) -> int:
+    """A master seed; numpy's seed sequences take only nonnegative entropy."""
+    seed = int(value)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _require(cfg: dict, key: str) -> str:
     if key not in cfg:
         raise ConfigError(f"missing config key {key!r}")
@@ -173,6 +181,7 @@ def cmd_audit(args) -> int:
 
 def cmd_contract_verify(args) -> int:
     with _reading_inputs():
+        _seed(args.seed)
         check_sweep_size(args.instances, args.dims)
     report = run_contraction_sweep(dims=tuple(args.dims), instances=args.instances, seed=args.seed)
     write_json(args.out, report)
@@ -198,7 +207,7 @@ def _sample_inputs(args, mode: str) -> tuple:
         n = int(_require(cfg, "n"))
         budget = PrivacyBudget(_floats(_require(cfg, "alphas")))
         MODES[mode].channels(n, budget, options)  # the regime check
-        return n, budget, model, options, int(cfg.get("seed", 0))
+        return n, budget, model, options, _seed(cfg.get("seed", 0))
 
 
 def cmd_estimate(args) -> int:
@@ -253,7 +262,7 @@ def cmd_rates(args) -> int:
             model=model.to_json(),
             options=options,
             out=args.out or cfg.get("out"),
-            workers=int(cfg.get("workers", args.workers or default_workers())),
+            workers=int(cfg.get("workers", default_workers() if args.workers is None else args.workers)),
         )
         exp.validate_for_slope()
     curve = run_rate_experiment(exp)
@@ -291,8 +300,9 @@ def cmd_lowerbound(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if args.instances is not None:
-        with _reading_inputs():
+    with _reading_inputs():
+        _seed(args.seed)
+        if args.instances is not None:
             check_sweep_size(args.instances)
     status = EXIT_OK
     combined = {}

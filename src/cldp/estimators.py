@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channels import (
-    KernelFn,
     KernelLaplaceChannel,
     LaplaceTruncChannel,
     PrivacyBudget,
@@ -316,12 +315,9 @@ def optimal_bandwidth(hc: HolderClass, budget: PrivacyBudget, n: int) -> Bandwid
     return BandwidthChoice(h_star=float(h), regime=regime)
 
 
-def kde_channels(
-    hc: HolderClass, budget: PrivacyBudget, x0: Sequence[float], h: float, kernel: KernelFn | None = None
-):
-    """Per-axis kernel-Laplace channels sharing (h, x0)."""
-    if kernel is None:
-        kernel = make_kernel(kernel_order(hc.beta))
+def kde_channels(hc: HolderClass, budget: PrivacyBudget, x0: Sequence[float], h: float):
+    """Per-axis kernel-Laplace channels sharing (h, x0) and the kernel of the class's order."""
+    kernel = make_kernel(kernel_order(hc.beta))
     x0 = np.asarray(x0, dtype=float)
     if x0.size != hc.d:
         raise ValueError("x0 dimension does not match class")

@@ -40,13 +40,10 @@ from .channels import (
     LaplaceTruncChannel,
     PrivacyBudget,
     audit_verdict,
-    kernel_clean,
     kernel_order,
-    kernel_scale,
     make_kernel,
     make_rr_channel,
     privacy_audit,
-    trunc_scale,
 )
 from .estimators import (
     HolderClass,
@@ -129,6 +126,10 @@ class ExperimentConfig:
             raise ValueError("empty n grid")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if min(self.n_grid) < 1:
             raise ValueError(f"n grid entries must be >= 1, got {self.n_grid!r}")
         # a malformed option raises here; a grid point outside the regime is a warning row of the run
@@ -245,8 +246,8 @@ class Mode:
     estimate: Callable  # (Z, budget, options) -> estimate, or the adaptive selection
     n_eff: Callable = _n_prod  # (n, budget, options) -> effective sample size before log deflation
     point: Callable = lambda est: est  # the scalar scored against the truth
-    # adaptive modes: (X, budget, options) -> the full-budget estimate's mean and noise variance given X, per level
-    oracle: Optional[Callable] = None
+    # adaptive modes: per-axis release columns -> the estimate at every level, which the oracle scores
+    level_table: Optional[Callable] = None
     release_input: Callable = lambda X: X  # (n, d) raw sample -> the columns the channels release
 
     def check_model(self, model) -> None:
@@ -256,7 +257,19 @@ class Mode:
     def axis_n_eff(self, n: int, budget: PrivacyBudget, options: dict) -> float:
         """The CSV's n_eff: adaptive axes are deflated by log(n)^(2d+1)."""
         n_eff = self.n_eff(n, budget, options)
-        return n_eff if self.oracle is None else n_eff / math.log(n) ** (2 * budget.d + 1)
+        return n_eff if self.level_table is None else n_eff / math.log(n) ** (2 * budget.d + 1)
+
+    def oracle(self, X: np.ndarray, budget: PrivacyBudget, options: dict) -> tuple:
+        """Mean and noise variance, given X, of the full-budget estimate at every level table entry:
+        each axis's channel gives its clean map of X and its per-level scales at its full alpha.
+
+        Reference only: releasing all levels at full budget is not a private
+        mechanism, but each fixed level is.
+        """
+        channels = self.channels(X.shape[0], budget, options)
+        clean = [ch.clean(X[:, j]) for j, ch in enumerate(channels)]
+        var = [2.0 * ch.scales(ch.alpha) ** 2 for ch in channels]
+        return _moments_given_x(clean, var, self.level_table)
 
 
 def _x0(options: dict) -> np.ndarray:
@@ -312,27 +325,6 @@ def _moments_given_x(clean: list, var: list, row_mean: Callable) -> tuple:
     return row_mean(clean), noise / clean[0].shape[0]
 
 
-def _oracle_moment_table(X: np.ndarray, budget: PrivacyBudget, options: dict) -> tuple:
-    """Mean and noise variance, given X, of the full-budget estimate at every grid combination.
-
-    Reference only: releasing all levels at full budget is not a private
-    mechanism, but each fixed level is.
-    """
-    grid = ad.build_truncation_grid(X.shape[0])
-    clean = [np.clip(X[:, j, None], -grid, grid) for j in range(budget.d)]
-    var = [2.0 * trunc_scale(grid, alpha) ** 2 for alpha in budget.alphas]
-    return _moments_given_x(clean, var, ad._estimate_table)
-
-
-def _oracle_kde_per_h(X: np.ndarray, budget: PrivacyBudget, options: dict) -> tuple:
-    """Mean and noise variance, given X, of the full-budget pointwise estimate at every bandwidth."""
-    grid = ad.build_bandwidth_grid(X.shape[0])
-    kernel = _kernel(options)
-    clean = [kernel_clean(kernel, X[:, j, None], x0, grid) for j, x0 in zip(range(budget.d), _x0(options))]
-    var = [2.0 * kernel_scale(kernel, grid, alpha) ** 2 for alpha in budget.alphas]
-    return _moments_given_x(clean, var, ad._diagonal_table)
-
-
 MODES = {
     "mean": Mode(
         id=1, axis="n*alpha^2", model=ParetoFactorModel, config_keys=("ks",),
@@ -382,7 +374,7 @@ MODES = {
         channels=lambda n, budget, options: ad.multi_trunc_channels(_gl_config(n, budget, options)),
         estimate=lambda Z, budget, options: ad.gl_select_truncation(Z, _gl_config(Z.n, budget, options)),
         point=lambda sel: sel.gamma_hat,
-        oracle=_oracle_moment_table,
+        level_table=ad._estimate_table,
     ),
     "adaptive_density": Mode(
         id=6, axis="n*prod(alpha^2)/log(n)^(1+2d)", model=HolderDensityModel, config_keys=("beta", "x0", "c0"),
@@ -392,7 +384,7 @@ MODES = {
         ),
         estimate=lambda Z, budget, options: ad.gl_select_bandwidth(Z, _gl_config(Z.n, budget, options)),
         point=lambda sel: sel.pi_hat,
-        oracle=_oracle_kde_per_h,
+        level_table=ad._diagonal_table,
     ),
 }
 
@@ -418,7 +410,7 @@ def _run_replication(cfg_json: dict, n: int, rep: int) -> dict:
     X, est = run_mode(mode, model, n, budget, options, derive_rng(cfg_json["seed"], mode.id, n, rep))
     truth = mode.truth(model, options)
     out = {"sq_err": (mode.point(est) - truth) ** 2}
-    if mode.oracle is not None:
+    if mode.level_table is not None:
         out["sel_index"] = np.atleast_1d(est.index).tolist()
         if options.get("oracle", True) and rep < int(options.get("oracle_reps", 10**9)):
             # the squared error in expectation over the full-budget noise; zero_noise releases have none

@@ -279,21 +279,13 @@ class HolderDensityModel:
 
     def density(self, x) -> np.ndarray:
         """Exact truncated density at points of shape (n, d) (or (n,) when d=1)."""
-        x = np.asarray(x, dtype=float)
-        if self.d == 1:
-            pts = x.reshape(-1)
-            inside = np.abs(pts) <= self.box
-            vals = np.where(inside, self._axis_density_raw(pts) / self._axis_norm(), 0.0)
-            return vals
-        pts = x.reshape(-1, self.d)
+        pts = np.asarray(x, dtype=float).reshape(-1, self.d)
         inside = np.all(np.abs(pts) <= self.box, axis=1)
         per_axis = self._axis_density_raw(pts) / self._axis_norm()
         return np.where(inside, np.prod(per_axis, axis=1), 0.0)
 
     def density_at(self, x0) -> float:
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        vals = self.density(x0.reshape(1, -1) if self.d > 1 else x0)
-        return float(np.asarray(vals).ravel()[0])
+        return float(self.density(x0)[0])
 
     def axis_bin_mass(self, edges: np.ndarray) -> np.ndarray:
         """Exact per-bin probabilities on one axis (for goodness-of-fit tests)."""

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -122,6 +124,17 @@ class TestPrivatize:
         # a NaN x0 makes every clean kernel value 0
         with pytest.raises(ValueError, match=name):
             build()
+
+    @pytest.mark.parametrize("build", [
+        lambda a: LaplaceTruncChannel(T=1.0, alpha=a),
+        lambda a: KernelLaplaceChannel(h=0.5, x0=0.0, kernel=make_kernel(1), alpha=a),
+        lambda a: MultiTruncChannel(grid=(2.0, 1.0), alpha=a),
+        lambda a: MultiBandwidthChannel(grid=(0.5, 1.0), alpha=a, x0=0.0, kernel=make_kernel(1)),
+    ], ids=["laplace_trunc", "kernel_laplace", "multi_trunc", "multi_bandwidth"])
+    def test_infinite_alpha_rejected(self, build):
+        # the Laplace scale would be 0 and the audit's range/scale undefined
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            build(math.inf)
 
     def test_laplace_variance_identity(self):
         # var of the T=1, alpha=1 release at x=0 is 2 (2T/alpha)^2 = 8
@@ -310,19 +323,73 @@ class TestSharedLaplaceRelease:
             assert hi == pytest.approx(c_hi[lev], rel=1e-12, abs=1e-12)
 
 
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+positive = st.floats(min_value=1e-6, max_value=1e6)
+unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+unit_half_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+kernels = st.integers(0, 4).map(make_kernel)
+
+
+@st.composite
+def multi_level(draw, cls, level, **fields):
+    """A multi-level channel, with its beta_n given explicitly or derived."""
+    grid = tuple(draw(st.lists(level, min_size=1, max_size=6)))
+    alpha = draw(positive)
+    beta_n = alpha / len(grid) if draw(st.booleans()) else None
+    return cls(grid=grid, alpha=alpha, beta_n=beta_n, **{k: draw(v) for k, v in fields.items()})
+
+
+supports = st.lists(finite, min_size=2, max_size=5, unique=True)
+any_channel = st.one_of(
+    st.builds(LaplaceTruncChannel, T=positive, alpha=positive),
+    st.builds(KernelLaplaceChannel, h=unit_open, x0=finite, kernel=kernels, alpha=positive),
+    multi_level(MultiTruncChannel, positive),
+    multi_level(MultiBandwidthChannel, unit_half_open, x0=finite, kernel=kernels),
+    st.builds(make_rr_channel, supports, st.floats(min_value=0.0, max_value=50.0)),
+    st.builds(make_identity_channel, supports),
+)
+
+
 class TestSerialization:
-    def test_roundtrip_all_variants(self):
-        chans = [
-            LaplaceTruncChannel(T=1.5, alpha=0.4),
-            KernelLaplaceChannel(h=0.3, x0=0.1, kernel=make_kernel(2), alpha=0.8),
-            MultiTruncChannel(grid=(8.0, 4.0, 2.0, 1.0), alpha=0.6),
-            MultiBandwidthChannel(grid=(0.25, 0.5), alpha=0.6, x0=0.0, kernel=make_kernel(1)),
-            make_rr_channel((0.0, 1.0, 2.0), 0.9),
-        ]
-        for ch in chans:
-            back = channel_from_json(channel_to_json(ch))
-            assert type(back) is type(ch)
-            assert back.alpha == pytest.approx(ch.alpha)
+    @settings(max_examples=200, deadline=None)
+    @given(ch=any_channel)
+    def test_roundtrip_all_variants(self, ch):
+        # standard JSON (the identity channel's infinite alpha is null), every field back exactly
+        spec = json.loads(json.dumps(channel_to_json(ch), allow_nan=False))
+        back = channel_from_json(spec)
+        assert type(back) is type(ch)
+        for f in dataclasses.fields(ch):
+            a, b = getattr(ch, f.name), getattr(back, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            else:
+                assert type(a) is type(b) and a == b
+
+    def test_spec_keys_are_the_fields(self):
+        spec = channel_to_json(MultiBandwidthChannel(grid=(0.25, 0.5), alpha=0.6, x0=0.0, kernel=make_kernel(1)))
+        assert spec == {"variant": "multi_bandwidth", "grid": [0.25, 0.5], "alpha": 0.6, "x0": 0.0,
+                        "kernel_order": 1, "beta_n": 0.3}
+        assert channel_to_json(make_identity_channel((0.0, 1.0)))["alpha"] is None
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"variant": "laplace_trunc", "alpha": 0.5, "T": 1.0, "alhpa": 2}, "laplace_trunc.*'alhpa'"),
+        ({"variant": "laplace_trunc", "T": 1.0}, "laplace_trunc.*'alpha'"),
+        ({"variant": "kernel_laplace", "alpha": 1.0, "h": 0.5, "x0": 0.0}, "kernel_laplace.*'kernel_order'"),
+        ({"variant": "kernel_laplace", "alpha": 1.0, "h": 0.5, "x0": 0.0, "kernel_order": 1, "kernel": 1},
+         "kernel_laplace.*'kernel'"),
+        ({"variant": "multi_trunc", "alpha": 0.8, "grid": [2.0, 1.0], "beta": 0.4}, "multi_trunc.*'beta'"),
+        ({"variant": "randomized_response", "alpha": 0.5, "input_support": [0.0, 1.0],
+          "transition_table": [[1.0, 0.0], [0.0, 1.0]]}, "randomized_response.*'output_support'"),
+        ({"variant": "laplace", "alpha": 0.5}, "unknown channel variant 'laplace'"),
+        ({"alpha": 0.5, "T": 1.0}, "variant"),
+    ])
+    def test_unknown_or_missing_key_rejected(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            channel_from_json(spec)
+
+    def test_inconsistent_beta_n_rejected(self):
+        with pytest.raises(ValueError, match="beta_n"):
+            channel_from_json({"variant": "multi_trunc", "alpha": 0.8, "grid": [2.0, 1.0], "beta_n": 0.8})
 
 
 def _level_density(ch, level: int, zs, xs) -> np.ndarray:

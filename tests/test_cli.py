@@ -62,6 +62,14 @@ class TestAuditCommand:
         assert proc.returncode == 2
         assert "alpha must be positive" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("alpha", ["1e400", "null"])
+    def test_infinite_alpha_exit_config(self, tmp_path, alpha):
+        # JSON reads 1e400 as inf and null as the identity channel's inf: no Laplace scale exists
+        ch = write(tmp_path / "ch.json", f'[{{"variant": "laplace_trunc", "alpha": {alpha}, "T": 1.0}}]')
+        proc = run_cli("audit", "--channels", ch, "--out", str(tmp_path / "audit.json"))
+        assert proc.returncode == 2
+        assert "alpha must be positive and finite" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_nan_x0_exit_config(self, tmp_path):
         # a NaN evaluation point is malformed input; the clean map would read 0 everywhere
         spec = '[{"variant": "kernel_laplace", "alpha": 1.0, "h": 0.5, "x0": NaN, "kernel_order": 2}]'
@@ -82,6 +90,18 @@ class TestAuditCommand:
         assert rep["audits"][0]["bound"] == math.inf
         assert rep["audits"][0]["achieved_alpha"] == pytest.approx(800.0, rel=1e-12)
         assert proc.returncode == (1 if rep["violations"] else 0)
+
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"variant": "laplace_trunc", "alpha": 0.5, "T": 1.0, "alhpa": 2}, "'alhpa'"),
+        ({"variant": "laplace_trunc", "T": 1.0}, "'alpha'"),
+    ])
+    def test_unknown_or_missing_spec_key_exit_config(self, tmp_path, spec, message):
+        out = tmp_path / "audit.json"
+        proc = run_cli("audit", "--channels", write(tmp_path / "ch.json", json.dumps([spec])), "--out", str(out))
+        assert proc.returncode == 2
+        assert "laplace_trunc" in proc.stderr and message in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 class TestContractVerify:
@@ -161,6 +181,46 @@ class TestLeakageCommand:
         rep = json.loads(out.read_text())
         assert rep["bound"] == math.inf
         assert proc.returncode == (1 if rep["violation"] else 0)
+
+
+    def test_unknown_spec_key_exit_config(self, tmp_path, capsys):
+        P = DiscreteDist([[0.0, 1.0], [0.0, 1.0]], [[0.4, 0.1], [0.1, 0.4]])
+        dist = write(tmp_path / "d.json", json.dumps(P.to_json()))
+        chans = [{**channel_to_json(make_rr_channel((0.0, 1.0), 0.5)), "beta_n": 0.5}] * 2
+        chp = write(tmp_path / "ch.json", json.dumps(chans))
+        assert main(["leakage", "--dist", dist, "--channels", chp]) == 2
+        err = capsys.readouterr().err
+        assert "randomized_response" in err and "'beta_n'" in err
+
+
+class TestNegativeSeed:
+    """A seed below 0 is malformed input: exit 2 with a message, before any stream is drawn."""
+
+    CONFIGS = {
+        "estimate": (["estimate", "--mode", "mean"], "n=256\nalphas=1\nks=4\na=5\n"),
+        "adaptive": (["adaptive", "--mode", "moment"], "n=256\nalphas=1\nks=4\na=5\n"),
+        "rates": (["rates"], "mode=mean\nn_grid=256,1024,4096,65536\nalphas=1\nks=4\na=5\nreplications=30\n"),
+    }
+
+    @pytest.mark.parametrize("argv", [
+        ["contract-verify", "--instances", "2", "--seed", "-1"],
+        ["report", "--instances", "2", "--seed", "-1"],
+    ])
+    def test_flag(self, tmp_path, argv):
+        out = tmp_path / "out.json"
+        proc = run_cli(*argv, "--out", str(out))
+        assert proc.returncode == 2
+        assert "seed must be >= 0, got -1" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_config_key(self, tmp_path, command):
+        argv, text = self.CONFIGS[command]
+        out = tmp_path / "out.json"
+        proc = run_cli(*argv, "--config", write(tmp_path / "cfg.txt", text + "seed=-1\n"), "--out", str(out))
+        assert proc.returncode == 2
+        assert "seed must be >= 0, got -1" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 class TestEstimateCommand:
@@ -338,6 +398,34 @@ class TestRatesCommand:
         )
         assert main(["rates", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
+
+
+class TestWorkers:
+    RATES = "mode=mean\nn_grid=256,1024,4096,65536\nalphas=1\nks=4\na=5\nreplications=30\n"
+
+    def run(self, tmp_path, monkeypatch, argv, text=""):
+        seen = []
+
+        def fake_run(exp):
+            seen.append(exp)
+            return RateCurve(points=(), mode=exp.mode, axis="")
+
+        monkeypatch.setattr("cldp.cli.run_rate_experiment", fake_run)
+        code = main(["rates", "--config", write(tmp_path / "cfg.txt", self.RATES + text), *argv])
+        return code, seen
+
+    @pytest.mark.parametrize("argv, text", [(["--workers", "0"], ""), (["--workers", "-2"], ""), ([], "workers=-3\n")])
+    def test_below_one_exit_config(self, tmp_path, capsys, monkeypatch, argv, text):
+        monkeypatch.setenv("CLDP_WORKERS", "2")
+        code, seen = self.run(tmp_path, monkeypatch, argv, text)
+        assert code == 2 and not seen
+        assert "workers must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, want", [([], 2), (["--workers", "3"], 3)])
+    def test_environment_only_without_the_flag(self, tmp_path, monkeypatch, argv, want):
+        monkeypatch.setenv("CLDP_WORKERS", "2")
+        code, (exp,) = self.run(tmp_path, monkeypatch, argv)
+        assert code == 0 and exp.workers == want
 
 
 class TestUnknownConfigKeys:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cldp.harness
-from cldp.adaptive import _estimate_table, build_bandwidth_grid, build_truncation_grid
+from cldp.adaptive import _diagonal_table, _estimate_table, build_bandwidth_grid, build_truncation_grid
 from cldp.channels import (
     PrivacyBudget,
     kernel_clean,
@@ -178,6 +178,15 @@ class TestRunRateExperiment:
         assert meta["axis"] == "n*alpha^2"
         assert "slope" in meta["fit"]
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            mean_cfg(workers=workers)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            mean_cfg(seed=-1)
+
     def test_parallel_workers_byte_identical(self, tmp_path):
         out1, out8 = tmp_path / "w1.csv", tmp_path / "w8.csv"
         run_rate_experiment(mean_cfg(out=str(out1), workers=1))
@@ -327,6 +336,24 @@ def full_budget_release(mode, X, alphas, options):
     return clean, scales, lambda cols: np.prod(cols, axis=0).mean(axis=0)
 
 
+def reference_moment_table(X, budget, options):
+    """The moment oracle written from the options alone: clamp grid, clamp map and 2T/alpha scales."""
+    grid = build_truncation_grid(X.shape[0])
+    clean = [np.clip(X[:, j, None], -grid, grid) for j in range(budget.d)]
+    var = [2.0 * trunc_scale(grid, alpha) ** 2 for alpha in budget.alphas]
+    return cldp.harness._moments_given_x(clean, var, _estimate_table)
+
+
+def reference_kde_per_h(X, budget, options):
+    """The density oracle written from the options alone: bandwidth grid, kernel map and scales."""
+    grid = build_bandwidth_grid(X.shape[0])
+    kernel = make_kernel(kernel_order(float(options.get("beta", 2.0))))
+    x0 = np.atleast_1d(np.asarray(options.get("x0", 0.0), dtype=float))
+    clean = [kernel_clean(kernel, X[:, j, None], x0[j], grid) for j in range(budget.d)]
+    var = [2.0 * kernel_scale(kernel, grid, alpha) ** 2 for alpha in budget.alphas]
+    return cldp.harness._moments_given_x(clean, var, _diagonal_table)
+
+
 def sample_for(mode, model, n, rng):
     return (sample_heavy_tailed if mode == "adaptive_moment" else sample_holder_density)(model, n, rng)
 
@@ -432,6 +459,28 @@ class TestExactOracle:
         assert "oracle_sq" in out
         m = 8  # floor(log2 256) levels
         assert sum(drawn) - sampled == n * len(alphas) * m
+
+
+class TestOracleMatchesReference:
+    """The oracle built from the mode's channels equals the one written from the options, bit for bit."""
+
+    @pytest.mark.parametrize("mode, model, alphas, options", [
+        ("adaptive_moment", C07_MODEL, (1.0,), {"ks": [2.0], "c0": 12.0}),
+        ("adaptive_moment", PARETO_2, (0.7, 1.3), {"ks": [4.0, 4.0], "c0": 128.0}),
+        ("adaptive_density", HolderDensityModel(beta=1, d=1), (8.0,), {"beta": 1.0, "x0": [0.0], "c0": 2.5}),
+        ("adaptive_density", HolderDensityModel(beta=3, d=1), (1.0,), {"beta": 3.0, "x0": [0.1]}),
+        ("adaptive_density", HolderDensityModel(beta=1, d=2), (0.7, 1.3), {"beta": 1.0, "x0": [0.1, -0.2]}),
+        ("adaptive_density", HolderDensityModel(beta=3, d=2), (0.7, 1.3), {"beta": 3.0, "x0": [0.1, -0.2]}),
+    ])
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_mean_and_noise_variance_equal(self, mode, model, alphas, options, n):
+        X = sample_for(mode, model, n, derive_rng(41, n, len(alphas)))
+        budget = PrivacyBudget(alphas)
+        reference = reference_moment_table if mode == "adaptive_moment" else reference_kde_per_h
+        mean, noise_var = MODES[mode].oracle(X, budget, options)
+        want_mean, want_var = reference(X, budget, options)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(noise_var, want_var)
 
 
 class TestReportCommand:
