@@ -282,8 +282,9 @@ class LaplaceTruncChannel(_LaplaceRelease):
     alpha: float
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"truncation T must be positive, got {self.T!r}")
+        # an infinite T would make the clamp the identity and the Laplace scale infinite
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"truncation T must be positive and finite, got {self.T!r}")
         _check_alpha(self.alpha)
 
     def clean(self, x):
@@ -349,8 +350,8 @@ class MultiTruncChannel(_LaplaceRelease):
 
     def __post_init__(self):
         g = tuple(float(t) for t in self.grid)
-        if len(g) == 0 or not all(t > 0 for t in g):
-            raise ValueError(f"truncation grid must be nonempty and positive, got {g!r}")
+        if len(g) == 0 or not all(0.0 < t < math.inf for t in g):
+            raise ValueError(f"truncation grid must be nonempty, positive and finite, got {g!r}")
         _check_alpha(self.alpha)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "beta_n", _validate_beta_n(self.alpha, len(g), self.beta_n))

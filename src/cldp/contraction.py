@@ -139,18 +139,28 @@ def channel_fl_epsilons(channels, l: float) -> np.ndarray:
     equal ``fl_term``'s bit for bit unless a row has zero cells and k >= 8,
     where the zeros shift numpy's pairwise summation (agreement to rounding).
     """
-    if not l > 1:
-        raise ValueError(f"f_l divergence requires l > 1, got {l}")
-    out = []
-    for ch in channels:
+    return _fl_epsilons(channels, (l,))[0]
+
+
+def _fl_epsilons(channels, l_values) -> np.ndarray:
+    """``channel_fl_epsilons`` for each order in ``l_values``, one row per order: each
+    channel's |p/q - 1| table is built once and raised to every l."""
+    for l in l_values:
+        if not l > 1:
+            raise ValueError(f"f_l divergence requires l > 1, got {l}")
+    eps = np.empty((len(l_values), len(channels)))
+    for j, ch in enumerate(channels):
         rows = np.asarray(ch.transition_table, dtype=float)
         q, p = rows[:, None, :], rows[None, :, :]
         if np.any((q == 0) & (p > 0)):
             raise ValueError("divergence undefined: P > 0 where Q = 0")
+        defined = q > 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            cells = np.where(q > 0, q * np.abs(p / q - 1.0) ** l, 0.0)
-        out.append(float(cells.sum(axis=-1).max()) ** (1.0 / l))
-    return np.asarray(out)
+            ratio = np.abs(p / q - 1.0)
+            for i, l in enumerate(l_values):
+                cells = np.where(defined, q * ratio**l, 0.0)
+                eps[i, j] = float(cells.sum(axis=-1).max()) ** (1.0 / l)
+    return eps
 
 
 @dataclass(frozen=True)
@@ -203,9 +213,9 @@ def verify_contraction(
     lhs_j = lhs_f + lhs_r
     tvs = MarginalTVTable.from_dists(P, Pt)
     rhs = cldp_kl_bound(tvs, budget)
+    l_values = tuple(l_values)
     checks = []
-    for l in l_values:
-        eps = channel_fl_epsilons(channels, l)
+    for l, eps in zip(l_values, _fl_epsilons(channels, l_values)):
         lhs = fl_term(m, mt, l)
         bound = f_divergence_bound(tvs, eps, l)
         checks.append(FlCheck(l, lhs, bound, lhs > bound + VIOLATION_TOL))

@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import stdtrit
 
 from . import adaptive as ad
 from . import contraction as ct
@@ -220,6 +219,9 @@ def fit_loglog_slope(curve) -> SlopeFit:
     dof = max(1, lx.size - 2)
     s2 = float(np.sum(resid**2) / dof)
     se = math.sqrt(s2 / sxx)
+    # imported here: scipy.special is most of the package's start-up, and only the fit needs it
+    from scipy.special import stdtrit
+
     half = float(stdtrit(dof, 0.975)) * se
     return SlopeFit(slope, intercept, se, (slope - half, slope + half))
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .measures import DiscreteDist
 
@@ -219,6 +218,18 @@ def sample_heavy_tailed(model: ParetoFactorModel, n: int, rng) -> np.ndarray:
     return X * model.component_scales()
 
 
+def _ndtr(x) -> np.ndarray:
+    """Standard normal CDF elementwise, from ``math.erfc``, in the shape of ``x``.
+
+    numpy has no erfc ufunc, and a numpy approximation would not be
+    bit-stable; with one ``math.erfc`` call per element the box masses of the
+    pinned models equal the cephes ``ndtr`` values bit for bit.
+    """
+    a = np.asarray(x, dtype=float)
+    vals = [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in a.ravel().tolist()]
+    return np.array(vals, dtype=float).reshape(a.shape)
+
+
 @dataclass(frozen=True)
 class HolderDensityModel:
     """Box-truncated product density with an exact evaluator.
@@ -266,11 +277,11 @@ class HolderDensityModel:
         x = np.asarray(x, dtype=float)
         if int(self.beta) == 1:
             lap = np.where(x < 0, 0.5 * np.exp(x / self.kink_b), 1.0 - 0.5 * np.exp(-x / self.kink_b))
-            bg = ndtr(x / 1.2)
+            bg = _ndtr(x / 1.2)
             return self.kink_weight * lap + (1.0 - self.kink_weight) * bg
         cdf = np.zeros_like(x)
         for w, mu, s in zip(self.weights, self.mus, self.sigmas):
-            cdf += w * ndtr((x - mu) / s)
+            cdf += w * _ndtr((x - mu) / s)
         return cdf
 
     def _axis_norm(self) -> float:

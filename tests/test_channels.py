@@ -136,6 +136,16 @@ class TestPrivatize:
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             build(math.inf)
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda: LaplaceTruncChannel(T=math.inf, alpha=1.0), "truncation T"),
+        (lambda: MultiTruncChannel(grid=(math.inf, 1.0), alpha=1.0), "truncation grid"),
+        (lambda: MultiTruncChannel(grid=(2.0, -math.inf), alpha=1.0), "truncation grid"),
+    ])
+    def test_infinite_truncation_rejected(self, build, name):
+        # an infinite level leaves the clamp unbounded and the Laplace scale infinite
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            build()
+
     def test_laplace_variance_identity(self):
         # var of the T=1, alpha=1 release at x=0 is 2 (2T/alpha)^2 = 8
         ch = LaplaceTruncChannel(T=1.0, alpha=1.0)

@@ -70,6 +70,20 @@ class TestAuditCommand:
         assert proc.returncode == 2
         assert "alpha must be positive and finite" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("spec, message", [
+        ('{"variant": "laplace_trunc", "alpha": 1.0, "T": 1e400}', "truncation T must be positive and finite"),
+        ('{"variant": "multi_trunc", "alpha": 1.0, "grid": [1e400, 1.0]}',
+         "truncation grid must be nonempty, positive and finite"),
+    ], ids=["laplace_trunc", "multi_trunc"])
+    def test_infinite_truncation_exit_config(self, tmp_path, spec, message):
+        # JSON reads 1e400 as inf: the clamp would be the identity and the scale infinite,
+        # which the audit used to report as a violation with NaN ratios
+        out = tmp_path / "audit.json"
+        proc = run_cli("audit", "--channels", write(tmp_path / "ch.json", f"[{spec}]"), "--out", str(out))
+        assert proc.returncode == 2
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_nan_x0_exit_config(self, tmp_path):
         # a NaN evaluation point is malformed input; the clean map would read 0 everywhere
         spec = '[{"variant": "kernel_laplace", "alpha": 1.0, "h": 0.5, "x0": NaN, "kernel_order": 2}]'

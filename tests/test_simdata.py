@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cldp import simdata
 from cldp.harness import derive_rng
 from cldp.measures import DiscreteDist
 from cldp.simdata import (
@@ -136,6 +137,36 @@ class TestHolderDensity:
     def test_unsupported_beta(self):
         with pytest.raises(ValueError, match="smoothness"):
             HolderDensityModel(beta=2.5)
+
+
+class TestNormalCdf:
+    """``simdata._ndtr`` (math.erfc per element) against scipy's cephes ``ndtr``."""
+
+    def test_matches_scipy_on_a_grid(self):
+        from scipy.special import ndtr
+
+        x = np.linspace(-8.0, 8.0, 20_001)
+        np.testing.assert_allclose(simdata._ndtr(x), ndtr(x), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("x", [0.3, np.array(-1.7), np.linspace(-3, 3, 7), np.linspace(-3, 3, 12).reshape(3, 4)])
+    def test_keeps_the_shape(self, x):
+        from scipy.special import ndtr
+
+        got = simdata._ndtr(x)
+        assert got.shape == np.shape(x) and got.dtype == np.float64
+        np.testing.assert_allclose(got, ndtr(x), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("beta", [1, 2, 3])
+    @pytest.mark.parametrize("kink_b", [0.2, 0.6])
+    @pytest.mark.parametrize("box", [2.0, 3.0])
+    def test_box_mass_equals_the_scipy_value(self, monkeypatch, beta, kink_b, box):
+        # raw CDFs may differ by a few ULP in the lower tail; the difference cancels in hi - lo
+        from scipy.special import ndtr
+
+        model = HolderDensityModel(beta=beta, d=1, kink_b=kink_b, box=box)
+        norm = model._axis_norm()
+        monkeypatch.setattr(simdata, "_ndtr", ndtr)
+        assert norm == model._axis_norm()
 
 
 class TestDiscreteTable:
