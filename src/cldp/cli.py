@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .harness import (
     write_json,
 )
 from .measures import DiscreteDist, transition_rows
-from .simdata import model_from_json
+from .simdata import MODEL_KINDS, model_from_json
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -103,17 +104,10 @@ def _require(cfg: dict, key: str) -> str:
     return cfg[key]
 
 
-# the config keys of each model kind, with their parsers; a missing key takes
-# the constructor's default, except the required a (ks + 1) and beta (2)
-_MODEL_KEYS = {
-    "pareto_factor": {
-        "ks": _floats, "a": _floats, "rho": float, "scale": float, "coupling": str, "symmetric": _bool,
-    },
-    "holder_density": {
-        "beta": float, "d": int, "box": float, "weights": _floats, "mus": _floats, "sigmas": _floats,
-        "kink_b": float, "kink_weight": float,
-    },
-}
+# the config keys of each model kind: its class's fields, parsed by their annotations; a missing
+# key takes the class's default, except the required a (ks + 1) and beta (2)
+_PARSERS = {"tuple[float, ...]": _floats, "float": float, "int": int, "str": str, "bool": _bool}
+_MODEL_KEYS = {kind: {f.name: _PARSERS[f.type] for f in fields(cls)} for kind, cls in MODEL_KINDS.items()}
 # pipeline options, stored in the options dict (and the rates meta.json) as parsed here
 _OPTION_KEYS = {"ks": _floats, "x0": _floats, "beta": float, "c0": float, "h": float, "zero_noise": _bool}
 
@@ -148,9 +142,7 @@ def _mode_inputs(cfg: dict, mode: str, command_keys: set) -> tuple:
     kind = _model_kind(cfg)
     _reject_unknown(cfg, command_keys | {"model"} | _MODEL_KEYS[kind].keys() | set(MODES[mode].config_keys))
     options = {key: parse(cfg[key]) for key, parse in _OPTION_KEYS.items() if key in cfg}
-    model = _model_from_config(cfg)
-    MODES[mode].check_model(model)
-    return model, options
+    return _model_from_config(cfg), options
 
 
 def _load_json(path: str):
@@ -206,6 +198,7 @@ def _sample_inputs(args, mode: str) -> tuple:
         model, options = _mode_inputs(cfg, mode, {"n", "seed", "alphas"})
         n = int(_require(cfg, "n"))
         budget = PrivacyBudget(_floats(_require(cfg, "alphas")))
+        MODES[mode].check_model(model, budget)
         MODES[mode].channels(n, budget, options)  # the regime check
         return n, budget, model, options, _seed(cfg.get("seed", 0))
 
@@ -264,6 +257,7 @@ def cmd_rates(args) -> int:
             out=args.out or cfg.get("out"),
             workers=int(cfg.get("workers", default_workers() if args.workers is None else args.workers)),
         )
+        MODES[exp.mode].check_model(model, PrivacyBudget(exp.alphas))
         exp.validate_for_slope()
     curve = run_rate_experiment(exp)
     sys.stdout.write(curve.to_csv())

@@ -66,11 +66,6 @@ class MomentProfile:
     def d(self) -> int:
         return len(self.ks)
 
-    @property
-    def k_bar(self) -> float:
-        """Harmonic mean d / sum(1/k_j); always > d under the profile invariant."""
-        return self.d / sum(1.0 / k for k in self.ks)
-
 
 @dataclass(frozen=True)
 class HolderClass:

@@ -252,9 +252,11 @@ class Mode:
     level_table: Optional[Callable] = None
     release_input: Callable = lambda X: X  # (n, d) raw sample -> the columns the channels release
 
-    def check_model(self, model) -> None:
+    def check_model(self, model, budget: PrivacyBudget) -> None:
         if not isinstance(model, self.model):
             raise ValueError(f"mode expects a {self.model.__name__}, got a {type(model).__name__}")
+        if model.d != budget.d:
+            raise ValueError(f"the model has {model.d} component(s) but the budget {budget.d} alpha(s)")
 
     def axis_n_eff(self, n: int, budget: PrivacyBudget, options: dict) -> float:
         """The CSV's n_eff: adaptive axes are deflated by log(n)^(2d+1)."""
@@ -395,7 +397,7 @@ def run_mode(mode: Mode, model, n: int, budget: PrivacyBudget, options: dict, rn
     """(X, estimate): n rows of ``model`` released through the mode's channels and
     estimated; for adaptive modes the estimate is the selection.  Under the
     ``zero_noise`` option the channels draw no noise; the sampler draws as usual."""
-    mode.check_model(model)
+    mode.check_model(model, budget)
     sample = sample_heavy_tailed if mode.model is ParetoFactorModel else sample_holder_density
     X = sample(model, n, rng)
     release_rng = ZeroNoiseRng(rng) if options.get("zero_noise") else rng

@@ -15,22 +15,62 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+import operator
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
-
-from .measures import DiscreteDist
 
 __all__ = [
     "ParetoFactorModel",
     "HolderDensityModel",
-    "DiscreteTableModel",
+    "MODEL_KINDS",
     "sample_heavy_tailed",
     "sample_holder_density",
     "model_from_json",
-    "dump_csv",
 ]
+
+
+def _finite(value) -> float:
+    if not math.isfinite(value := float(value)):
+        raise ValueError
+    return value
+
+
+def _as_bool(value) -> bool:
+    if value not in (0, 1):  # True and False included
+        raise ValueError
+    return bool(value)
+
+
+# annotation -> (coercion, raising TypeError or ValueError on a bad value; what it takes)
+_COERCE = {
+    "tuple[float, ...]": (lambda value: tuple(map(_finite, value)), "a list of finite numbers"),
+    "float": (_finite, "a finite number"),
+    "int": (operator.index, "an integer"),
+    "str": (str, "a string"),
+    "bool": (_as_bool, "a boolean"),
+}
+
+
+def _coerce_fields(model) -> None:
+    """Set each field of a frozen model to its annotated type; a ValueError names the field."""
+    for f in fields(model):
+        coerce, what = _COERCE[f.type]
+        value = getattr(model, f.name)
+        try:
+            object.__setattr__(model, f.name, coerce(value))
+        except (TypeError, ValueError):
+            raise ValueError(f"{f.name} must be {what}, got {value!r}") from None
+
+
+def _to_json(model) -> dict:
+    """The model's kind plus its fields, tuples as lists."""
+    kind = next(k for k, cls in MODEL_KINDS.items() if type(model) is cls)
+    out = {"kind": kind}
+    for f in fields(model):
+        value = getattr(model, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 @dataclass(frozen=True)
@@ -63,36 +103,27 @@ class ParetoFactorModel:
     coupling: str = "mixture"
     symmetric: bool = True
 
-    def __init__(
-        self,
-        ks: Sequence[float],
-        a: Sequence[float],
-        rho: float = 0.0,
-        scale: float = 1.0,
-        coupling: str = "mixture",
-        symmetric: bool = True,
-    ):
-        ks = tuple(float(k) for k in ks)
-        a = tuple(float(x) for x in a)
-        if len(a) != len(ks):
+    def __post_init__(self):
+        _coerce_fields(self)
+        if not self.ks:
+            raise ValueError("need at least one component")
+        if len(self.a) != len(self.ks):
             raise ValueError("need one tail index per component")
-        for aj, kj in zip(a, ks):
+        if any(k <= 0 for k in self.ks):
+            raise ValueError("moment orders must be positive")
+        for aj, kj in zip(self.a, self.ks):
             if aj <= kj:
                 raise ValueError(f"tail index {aj} must exceed moment order {kj}")
-        if not (0.0 <= rho <= 1.0):
+        if not (0.0 <= self.rho <= 1.0):
             raise ValueError("rho must lie in [0, 1]")
-        if scale <= 0:
+        if self.scale <= 0:
             raise ValueError("scale must be positive")
-        if coupling not in ("mixture", "power"):
-            raise ValueError(f"unknown coupling {coupling!r}")
-        if coupling == "power" and sum(1.0 / x for x in a) >= 1.0:
+        if self.coupling not in ("mixture", "power"):
+            raise ValueError(f"unknown coupling {self.coupling!r}")
+        if self.coupling == "power" and sum(1.0 / x for x in self.a) >= 1.0:
             raise ValueError("power coupling needs sum 1/a_j < 1 for a finite product moment")
-        object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "rho", float(rho))
-        object.__setattr__(self, "scale", float(scale))
-        object.__setattr__(self, "coupling", coupling)
-        object.__setattr__(self, "symmetric", bool(symmetric))
+
+    to_json = _to_json
 
     @property
     def d(self) -> int:
@@ -169,18 +200,6 @@ class ParetoFactorModel:
             raise ValueError("correlation defined for d=2")
         return self.covariance() / math.sqrt(self.variance(1) * self.variance(2))
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "pareto_factor",
-            "ks": list(self.ks),
-            "a": list(self.a),
-            "rho": self.rho,
-            "scale": self.scale,
-            "coupling": self.coupling,
-            "symmetric": self.symmetric,
-        }
-
-
 def _pareto_mag(rng, tail: float, size) -> np.ndarray:
     return rng.random(size) ** (-1.0 / tail)
 
@@ -252,12 +271,27 @@ class HolderDensityModel:
     kink_weight: float = 0.7
 
     def __post_init__(self):
-        if self.beta not in (1.0, 2.0, 3.0, 1, 2, 3):
+        _coerce_fields(self)
+        if self.beta not in (1.0, 2.0, 3.0):
             raise ValueError("supported smoothness orders: 1, 2, 3")
         if self.d < 1:
             raise ValueError("d must be >= 1")
+        if self.box <= 0:
+            raise ValueError("box must be positive")
+        if not (len(self.weights) == len(self.mus) == len(self.sigmas)):
+            raise ValueError("need one mean and one scale per weight")
+        if any(w < 0 for w in self.weights):
+            raise ValueError("mixture weights must be nonnegative")
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
+        if any(s <= 0 for s in self.sigmas):
+            raise ValueError("sigmas must be positive")
+        if self.kink_b <= 0:
+            raise ValueError("kink_b must be positive")
+        if not (0.0 <= self.kink_weight <= 1.0):
+            raise ValueError("kink_weight must lie in [0, 1]")
+
+    to_json = _to_json
 
     # --- 1-d building blocks (product across axes) ---
 
@@ -323,20 +357,6 @@ class HolderDensityModel:
             out = np.concatenate([out, vals])
         return out[:n]
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "holder_density",
-            "beta": float(self.beta),
-            "d": self.d,
-            "box": self.box,
-            "weights": list(self.weights),
-            "mus": list(self.mus),
-            "sigmas": list(self.sigmas),
-            "kink_b": self.kink_b,
-            "kink_weight": self.kink_weight,
-        }
-
-
 def sample_holder_density(model: HolderDensityModel, n: int, rng) -> np.ndarray:
     """(n, d) iid rows from the truncated product density."""
     if n < 1:
@@ -345,43 +365,23 @@ def sample_holder_density(model: HolderDensityModel, n: int, rng) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-@dataclass(frozen=True)
-class DiscreteTableModel:
-    """Sampling wrapper around a finite discrete distribution."""
-
-    dist: DiscreteDist
-
-    def sample(self, n: int, rng) -> np.ndarray:
-        flat = self.dist.probs.ravel()
-        idx = rng.choice(flat.size, size=n, p=flat)
-        coords = np.unravel_index(idx, self.dist.probs.shape)
-        cols = [np.asarray(self.dist.supports[ax])[coords[ax]] for ax in range(self.dist.d)]
-        return np.stack(cols, axis=1)
-
-    def to_json(self) -> dict:
-        return {"kind": "discrete_table", "dist": self.dist.to_json()}
+MODEL_KINDS = {"pareto_factor": ParetoFactorModel, "holder_density": HolderDensityModel}
 
 
 def model_from_json(obj):
-    """Model from its ``to_json`` form; a missing field takes the constructor's default."""
+    """Model from its ``to_json`` form; a missing field takes the class's default.  An unknown
+    kind, or a key its class lacks or needs, raises a ValueError naming the kind and the keys."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    kind = obj["kind"]
-    fields = {key: tuple(v) if isinstance(v, list) else v for key, v in obj.items() if key != "kind"}
-    if kind == "pareto_factor":
-        return ParetoFactorModel(**fields)
-    if kind == "holder_density":
-        return HolderDensityModel(**fields)
-    if kind == "discrete_table":
-        return DiscreteTableModel(DiscreteDist.from_json(obj["dist"]))
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
-def dump_csv(path: str, X: np.ndarray) -> None:
-    """Write raw data as CSV with header x1..xd."""
-    X = np.asarray(X, dtype=float)
-    header = ",".join(f"x{j + 1}" for j in range(X.shape[1]))
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for row in X:
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    cls, spec = MODEL_KINDS[kind], {key: value for key, value in obj.items() if key != "kind"}
+    fs = fields(cls)
+    unknown = sorted(spec.keys() - {f.name for f in fs})
+    missing = [f.name for f in fs if f.name not in spec and f.default is MISSING]
+    problems = [f"{what} key(s) {', '.join(map(repr, ks))}"
+                for what, ks in (("unknown", unknown), ("missing", missing)) if ks]
+    if problems:
+        raise ValueError(f"{kind} model: {'; '.join(problems)}")
+    return cls(**spec)

@@ -28,13 +28,27 @@ from cldp.channels import (
     make_rr_channel,
     privacy_audit,
     privatize,
-    validate_kernel,
 )
 from cldp.harness import ZeroNoiseRng, derive_rng
 
 
 def zero_rng():
     return ZeroNoiseRng(np.random.default_rng(0))
+
+
+def validate_kernel(k, tol: float = 1e-8, nodes: int = 64) -> None:
+    """Check normalization, vanishing moments, sup bound, and support."""
+    if abs(k.moment(0, nodes) - 1.0) > tol:
+        raise ValueError(f"kernel does not integrate to 1 (got {k.moment(0, nodes)})")
+    for l in range(1, k.order + 1):
+        if abs(k.moment(l, nodes)) > tol:
+            raise ValueError(f"kernel moment {l} does not vanish (got {k.moment(l, nodes)})")
+    grid = np.linspace(-1, 1, 4001)
+    if np.max(np.abs(k(grid))) > k.kappa * (1 + 1e-12) + 1e-15:
+        raise ValueError("kernel exceeds its declared sup bound")
+    outside = np.array([-1.5, 1.5, 2.0])
+    if np.any(k(outside) != 0.0):
+        raise ValueError("kernel support exceeds [-1, 1]")
 
 
 class TestPrivacyBudget:

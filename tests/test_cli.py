@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,10 +11,10 @@ import pytest
 
 import cldp
 from cldp.channels import LaplaceTruncChannel, channel_to_json, make_rr_channel
-from cldp.cli import _model_from_config, main, parse_kv_config
+from cldp.cli import _MODEL_KEYS, _model_from_config, main, parse_kv_config
 from cldp.harness import MODES, RateCurve
 from cldp.measures import DiscreteDist
-from cldp.simdata import ParetoFactorModel, model_from_json
+from cldp.simdata import MODEL_KINDS, ParetoFactorModel, model_from_json
 
 
 def write(path, text):
@@ -21,11 +22,13 @@ def write(path, text):
     return str(path)
 
 
-def run_cli(*argv):
-    """``python -m cldp.cli argv`` in a fresh interpreter, to see what reaches the terminal."""
+def run_cli(*argv, timeout=None):
+    """``python -m cldp.cli argv`` in a fresh interpreter, to see what reaches the terminal;
+    past ``timeout`` seconds the child is killed and the test fails."""
     src = str(pathlib.Path(cldp.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "cldp.cli", *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "cldp.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 class TestConfigParser:
@@ -484,6 +487,49 @@ class TestUnknownConfigKeys:
         readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
         (line,) = [ln for ln in readme.splitlines() if ln.startswith("mode=") and "# rates only:" in ln]
         assert set(line.split("# rates only:", 1)[1].split()[0].split("|")) == set(MODES)
+
+
+class TestModelInputs:
+    """A malformed model field, or a model whose dimension is not the budget's, exits 2 with a
+    specific message before any draw (a fresh interpreter under a timeout, so a hang fails)."""
+
+    KDE = "n=256\nalphas=1\nmodel=holder_density\nbeta=2\nx0=0.0\n"
+    MEAN = "n=256\nalphas=1\nks=4\n"
+    CASES = {
+        "box_negative": ("kde", KDE + "box=-1\n", "box must be positive"),
+        "box_nan": ("kde", KDE + "box=nan\n", "box must be a finite number"),
+        "short_mus": ("kde", KDE + "weights=0.5,0.5\nmus=0.0\nsigmas=1,1\n", "one mean and one scale per weight"),
+        "zero_sigma": ("kde", KDE + "sigmas=1,0\n", "sigmas must be positive"),
+        "negative_sigma": ("kde", KDE + "sigmas=1,-1\n", "sigmas must be positive"),
+        "negative_weight": ("kde", KDE + "weights=1.5,-0.5\n", "weights must be nonnegative"),
+        "kink_weight": ("kde", KDE.replace("beta=2", "beta=1") + "kink_weight=1.5\n", "kink_weight must lie in [0, 1]"),
+        "kink_b": ("kde", KDE.replace("beta=2", "beta=1") + "kink_b=0\n", "kink_b must be positive"),
+        "scale_nan": ("mean", MEAN + "a=5\nscale=nan\n", "scale must be a finite number"),
+        "a_inf": ("mean", MEAN + "a=inf\n", "a must be a list of finite numbers"),
+        "model_d": ("kde", KDE.replace("alphas=1", "alphas=0.5") + "d=2\n", "the model has 2 component(s) but the budget 1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_estimate_exits_config(self, tmp_path, case):
+        mode, text, message = self.CASES[case]
+        out = tmp_path / "out.json"
+        cfg = write(tmp_path / "cfg.txt", text)
+        proc = run_cli("estimate", "--mode", mode, "--config", cfg, "--out", str(out), timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_rates_model_dimension_exits_config(self, tmp_path):
+        text = "mode=kde\nn_grid=256,1024,4096,65536\nalphas=0.5\nreplications=30\nmodel=holder_density\nbeta=2\nd=2\n"
+        proc = run_cli("rates", "--config", write(tmp_path / "cfg.txt", text), timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "the model has 2 component(s) but the budget 1" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_config_keys_are_the_fields(self):
+        assert set(_MODEL_KEYS) == set(MODEL_KINDS)
+        for kind, cls in MODEL_KINDS.items():
+            assert list(_MODEL_KEYS[kind]) == [f.name for f in dataclasses.fields(cls)]
 
 
 class TestLowerboundCommand:

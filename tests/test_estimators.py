@@ -34,10 +34,6 @@ def zero_rng():
 
 
 class TestMomentProfile:
-    def test_harmonic_mean(self):
-        prof = MomentProfile([3.0, 6.0])
-        assert prof.k_bar == pytest.approx(4.0)
-
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
             MomentProfile([1.0, 4.0])

@@ -491,16 +491,3 @@ class TestReportCommand:
         assert main(["report", "--seed", "7", "--instances", "25", "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         assert set(rep) == {"contraction", "privacy", "leakage", "lowerbound"}
-
-
-class TestDataDump:
-    def test_csv_header_and_shape(self, tmp_path):
-        from cldp.simdata import dump_csv, sample_heavy_tailed
-
-        model = ParetoFactorModel(ks=[4.0, 4.0], a=[5.0, 5.0])
-        X = sample_heavy_tailed(model, 10, derive_rng(1, 1))
-        path = tmp_path / "data.csv"
-        dump_csv(str(path), X)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x1,x2"
-        assert len(lines) == 11

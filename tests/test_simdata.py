@@ -1,13 +1,16 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cldp import simdata
 from cldp.harness import derive_rng
-from cldp.measures import DiscreteDist
 from cldp.simdata import (
-    DiscreteTableModel,
+    MODEL_KINDS,
     HolderDensityModel,
     ParetoFactorModel,
     model_from_json,
@@ -169,12 +172,122 @@ class TestNormalCdf:
         assert norm == model._axis_norm()
 
 
-class TestDiscreteTable:
-    def test_sampling_frequencies(self):
-        dist = DiscreteDist([[0.0, 1.0], [0.0, 1.0]], [[0.1, 0.2], [0.3, 0.4]])
-        model = DiscreteTableModel(dist)
-        X = model.sample(200_000, derive_rng(10, 0))
-        for i, xi in enumerate((0.0, 1.0)):
-            for j, xj in enumerate((0.0, 1.0)):
-                freq = np.mean((X[:, 0] == xi) & (X[:, 1] == xj))
-                assert freq == pytest.approx(dist.probs[i, j], abs=0.01)
+# the six golden models' to_json() as the hand-written codec wrote it, key order and types included
+GOLDEN_MODEL_JSON = [
+    (ParetoFactorModel(ks=[4.0], a=[5.0]),
+     {"kind": "pareto_factor", "ks": [4.0], "a": [5.0], "rho": 0.0, "scale": 1.0, "coupling": "mixture",
+      "symmetric": True}),
+    (ParetoFactorModel(ks=[4.0, 4.0], a=[5.0, 5.0], rho=0.5),
+     {"kind": "pareto_factor", "ks": [4.0, 4.0], "a": [5.0, 5.0], "rho": 0.5, "scale": 1.0, "coupling": "mixture",
+      "symmetric": True}),
+    (ParetoFactorModel(ks=[2.0], a=[2.1], scale=16.0, coupling="power", symmetric=False),
+     {"kind": "pareto_factor", "ks": [2.0], "a": [2.1], "rho": 0.0, "scale": 16.0, "coupling": "power",
+      "symmetric": False}),
+    (ParetoFactorModel(ks=[6.0, 6.0], a=[8.0, 8.0], rho=0.6),
+     {"kind": "pareto_factor", "ks": [6.0, 6.0], "a": [8.0, 8.0], "rho": 0.6, "scale": 1.0, "coupling": "mixture",
+      "symmetric": True}),
+    (HolderDensityModel(beta=2.0),
+     {"kind": "holder_density", "beta": 2.0, "d": 1, "box": 3.0, "weights": [0.6, 0.4], "mus": [0.0, 0.8],
+      "sigmas": [0.55, 1.1], "kink_b": 0.6, "kink_weight": 0.7}),
+    (HolderDensityModel(beta=1.0, kink_b=0.2),
+     {"kind": "holder_density", "beta": 1.0, "d": 1, "box": 3.0, "weights": [0.6, 0.4], "mus": [0.0, 0.8],
+      "sigmas": [0.55, 1.1], "kink_b": 0.2, "kink_weight": 0.7}),
+]
+
+
+@st.composite
+def pareto_models(draw):
+    d = draw(st.integers(1, 3))
+    ks = draw(st.lists(st.floats(min_value=1.1, max_value=10.0), min_size=d, max_size=d))
+    a = [k + draw(st.floats(min_value=0.01, max_value=10.0)) for k in ks]
+    power = draw(st.booleans()) and sum(1.0 / x for x in a) < 1.0
+    return ParetoFactorModel(
+        ks=ks, a=a, rho=draw(st.floats(min_value=0.0, max_value=1.0)),
+        scale=draw(st.floats(min_value=1e-3, max_value=1e3)), coupling="power" if power else "mixture",
+        symmetric=draw(st.booleans()),
+    )
+
+
+@st.composite
+def holder_models(draw):
+    m = draw(st.integers(1, 3))
+    raw = draw(st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=m, max_size=m))
+    weights = [w / sum(raw) for w in raw]
+    weights[-1] = 1.0 - sum(weights[:-1])  # exact to the ulp
+    return HolderDensityModel(
+        beta=draw(st.sampled_from([1, 2, 3, 1.0, 2.0, 3.0])), d=draw(st.integers(1, 3)),
+        box=draw(st.floats(min_value=0.1, max_value=10.0)), weights=weights,
+        mus=draw(st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=m, max_size=m)),
+        sigmas=draw(st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=m, max_size=m)),
+        kink_b=draw(st.floats(min_value=0.01, max_value=5.0)),
+        kink_weight=draw(st.floats(min_value=0.0, max_value=1.0)),
+    )
+
+
+class TestModelJson:
+    @pytest.mark.parametrize("model, want", GOLDEN_MODEL_JSON)
+    def test_golden_models_unchanged(self, model, want):
+        assert json.dumps(model.to_json()) == json.dumps(want)
+        assert model_from_json(want) == model
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=st.one_of(pareto_models(), holder_models()))
+    def test_roundtrip_both_kinds(self, model):
+        back = model_from_json(json.loads(json.dumps(model.to_json(), allow_nan=False)))
+        assert back == model
+        for f in dataclasses.fields(model):
+            assert type(getattr(back, f.name)) is type(getattr(model, f.name))
+
+    def test_kind_table_covers_both_models(self):
+        assert MODEL_KINDS == {"pareto_factor": ParetoFactorModel, "holder_density": HolderDensityModel}
+
+    def test_fields_take_their_annotated_types(self):
+        model = HolderDensityModel(beta=2, d=np.int64(2), weights=[1], mus=[0], sigmas=np.array([1]))
+        assert (model.beta, model.d, model.weights, model.mus, model.sigmas) == (2.0, 2, (1.0,), (0.0,), (1.0,))
+        assert type(model.beta) is float and type(model.d) is int and type(model.sigmas[0]) is float
+        assert ParetoFactorModel(ks=np.array([4]), a=[5], symmetric=np.bool_(False)).symmetric is False
+
+    @pytest.mark.parametrize("obj, words", [
+        ({"kind": "pareto_factor", "ks": [4.0], "a": [5.0], "rh": 0.5}, ["pareto_factor", "unknown", "'rh'"]),
+        ({"kind": "pareto_factor", "ks": [4.0]}, ["pareto_factor", "missing", "'a'"]),
+        ({"kind": "holder_density", "d": 1}, ["holder_density", "missing", "'beta'"]),
+        ({"kind": "holder_density", "beta": 2.0, "kink": 1}, ["holder_density", "unknown", "'kink'"]),
+        ({"kind": "discrete_table", "dist": {}}, ["unknown model kind 'discrete_table'"]),
+        ({"ks": [4.0], "a": [5.0]}, ["unknown model kind None"]),
+    ])
+    def test_unknown_and_missing_keys(self, obj, words):
+        with pytest.raises(ValueError) as err:
+            model_from_json(obj)
+        assert all(w in str(err.value) for w in words)
+
+
+class TestModelChecks:
+    """Each malformed field is rejected by the constructor, before any draw."""
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"box": -1.0}, "box must be positive"),
+        ({"box": math.nan}, "box must be a finite number"),
+        ({"weights": (0.5, 0.5), "mus": (0.0,), "sigmas": (1.0, 1.0)}, "one mean and one scale per weight"),
+        ({"sigmas": (1.0, 0.0)}, "sigmas must be positive"),
+        ({"sigmas": (1.0, -1.0)}, "sigmas must be positive"),
+        ({"weights": (1.5, -0.5)}, "weights must be nonnegative"),
+        ({"weights": (math.nan, 0.5)}, "weights must be a list of finite numbers"),
+        ({"beta": 1.0, "kink_weight": 1.5}, r"kink_weight must lie in \[0, 1\]"),
+        ({"beta": 1.0, "kink_b": 0.0}, "kink_b must be positive"),
+        ({"d": 1.5}, "d must be an integer"),
+        ({"d": math.inf}, "d must be an integer"),
+    ])
+    def test_holder_density(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            HolderDensityModel(**{"beta": 2.0, **fields})
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"scale": math.nan}, "scale must be a finite number"),
+        ({"a": (math.inf,)}, "a must be a list of finite numbers"),
+        ({"ks": (), "a": ()}, "at least one component"),
+        ({"ks": (0.0,), "a": (1.0,)}, "moment orders must be positive"),
+        ({"symmetric": "false"}, "symmetric must be a boolean"),
+    ])
+    def test_pareto_factor(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            ParetoFactorModel(**{"ks": (4.0,), "a": (5.0,), **fields})
