@@ -241,11 +241,13 @@ def cmd_adaptive(args) -> int:
     return EXIT_OK
 
 
+_RATES_KEYS = {"mode", "n_grid", "alphas", "replications", "seed", "out", "workers", "zero_noise"}
+
+
 def cmd_rates(args) -> int:
     with _reading_inputs():
         cfg = parse_kv_config(args.config)
-        keys = {"mode", "n_grid", "alphas", "replications", "seed", "out", "workers", "zero_noise"}
-        model, options = _mode_inputs(cfg, _require(cfg, "mode"), keys)
+        model, options = _mode_inputs(cfg, _require(cfg, "mode"), _RATES_KEYS)
         exp = ExperimentConfig(
             mode=cfg["mode"],
             n_grid=_ints(_require(cfg, "n_grid")),
@@ -267,22 +269,22 @@ def cmd_rates(args) -> int:
     return EXIT_OK
 
 
-_LOWERBOUND_KEYS = {"moment": {"ks"}, "density": {"beta", "L", "eps0", "c_k"}}
+_LOWERBOUND_KEYS = {"moment": {"n", "alphas", "ks"}, "density": {"n", "alphas", "beta", "eps0", "c_k"}}
 
 
 def cmd_lowerbound(args) -> int:
     with _reading_inputs():
         cfg = parse_kv_config(args.config)
-        _reject_unknown(cfg, {"n", "alphas"} | _LOWERBOUND_KEYS[args.kind])
+        _reject_unknown(cfg, _LOWERBOUND_KEYS[args.kind])
         alphas = _floats(_require(cfg, "alphas"))
         budget = PrivacyBudget(alphas)
         n = int(_require(cfg, "n"))
         if args.kind == "moment":
             inst = lb.moment_two_point(MomentProfile(_floats(_require(cfg, "ks"))), budget, n)
         else:
-            hc = HolderClass(beta=float(_require(cfg, "beta")), L=float(cfg.get("L", 1.0)), d=len(alphas))
-            eps0, c_k = float(cfg.get("eps0", 1.9)), float(cfg.get("c_k", 4.0))
-            inst = lb.density_two_point(hc, budget, n, eps0=eps0, c_k=c_k)
+            hc = HolderClass(beta=float(_require(cfg, "beta")), d=len(alphas))
+            constants = {key: float(cfg[key]) for key in ("eps0", "c_k") if key in cfg}
+            inst = lb.density_two_point(hc, budget, n, **constants)
     if args.kind == "moment":
         report = lb.check_moment_instance(inst, n)
         ok = report["condition3_ok"]

@@ -231,17 +231,18 @@ def verify_contraction(
     )
 
 
-def random_instance(rng, dims=(2, 3), max_support: int = 3, alpha_range=(0.1, 1.5)):
-    """One random (P, Pt, channels) triple for the verification sweep."""
+def random_instance(rng, dims=(2, 3)):
+    """One random (P, Pt, channels) triple for the verification sweep: d drawn from
+    ``dims``, 2 or 3 support points per axis, each alpha_j uniform on [0.1, 1.5]."""
     d = int(rng.choice(dims))
-    sizes = [int(rng.integers(2, max_support + 1)) for _ in range(d)]
+    sizes = [int(rng.integers(2, 4)) for _ in range(d)]
     supports = [np.sort(rng.normal(size=s) * 2.0) for s in sizes]
     for s_arr in supports:
         while np.any(np.diff(s_arr) <= 1e-9):  # enforce strict increase
             s_arr += np.linspace(0, 1e-6, s_arr.size)
     P = DiscreteDist(supports, _random_table(rng, sizes))
     Pt = DiscreteDist(supports, _random_table(rng, sizes))
-    alphas = rng.uniform(alpha_range[0], alpha_range[1], size=d)
+    alphas = rng.uniform(0.1, 1.5, size=d)
     channels = [make_rr_channel(tuple(supports[j]), float(alphas[j])) for j in range(d)]
     return P, Pt, channels
 
@@ -265,8 +266,6 @@ def run_contraction_sweep(
     instances: int = 500,
     seed: int = 7,
     l_values=(1.5, 2.0, 3.0),
-    max_support: int = 3,
-    alpha_range=(0.1, 1.5),
 ) -> dict:
     """Randomized brute-force sweep; returns a JSON-ready report."""
     check_sweep_size(instances, dims)
@@ -274,7 +273,7 @@ def run_contraction_sweep(
     violations = 0
     for i in range(instances):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        P, Pt, channels = random_instance(rng, dims, max_support, alpha_range)
+        P, Pt, channels = random_instance(rng, dims)
         rep = verify_contraction(P, Pt, channels, l_values=l_values)
         bad = rep.violation or any(c.violation for c in rep.f_checks)
         violations += int(bad)

@@ -45,15 +45,6 @@ class LeakageProfile:
         if not (0.0 <= self.delta_ind <= 2.0 + 1e-12):
             raise ValueError(f"delta_ind out of [0, 2]: {self.delta_ind}")
 
-    def to_json(self) -> dict:
-        return {
-            "alpha1": self.alpha1,
-            "alpha_max": self.alpha_max,
-            "d": self.d,
-            "delta_ind": self.delta_ind,
-            "effective_alpha": self.effective_alpha,
-        }
-
 
 def delta_ind(P: DiscreteDist) -> float:
     """Sup over pairs (x1, x1') of d_TV between conditional laws of the rest.

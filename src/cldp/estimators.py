@@ -70,14 +70,11 @@ class MomentProfile:
 @dataclass(frozen=True)
 class HolderClass:
     beta: float
-    L: float = 1.0
     d: int = 1
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.L < 1:
-            raise ValueError("radius L must be >= 1")
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
         if self.d < 1:
             raise ValueError("d must be >= 1")
 
@@ -151,16 +148,20 @@ def optimal_truncations(
         raise ValueError("n must be >= 1")
     if budget.d != profile.d:
         raise ValueError("budget dimension does not match profile")
-    ks = np.asarray(profile.ks)
     if mode == "mean":
         base = n * np.square(np.asarray(budget.alphas))
     elif mode == "joint":
         base = np.full(profile.d, n * budget.prod_alpha_sq())
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    return _clamp_levels(base, profile.ks)
+
+
+def _clamp_levels(base: np.ndarray, ks) -> np.ndarray:
+    """Per-axis clamp levels base_j^(1/(2 k_j)) from effective sample sizes base_j >= 1."""
     if np.any(base < 1.0):
         raise RegimeError("regime violated: effective sample size below 1")
-    return base ** (1.0 / (2.0 * ks))
+    return base ** (1.0 / (2.0 * np.asarray(ks)))
 
 
 def private_mean(Z: PrivatizedSample, j: int) -> float:
@@ -238,11 +239,7 @@ def corr_release_plan(profile: MomentProfile, budget: PrivacyBudget, n: int):
     half = PrivacyBudget([a / 2.0 for a in budget.alphas])
     t_raw = optimal_truncations(profile, half, n, mode="joint")
     # |X^j|^2 has k_j/2 finite moments and is estimated per axis (mean mode)
-    sq_orders = np.asarray([k / 2.0 for k in profile.ks])
-    base = n * np.square(np.asarray(half.alphas))
-    if np.any(base < 1.0):
-        raise RegimeError("regime violated: effective sample size below 1")
-    t_sq = base ** (1.0 / (2.0 * sq_orders))
+    t_sq = _clamp_levels(n * np.square(np.asarray(half.alphas)), [k / 2.0 for k in profile.ks])
     chans_raw = tuple(LaplaceTruncChannel(T=float(t), alpha=a) for t, a in zip(t_raw, half.alphas))
     chans_sq = tuple(LaplaceTruncChannel(T=float(t), alpha=a) for t, a in zip(t_sq, half.alphas))
     return chans_raw, chans_sq

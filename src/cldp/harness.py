@@ -103,7 +103,7 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 
 def default_workers() -> int:
     env = os.environ.get("CLDP_WORKERS")
-    return max(1, int(env)) if env else 1
+    return int(env) if env else 1
 
 
 @dataclass(frozen=True)
@@ -257,6 +257,9 @@ class Mode:
             raise ValueError(f"mode expects a {self.model.__name__}, got a {type(model).__name__}")
         if model.d != budget.d:
             raise ValueError(f"the model has {model.d} component(s) but the budget {budget.d} alpha(s)")
+        # the sampler keeps a draw with probability the box mass: below 0.01, over 100 draws a point
+        if isinstance(model, HolderDensityModel) and not model._axis_norm() >= 0.01:
+            raise ValueError(f"box mass {model._axis_norm():.3g} per axis is below 0.01")
 
     def axis_n_eff(self, n: int, budget: PrivacyBudget, options: dict) -> float:
         """The CSV's n_eff: adaptive axes are deflated by log(n)^(2d+1)."""
@@ -299,11 +302,11 @@ def _trunc_channels(n: int, budget: PrivacyBudget, options: dict, trunc_mode: st
 
 
 def _gl_config(n: int, budget: PrivacyBudget, options: dict) -> ad.GLConfig:
-    return ad.GLConfig(n=n, budget=budget, c0=float(options.get("c0", 8.0)))
+    return ad.GLConfig(n=n, budget=budget, c0=float(options.get("c0", ad.GLConfig.c0)))
 
 
-def _kernel(options: dict):
-    return make_kernel(kernel_order(float(options.get("beta", 2.0))))
+def _kernel(budget: PrivacyBudget, options: dict):
+    return make_kernel(kernel_order(_holder_class(budget, options).beta))
 
 
 def _corr_estimate(Z: PrivatizedSample, budget: PrivacyBudget, options: dict):
@@ -384,7 +387,7 @@ MODES = {
         id=6, axis="n*prod(alpha^2)/log(n)^(1+2d)", model=HolderDensityModel, config_keys=("beta", "x0", "c0"),
         truth=lambda model, options: model.density_at(_x0(options)),
         channels=lambda n, budget, options: ad.multi_bandwidth_channels(
-            _gl_config(n, budget, options), _x0(options), _kernel(options)
+            _gl_config(n, budget, options), _x0(options), _kernel(budget, options)
         ),
         estimate=lambda Z, budget, options: ad.gl_select_bandwidth(Z, _gl_config(Z.n, budget, options)),
         point=lambda sel: sel.pi_hat,
@@ -549,8 +552,9 @@ def _privacy_suite(seed: int) -> dict:
     return {"suite": "privacy", "seed": seed, "violations": violations, "audits": rows}
 
 
-def _random_joint_dist(rng, d: int, max_support: int = 3):
-    sizes = [int(rng.integers(2, max_support + 1)) for _ in range(d)]
+def _random_joint_dist(rng, d: int):
+    """A joint law on 2 or 3 points per axis, every cell of positive mass."""
+    sizes = [int(rng.integers(2, 4)) for _ in range(d)]
     supports = [np.sort(rng.normal(size=s) * 1.5) for s in sizes]
     raw = rng.gamma(1.0, 1.0, size=tuple(sizes)) + 1e-3
     return DiscreteDist(supports, raw / raw.sum())

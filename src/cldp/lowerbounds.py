@@ -138,7 +138,6 @@ def density_two_point(
     n: int,
     eps0: float = 1.9,
     c_k: float = 4.0,
-    eta: float | None = None,
 ) -> TwoPointInstance:
     """Gaussian-envelope density plus a product bump of height 1/M_n.
 
@@ -147,12 +146,14 @@ def density_two_point(
     n-sample divergence below eps0.  The separation at the origin is exactly
     1/M_n.  The constant c_k is not pinned by theory and is exposed here.
 
-    The envelope sharpness eta is free; by default the smallest value on a
-    dyadic ladder keeping the perturbed density nonnegative is taken (small
-    bumps on a too-flat envelope would dip below zero).
+    The envelope sharpness eta is the smallest value on a dyadic ladder that
+    keeps the perturbed density nonnegative (small bumps on a too-flat
+    envelope would dip below zero).
     """
     if not (0.0 < eps0 < 2.0):
         raise ValueError("eps0 must lie in (0, 2)")
+    if not (c_k > 0 and math.isfinite(c_k)):
+        raise ValueError(f"c_k must be positive and finite, got {c_k!r}")
     d = hc.d
     if budget.d != d:
         raise ValueError("budget dimension does not match class")
@@ -167,17 +168,16 @@ def density_two_point(
     bump_vals = zero_mean_bump(bump_grid)
     # most negative product over the box: one negative axis, the rest at the peak
     prod_min = float(bump_vals.min()) * float(bump_vals.max()) ** (d - 1)
-    if eta is None:
-        eta = 0.05
-        while eta <= 16.0:
-            c_pi = (eta / math.pi) ** (d / 2.0)
-            # envelope minimum over the bump box [-h_n, h_n]^d
-            envelope_min = c_pi * math.exp(-eta * d * h_n * h_n)
-            if envelope_min + inv_M * prod_min >= 0.0:
-                break
-            eta *= 2.0
-        else:
-            raise ValueError("no envelope sharpness keeps the perturbed density nonnegative")
+    eta = 0.05
+    while eta <= 16.0:
+        c_pi = (eta / math.pi) ** (d / 2.0)
+        # envelope minimum over the bump box [-h_n, h_n]^d
+        envelope_min = c_pi * math.exp(-eta * d * h_n * h_n)
+        if envelope_min + inv_M * prod_min >= 0.0:
+            break
+        eta *= 2.0
+    else:
+        raise ValueError("no envelope sharpness keeps the perturbed density nonnegative")
     c_pi = (eta / math.pi) ** (d / 2.0)
 
     def density(x):
@@ -210,16 +210,16 @@ def bump_axis_integral(inst: TwoPointInstance) -> float:
     return _gauss_panels(zero_mean_bump, -1.0, 1.0, panels=80, nodes=32)
 
 
-def density_star_mass_and_min(inst: TwoPointInstance, half_width: float = 25.0) -> tuple[float, float]:
-    """Total mass of the perturbed density by tensorized quadrature, and its
-    minimum over a dense grid spanning the bump region."""
+def density_star_mass_and_min(inst: TwoPointInstance) -> tuple[float, float]:
+    """Total mass of the perturbed density by tensorized quadrature over [-25, 25]^d,
+    and its minimum over a dense grid spanning the bump region."""
     if inst.kind != "density":
         raise ValueError("mass check applies to density instances")
     d = inst.holder.d
     eta = inst.eta
     # per-axis quadrature factorization: envelope part is a product of 1-d
     # integrals, the bump part integrates to 0 along any axis
-    g = _gauss_panels(lambda u: np.exp(-eta * u * u), -half_width, half_width, panels=120, nodes=32)
+    g = _gauss_panels(lambda u: np.exp(-eta * u * u), -25.0, 25.0, panels=120, nodes=32)
     c_pi = (eta / math.pi) ** (d / 2.0)
     envelope_mass = c_pi * g**d
     bump_axis = _gauss_panels(lambda u: zero_mean_bump(u / inst.h_n), -1.0, 1.0, panels=120, nodes=32)
@@ -263,8 +263,8 @@ def verify_two_point(inst: TwoPointInstance, channels, n: int) -> TwoPointReport
     """Check the divergence budget of the moment instance by exact pushforward.
 
     The iid tensorized divergence equals n times the per-sample value, which is
-    compared against n (prod (e^a - 1))^2 tv^2; at the construction's delta the
-    bound evaluates to 1/8 < 2.
+    compared against n (prod (e^a - 1))^2 tv^2, which may not exceed the
+    instance's budget (1/8 at the construction's delta).
     """
     if inst.kind != "moment":
         raise ValueError("use quadrature report instead")
@@ -279,7 +279,7 @@ def verify_two_point(inst: TwoPointInstance, channels, n: int) -> TwoPointReport
         per_sample_jeffreys=per,
         n_times_jeffreys=n * per,
         bound=bound,
-        condition3_ok=(n * per <= bound + 1e-9) and (bound <= 0.125 + 1e-9),
+        condition3_ok=(n * per <= bound + 1e-9) and (bound <= inst.kl_budget + 1e-9),
     )
 
 

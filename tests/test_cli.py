@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 
 import cldp
 from cldp.channels import LaplaceTruncChannel, channel_to_json, make_rr_channel
-from cldp.cli import _MODEL_KEYS, _model_from_config, main, parse_kv_config
+from cldp.cli import _LOWERBOUND_KEYS, _MODEL_KEYS, _RATES_KEYS, _model_from_config, main, parse_kv_config
 from cldp.harness import MODES, RateCurve
 from cldp.measures import DiscreteDist
 from cldp.simdata import MODEL_KINDS, ParetoFactorModel, model_from_json
@@ -438,6 +439,13 @@ class TestWorkers:
         assert code == 2 and not seen
         assert "workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("env", ["0", "-5"])
+    def test_environment_below_one_exit_config(self, tmp_path, capsys, monkeypatch, env):
+        monkeypatch.setenv("CLDP_WORKERS", env)
+        code, seen = self.run(tmp_path, monkeypatch, [])
+        assert code == 2 and not seen
+        assert f"workers must be >= 1, got {env}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, want", [([], 2), (["--workers", "3"], 3)])
     def test_environment_only_without_the_flag(self, tmp_path, monkeypatch, argv, want):
         monkeypatch.setenv("CLDP_WORKERS", "2")
@@ -507,6 +515,8 @@ class TestModelInputs:
         "scale_nan": ("mean", MEAN + "a=5\nscale=nan\n", "scale must be a finite number"),
         "a_inf": ("mean", MEAN + "a=inf\n", "a must be a list of finite numbers"),
         "model_d": ("kde", KDE.replace("alphas=1", "alphas=0.5") + "d=2\n", "the model has 2 component(s) but the budget 1"),
+        "box_mass_tiny": ("kde", KDE + "box=1e-9\n", "box mass 1.09e-09 per axis is below 0.01"),
+        "box_mass_far": ("kde", KDE + "mus=50,50\n", "box mass 0 per axis is below 0.01"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -547,3 +557,46 @@ class TestLowerboundCommand:
         assert main(["lowerbound", "--kind", "density", "--config", cfg, "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         assert rep["ok"]
+
+    def test_radius_key_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path / "cfg.txt", "n=50000\nalphas=0.5\nbeta=2\nL=3\n")
+        assert main(["lowerbound", "--kind", "density", "--config", cfg]) == 2
+        assert "'L'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("beta=nan\n", "beta must be positive and finite, got nan"),
+            ("beta=inf\n", "beta must be positive and finite, got inf"),
+            ("beta=2\nc_k=0\n", "c_k must be positive and finite, got 0.0"),
+            ("beta=2\nc_k=-1\n", "c_k must be positive and finite, got -1.0"),
+            ("beta=2\nc_k=nan\n", "c_k must be positive and finite, got nan"),
+        ],
+    )
+    def test_malformed_density_parameter_exit_config(self, tmp_path, capsys, extra, message):
+        cfg = write(tmp_path / "cfg.txt", "n=50000\nalphas=0.5\n" + extra)
+        assert main(["lowerbound", "--kind", "density", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_density_constants_default_in_one_place(self, tmp_path):
+        outs = []
+        for extra in ("", "eps0=1.9\nc_k=4.0\n"):
+            cfg = write(tmp_path / "cfg.txt", "n=50000\nalphas=0.5\nbeta=2\n" + extra)
+            out = tmp_path / "lb.json"
+            assert main(["lowerbound", "--kind", "density", "--config", cfg, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+
+class TestReadmeKeys:
+    def test_every_accepted_key_is_documented(self):
+        """Each key ``rates`` or ``lowerbound`` accepts is in the README's config block or Models table."""
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Config files", 1)[1].split("```\n", 2)[1]
+        documented = {line.split("=", 1)[0] for line in block.splitlines() if "=" in line}
+        for line in readme.splitlines():
+            if line.startswith(tuple(f"| `{kind}`" for kind in MODEL_KINDS)):
+                documented.update(re.findall(r"`(\w+)`", line.split("|")[3]))
+        accepted = _RATES_KEYS | {"model"} | set().union(*_MODEL_KEYS.values(), *_LOWERBOUND_KEYS.values())
+        accepted |= set().union(*(mode.config_keys for mode in MODES.values()))
+        assert sorted(accepted - documented) == []

@@ -287,6 +287,13 @@ class TestKDE:
         assert est == pytest.approx(smoothed, abs=0.05)
 
 
+class TestHolderClass:
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+    def test_beta_positive_and_finite(self, beta):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            HolderClass(beta=beta)
+
+
 class TestOptimalBandwidth:
     def test_private_formula(self):
         hc = HolderClass(beta=2.0, d=1)

@@ -234,6 +234,21 @@ class TestVerificationSuites:
             run_verification_suite(suite, instances=instances)
 
 
+class TestModelChecks:
+    @pytest.mark.parametrize("changes", [{"box": 1e-9}, {"mus": (50.0, 50.0)}])
+    def test_box_mass_below_floor_rejected_before_sampling(self, changes, monkeypatch):
+        monkeypatch.setattr(cldp.harness, "sample_holder_density", lambda *a: pytest.fail("sampled"))
+        model = HolderDensityModel(beta=2, **changes)
+        with pytest.raises(ValueError, match="box mass .* is below 0.01"):
+            run_mode(MODES["kde"], model, 256, PrivacyBudget([1.0]), {"x0": [0.0]}, derive_rng(0))
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_nonfinite_beta_option(self, beta):
+        for mode in ("kde", "adaptive_density"):
+            with pytest.raises(ValueError, match="beta must be positive and finite"):
+                MODES[mode].channels(256, PrivacyBudget([1.0]), {"beta": beta, "x0": [0.0]})
+
+
 class TestZeroNoiseRng:
     def test_laplace_zeroed_other_methods_proxied(self):
         rng = ZeroNoiseRng(derive_rng(1, 2))

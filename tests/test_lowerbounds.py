@@ -85,6 +85,12 @@ class TestVerifyTwoPoint:
         assert rep.bound == pytest.approx(0.125, rel=1e-9)
         assert rep.n_times_jeffreys <= rep.bound + 1e-9
 
+    def test_budget_read_from_the_instance(self):
+        inst, _ = build_moment(n=64)
+        tight = dataclasses.replace(inst, kl_budget=1e-6)
+        assert verify_two_point(inst, default_moment_channels(inst), 64).condition3_ok
+        assert not verify_two_point(tight, default_moment_channels(tight), 64).condition3_ok
+
     def test_divergence_vanishes_for_small_delta(self):
         inst, _ = build_moment(n=10**8)
         rep = verify_two_point(inst, default_moment_channels(inst), 10**8)
