@@ -59,7 +59,8 @@ from .adaptive import (
     gl_select_truncation,
 )
 from .lowerbounds import (
-    TwoPointInstance,
+    DensityInstance,
+    MomentInstance,
     density_two_point,
     moment_two_point,
     verify_two_point,

@@ -46,7 +46,13 @@ __all__ = [
     "AuditResult",
     "channel_to_json",
     "channel_from_json",
+    "derive_rng",
 ]
+
+
+def derive_rng(seed: int, *key: int) -> np.random.Generator:
+    """Deterministic stream for (master seed, stream index...)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,14 @@ import numpy as np
 from . import adaptive as ad
 from . import effective_privacy as ep
 from . import lowerbounds as lb
-from .channels import PrivacyBudget, audit_verdict, channel_from_json, privacy_audit
+from .channels import PrivacyBudget, audit_verdict, channel_from_json, derive_rng, privacy_audit
 from .contraction import check_sweep_size, run_contraction_sweep
 from .estimators import HolderClass, MomentProfile
 from .harness import (
     MODES,
+    SUITES,
     ExperimentConfig,
     default_workers,
-    derive_rng,
     fit_loglog_slope,
     kde_bandwidth,
     run_mode,
@@ -248,6 +248,7 @@ def cmd_rates(args) -> int:
     with _reading_inputs():
         cfg = parse_kv_config(args.config)
         model, options = _mode_inputs(cfg, _require(cfg, "mode"), _RATES_KEYS)
+        workers = cfg.get("workers", args.workers)  # the config, then the flag, then CLDP_WORKERS
         exp = ExperimentConfig(
             mode=cfg["mode"],
             n_grid=_ints(_require(cfg, "n_grid")),
@@ -257,9 +258,8 @@ def cmd_rates(args) -> int:
             model=model.to_json(),
             options=options,
             out=args.out or cfg.get("out"),
-            workers=int(cfg.get("workers", default_workers() if args.workers is None else args.workers)),
+            workers=int(default_workers() if workers is None else workers),
         )
-        MODES[exp.mode].check_model(model, PrivacyBudget(exp.alphas))
         exp.validate_for_slope()
     curve = run_rate_experiment(exp)
     sys.stdout.write(curve.to_csv())
@@ -302,7 +302,7 @@ def cmd_report(args) -> int:
             check_sweep_size(args.instances)
     status = EXIT_OK
     combined = {}
-    for suite in ("contraction", "privacy", "leakage", "lowerbound"):
+    for suite in SUITES:
         code, rep = run_verification_suite(suite, seed=args.seed, instances=args.instances)
         combined[suite] = rep
         status = max(status, code)

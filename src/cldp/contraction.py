@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import PrivacyBudget, make_rr_channel
+from .channels import PrivacyBudget, derive_rng, make_rr_channel
 from .measures import DiscreteDist, SubsetIndex, fl_term, kl_term, nonempty_subsets, pushforward
 
 __all__ = [
@@ -272,7 +272,7 @@ def run_contraction_sweep(
     reports = []
     violations = 0
     for i in range(instances):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        rng = derive_rng(seed, i)
         P, Pt, channels = random_instance(rng, dims)
         rep = verify_contraction(P, Pt, channels, l_values=l_values)
         bad = rep.violation or any(c.violation for c in rep.f_checks)

@@ -39,6 +39,7 @@ from .channels import (
     LaplaceTruncChannel,
     PrivacyBudget,
     audit_verdict,
+    derive_rng,
     kernel_order,
     make_kernel,
     make_rr_channel,
@@ -75,6 +76,7 @@ __all__ = [
     "run_rate_experiment",
     "fit_loglog_slope",
     "run_verification_suite",
+    "SUITES",
     "write_json",
     "ZeroNoiseRng",
     "derive_rng",
@@ -96,14 +98,13 @@ class ZeroNoiseRng:
         return getattr(self._rng, name)
 
 
-def derive_rng(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic stream for (master seed, stream index...)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
-
-
 def default_workers() -> int:
-    env = os.environ.get("CLDP_WORKERS")
-    return int(env) if env else 1
+    """The CLDP_WORKERS count, 1 when unset."""
+    env = os.environ.get("CLDP_WORKERS") or "1"
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"CLDP_WORKERS must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -131,11 +132,21 @@ class ExperimentConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if min(self.n_grid) < 1:
             raise ValueError(f"n grid entries must be >= 1, got {self.n_grid!r}")
-        # a malformed option raises here; a grid point outside the regime is a warning row of the run
+        MODES[self.mode].check_model(model_from_json(self.model), PrivacyBudget(self.alphas))
+        self.grid()  # a malformed option raises here; a grid point outside the regime is a warning row
+
+    def grid(self) -> list:
+        """Per grid point, its effective sample size before log deflation, or the
+        RegimeError that makes it a warning row of the run, outside the fit."""
         mode, budget = MODES[self.mode], PrivacyBudget(self.alphas)
+        plan = []
         for n in self.n_grid:
-            with contextlib.suppress(RegimeError):
-                mode.channels(n, budget, self.options)
+            try:
+                mode.channels(n, budget, self.options)  # the regime check
+                plan.append(mode.n_eff(n, budget, self.options))
+            except RegimeError as exc:
+                plan.append(exc)
+        return plan
 
     def validate_for_slope(self):
         """Invariants demanded of slope experiments (enforced at the CLI)."""
@@ -143,13 +154,9 @@ class ExperimentConfig:
             raise ValueError("slope experiments need replications >= 30")
         if len(self.n_grid) < 4:
             raise ValueError("slope experiments need >= 4 grid points")
-        # the undeflated effective size: the log-corrected adaptive axes
-        # compress decades, and feasible sweeps must remain admissible
-        mode, budget = MODES[self.mode], PrivacyBudget(self.alphas)
-        effs = []
-        for n in self.n_grid:
-            with contextlib.suppress(RegimeError):  # a warning row of the run, outside the fit
-                effs.append(mode.n_eff(n, budget, self.options))
+        # the fitted points' undeflated effective sizes: the log-corrected
+        # adaptive axes compress decades, and feasible sweeps must remain admissible
+        effs = [n_eff for n_eff in self.grid() if not isinstance(n_eff, RegimeError)]
         if not effs or max(effs) < 100.0 * min(effs):
             raise ValueError("n grid must span >= 2 decades of effective sample size")
 
@@ -260,11 +267,6 @@ class Mode:
         # the sampler keeps a draw with probability the box mass: below 0.01, over 100 draws a point
         if isinstance(model, HolderDensityModel) and not model._axis_norm() >= 0.01:
             raise ValueError(f"box mass {model._axis_norm():.3g} per axis is below 0.01")
-
-    def axis_n_eff(self, n: int, budget: PrivacyBudget, options: dict) -> float:
-        """The CSV's n_eff: adaptive axes are deflated by log(n)^(2d+1)."""
-        n_eff = self.n_eff(n, budget, options)
-        return n_eff if self.level_table is None else n_eff / math.log(n) ** (2 * budget.d + 1)
 
     def oracle(self, X: np.ndarray, budget: PrivacyBudget, options: dict) -> tuple:
         """Mean and noise variance, given X, of the full-budget estimate at every level table entry:
@@ -446,15 +448,14 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
     points = []
     extras: dict = {"per_n": {}}
     with _replicator(cfg.workers, cfg.replications) as replicate:
-        for n in cfg.n_grid:
-            try:
-                mode.channels(n, budget, cfg.options)  # the regime check, before any replication
-                n_eff = mode.axis_n_eff(n, budget, cfg.options)
-            except RegimeError as exc:
+        for n, n_eff in zip(cfg.n_grid, cfg.grid()):
+            if isinstance(n_eff, RegimeError):
                 # keep a warning row, excluded from fits
                 points.append(RatePoint(n, float("nan"), float("nan"), float("nan"), 0, cfg.seed))
-                extras["per_n"][str(n)] = {"warning": str(exc)}
+                extras["per_n"][str(n)] = {"warning": str(n_eff)}
                 continue
+            if mode.level_table is not None:  # the CSV's adaptive axes are deflated by log(n)^(2d+1)
+                n_eff /= math.log(n) ** (2 * budget.d + 1)
             results = list(replicate(functools.partial(_run_replication, cfg_json, n), range(cfg.replications)))
             errs = np.array([r["sq_err"] for r in results])
             mse = float(errs.mean())
@@ -510,22 +511,24 @@ def write_json(path: Optional[str], obj: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+SUITES = ("contraction", "privacy", "leakage", "lowerbound")  # the suites of cldp report, in its order
+
+
 def run_verification_suite(which: str, seed: int = 7, instances: Optional[int] = None) -> tuple[int, dict]:
     """Dispatch to the module-level verify operations; nonzero exit on violation."""
-    if which == "contraction":
-        report = ct.run_contraction_sweep(instances=500 if instances is None else instances, seed=seed)
-        return (1 if report["violations"] else 0), report
-    if which == "privacy":
-        report = _privacy_suite(seed)
-        return (1 if report["violations"] else 0), report
-    if which == "leakage":
-        report = _leakage_suite(seed, 200 if instances is None else instances)
-        return (1 if report["violations"] else 0), report
+    if which not in SUITES:
+        raise ValueError(f"unknown suite {which!r}")
     if which == "lowerbound":
         report = _lowerbound_suite()
         ok = all(r["condition3_ok"] and r["marginals_equal"] for r in report["cases"])
         return (0 if ok else 1), report
-    raise ValueError(f"unknown suite {which!r}")
+    if which == "contraction":
+        report = ct.run_contraction_sweep(instances=500 if instances is None else instances, seed=seed)
+    elif which == "privacy":
+        report = _privacy_suite(seed)
+    else:
+        report = _leakage_suite(seed, 200 if instances is None else instances)
+    return (1 if report["violations"] else 0), report
 
 
 def _privacy_suite(seed: int) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .estimators import HolderClass, MomentProfile
 from .measures import DiscreteDist, divergence, pushforward, tv_distance
 
 __all__ = [
-    "TwoPointInstance",
+    "MomentInstance",
+    "DensityInstance",
     "moment_two_point",
     "density_two_point",
     "verify_two_point",
@@ -35,24 +36,32 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class TwoPointInstance:
-    kind: str  # "moment" | "density"
+class MomentInstance:
+    """The discrete pair of ``moment_two_point``: delta is the corner mass its budget sets."""
+
     separation: float
     kl_budget: float
-    P: Optional[DiscreteDist] = None
-    P_star: Optional[DiscreteDist] = None
-    delta: Optional[float] = None
-    M_n: Optional[float] = None
-    h_n: Optional[float] = None
-    density: Optional[Callable] = None
-    density_star: Optional[Callable] = None
-    budget: Optional[PrivacyBudget] = None
-    profile: Optional[MomentProfile] = None
-    holder: Optional[HolderClass] = None
-    eta: Optional[float] = None
+    P: DiscreteDist
+    P_star: DiscreteDist
+    delta: float
+    budget: PrivacyBudget
 
 
-def moment_two_point(profile: MomentProfile, budget: PrivacyBudget, n: int) -> TwoPointInstance:
+@dataclass(frozen=True, eq=False)
+class DensityInstance:
+    """The pair of ``density_two_point``: bump height 1/M_n and width h_n, envelope sharpness eta."""
+
+    separation: float
+    kl_budget: float
+    M_n: float
+    h_n: float
+    density: Callable
+    density_star: Callable
+    holder: HolderClass
+    eta: float
+
+
+def moment_two_point(profile: MomentProfile, budget: PrivacyBudget, n: int) -> MomentInstance:
     """Discrete pair with equal sub-marginals and separated product moments.
 
     P keeps mass 1 - delta at the origin and spreads delta uniformly over the
@@ -81,16 +90,7 @@ def moment_two_point(profile: MomentProfile, budget: PrivacyBudget, n: int) -> T
     P = DiscreteDist(supports, p)
     P_star = DiscreteDist(supports, p + h)
     separation = 0.5 * delta ** (1.0 - sum(1.0 / k for k in ks))
-    return TwoPointInstance(
-        kind="moment",
-        separation=separation,
-        kl_budget=0.125,
-        P=P,
-        P_star=P_star,
-        delta=delta,
-        budget=budget,
-        profile=profile,
-    )
+    return MomentInstance(separation=separation, kl_budget=0.125, P=P, P_star=P_star, delta=delta, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ def density_two_point(
     n: int,
     eps0: float = 1.9,
     c_k: float = 4.0,
-) -> TwoPointInstance:
+) -> DensityInstance:
     """Gaussian-envelope density plus a product bump of height 1/M_n.
 
     h_n = (1/M_n)^(1/beta) keeps the perturbed density in the smoothness class;
@@ -189,32 +189,18 @@ def density_two_point(
         bump = np.prod(zero_mean_bump(x / h_n), axis=1)
         return density(x) + inv_M * bump
 
-    return TwoPointInstance(
-        kind="density",
-        separation=inv_M,
-        kl_budget=eps0,
-        M_n=M_n,
-        h_n=h_n,
-        density=density,
-        density_star=density_star,
-        budget=budget,
-        holder=hc,
-        eta=eta,
-    )
+    return DensityInstance(separation=inv_M, kl_budget=eps0, M_n=M_n, h_n=h_n, density=density,
+                           density_star=density_star, holder=hc, eta=eta)
 
 
-def bump_axis_integral(inst: TwoPointInstance) -> float:
+def bump_axis_integral(inst: DensityInstance) -> float:
     """Quadrature of the zero-mean bump along one axis (should vanish)."""
-    if inst.kind != "density":
-        raise ValueError("axis integrals apply to density instances")
     return _gauss_panels(zero_mean_bump, -1.0, 1.0, panels=80, nodes=32)
 
 
-def density_star_mass_and_min(inst: TwoPointInstance) -> tuple[float, float]:
+def density_star_mass_and_min(inst: DensityInstance) -> tuple[float, float]:
     """Total mass of the perturbed density by tensorized quadrature over [-25, 25]^d,
     and its minimum over a dense grid spanning the bump region."""
-    if inst.kind != "density":
-        raise ValueError("mass check applies to density instances")
     d = inst.holder.d
     eta = inst.eta
     # per-axis quadrature factorization: envelope part is a product of 1-d
@@ -231,7 +217,7 @@ def density_star_mass_and_min(inst: TwoPointInstance) -> tuple[float, float]:
     return mass, dens_min
 
 
-def check_density_instance(inst: TwoPointInstance) -> dict:
+def check_density_instance(inst: DensityInstance) -> dict:
     """The density instance's checks, JSON-ready: the perturbed density has mass
     1 (to 1e-6) and is nonnegative (to -1e-12), and the bump integrates to 0
     along an axis (to 1e-8)."""
@@ -259,14 +245,14 @@ class TwoPointReport:
         return asdict(self)
 
 
-def verify_two_point(inst: TwoPointInstance, channels, n: int) -> TwoPointReport:
+def verify_two_point(inst: MomentInstance, channels, n: int) -> TwoPointReport:
     """Check the divergence budget of the moment instance by exact pushforward.
 
     The iid tensorized divergence equals n times the per-sample value, which is
     compared against n (prod (e^a - 1))^2 tv^2, which may not exceed the
     instance's budget (1/8 at the construction's delta).
     """
-    if inst.kind != "moment":
+    if isinstance(inst, DensityInstance):
         raise ValueError("use quadrature report instead")
     M = pushforward(inst.P, channels)
     M_star = pushforward(inst.P_star, channels)
@@ -283,7 +269,7 @@ def verify_two_point(inst: TwoPointInstance, channels, n: int) -> TwoPointReport
     )
 
 
-def default_moment_channels(inst: TwoPointInstance):
+def default_moment_channels(inst: MomentInstance):
     """Randomized-response channels on the instance's 3-point supports."""
     return tuple(
         make_rr_channel(tuple(sup), float(a))
@@ -291,7 +277,7 @@ def default_moment_channels(inst: TwoPointInstance):
     )
 
 
-def check_moment_instance(inst: TwoPointInstance, n: int) -> dict:
+def check_moment_instance(inst: MomentInstance, n: int) -> dict:
     """The moment instance's divergence-budget check through the default
     randomized-response channels, JSON-ready."""
     report = verify_two_point(inst, default_moment_channels(inst), n)

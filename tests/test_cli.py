@@ -388,6 +388,14 @@ class TestRatesCommand:
         meta = json.loads((tmp_path / "curve.csv.meta.json").read_text())
         assert "private bandwidth" in meta["extras"]["per_n"]["2"]["warning"]
 
+    def test_span_of_fitted_points_exit_config(self, tmp_path, capsys, monkeypatch):
+        # n = 2 is a warning row of the run: the points the fit uses span 8x of n alpha^2
+        monkeypatch.setattr("cldp.cli.run_rate_experiment", lambda exp: pytest.fail("the run started"))
+        cfg = write(tmp_path / "cfg.txt",
+                    "mode=mean\nn_grid=2,256,512,1024,2048\nalphas=0.5\nks=4\na=5\nreplications=30\n")
+        assert main(["rates", "--config", cfg]) == 2
+        assert "2 decades" in capsys.readouterr().err
+
     def test_invalid_grid_exit_config(self, tmp_path):
         cfg = write(
             tmp_path / "cfg.txt",
@@ -451,6 +459,18 @@ class TestWorkers:
         monkeypatch.setenv("CLDP_WORKERS", "2")
         code, (exp,) = self.run(tmp_path, monkeypatch, argv)
         assert code == 0 and exp.workers == want
+
+    @pytest.mark.parametrize("argv, text, want", [([], "workers=1\n", 1), (["--workers", "3"], "", 3)])
+    def test_malformed_environment_unread_when_set(self, tmp_path, monkeypatch, argv, text, want):
+        monkeypatch.setenv("CLDP_WORKERS", "abc")
+        code, (exp,) = self.run(tmp_path, monkeypatch, argv, text)
+        assert code == 0 and exp.workers == want
+
+    def test_malformed_environment_exit_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CLDP_WORKERS", "abc")
+        code, seen = self.run(tmp_path, monkeypatch, [])
+        assert code == 2 and not seen
+        assert "CLDP_WORKERS must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 class TestUnknownConfigKeys:

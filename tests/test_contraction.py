@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cldp.channels import (
     PrivacyBudget,
     RandomizedResponseChannel,
+    derive_rng,
     make_constant_channel,
     make_identity_channel,
     make_rr_channel,
@@ -137,6 +138,14 @@ class TestFDivergenceBound:
     def test_l_must_exceed_one(self):
         with pytest.raises(ValueError):
             f_divergence_bound(table_d2(0.1, 0.1, 0.1), [0.5, 0.5], 1.0)
+
+
+def test_sweep_instance_streams():
+    # instance i of the sweep draws from the stream (seed, i)
+    rep = run_contraction_sweep(dims=(2,), instances=3, seed=11, l_values=())
+    for i, row in enumerate(rep["reports"]):
+        P, Pt, channels = random_instance(derive_rng(11, i), (2,))
+        assert verify_contraction(P, Pt, channels, l_values=()).to_json() == row
 
 
 class TestVerifyContraction:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -19,7 +20,7 @@ from cldp.channels import (
     make_kernel,
     trunc_scale,
 )
-from cldp.estimators import MomentProfile, corr_release_plan, private_covariance_correlation, release_sample
+from cldp.estimators import MomentProfile, RegimeError, corr_release_plan, private_covariance_correlation, release_sample
 from cldp.harness import (
     MODES,
     ExperimentConfig,
@@ -201,6 +202,22 @@ class TestRunRateExperiment:
         with pytest.raises(ValueError, match="decades"):
             mean_cfg(n_grid=(256, 300, 350, 400)).validate_for_slope()
 
+    def test_slope_span_counts_only_fitted_points(self):
+        # n = 2 is a warning row, so the fitted points span 2048 / 256 = 8x of n alpha^2
+        cfg = mean_cfg(n_grid=(2, 256, 512, 1024, 2048), replications=30)
+        with pytest.raises(ValueError, match="decades"):
+            cfg.validate_for_slope()
+
+    def test_grid_plans_each_point_once(self):
+        plan = mean_cfg(n_grid=(2, 256, 512, 1024, 2048)).grid()
+        assert isinstance(plan[0], RegimeError)
+        assert plan[1:] == [n * 0.25 for n in (256, 512, 1024, 2048)]
+        # the adaptive axis is deflated by log(n)^(2d+1) in the run, not in the plan
+        cfg = ExperimentConfig(mode="adaptive_moment", n_grid=(2, 64), alphas=(1.0,), replications=1, seed=5,
+                               model=ParetoFactorModel(ks=[2.0], a=[3.0]).to_json(), options={"oracle": False})
+        assert cfg.grid()[1] == 64.0
+        assert run_rate_experiment(cfg).points[1].n_eff == 64.0 / math.log(64) ** 3
+
 
 class TestVerificationSuites:
     def test_contraction_suite_clean(self):
@@ -241,6 +258,19 @@ class TestModelChecks:
         model = HolderDensityModel(beta=2, **changes)
         with pytest.raises(ValueError, match="box mass .* is below 0.01"):
             run_mode(MODES["kde"], model, 256, PrivacyBudget([1.0]), {"x0": [0.0]}, derive_rng(0))
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"model": {"kind": "pareto_factor", "ks": [4.0]}}, "missing key(s) 'a'"),
+            ({"model": HolderDensityModel(beta=2).to_json()}, "mode expects a ParetoFactorModel"),
+            ({"model": ParetoFactorModel(ks=[4.0, 4.0], a=[5.0, 5.0]).to_json()}, "2 component(s) but the budget 1"),
+        ],
+    )
+    def test_model_checked_at_config(self, changes, message):
+        # the check runs in the parent process, not in the first replication
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mean_cfg(**changes)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf])
     def test_nonfinite_beta_option(self, beta):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import cldp
 from cldp.channels import PrivacyBudget, make_rr_channel
 from cldp.estimators import HolderClass, MomentProfile
 from cldp.harness import derive_rng
@@ -145,6 +146,11 @@ class TestVerifyTwoPoint:
                     errs.append((rule(Z) - truth) ** 2)
                 worst = max(worst, float(np.mean(errs)))
             assert worst >= floor
+
+
+def test_one_type_per_instance():
+    assert isinstance(build_moment()[0], cldp.MomentInstance)
+    assert isinstance(density_two_point(HolderClass(2.0, d=1), PrivacyBudget([0.5]), 10_000), cldp.DensityInstance)
 
 
 class TestDensityInstance:
