@@ -12,12 +12,22 @@ Channel specs are immutable and shareable.  ``privatize`` takes an explicit
 per-call RNG stream (no ambient randomness): identical stream state implies an
 identical release, which is the contract the experiment harness relies on for
 determinism under any parallelism degree.
+
+Large releases (from 2^17 values) are filled in row blocks on every CPU the
+process may use, from the one stream they are given: each range of rows draws
+from a copy of the PCG64 stream jumped ahead past the rows before it, so every
+value gets the variate a serial draw would have given it, and the bytes, and
+the stream's end state, are those of the serial release.  There is no setting
+for it.  ``fill_rows`` does this; the harness's oracle uses it for its clean maps.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
 import functools
 import math
+import os
 from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
@@ -47,6 +57,7 @@ __all__ = [
     "channel_to_json",
     "channel_from_json",
     "derive_rng",
+    "fill_rows",
 ]
 
 
@@ -227,6 +238,75 @@ def laplace_release(clean, scales, rng):
     return z
 
 
+_BLOCK = 1 << 16  # values per row block: 512 KiB of float64, near the size of a core's cache
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def fill_rows(ch, xs: np.ndarray, rng=None) -> np.ndarray:
+    """``laplace_release(ch.clean(xs), ch.scales(), rng)`` with the same bytes and the same
+    end state of ``rng``; ``ch.clean(xs)`` when ``rng`` is None.
+
+    From two blocks of values up, the rows of a 1-d ``xs`` are split into one
+    contiguous range per CPU, each filled block by block on its own thread
+    into one output: per block, the unit Laplace draws times the scales, then
+    the block's clean map added.  Range k draws from a PCG64 at the caller's
+    state jumped ahead by its first row times the levels per row, which are
+    the draws a serial release makes before it.  The Laplace sampler redraws
+    a uniform of 0 (probability 2^-53 per draw); a range that did so ends past
+    the next range's start, and then the release is redone serially.
+    """
+    scales = ch.scales()
+    levels = np.size(scales)
+    n = len(xs) if np.ndim(xs) == 1 else 0
+    # only a plain Generator over PCG64 can jump ahead; a proxy (one that zeroes or
+    # counts draws) is filled serially, so it sees every draw
+    jumps = rng is None or (type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64)
+    if n * levels < 2 * _BLOCK or not jumps:
+        clean = ch.clean(xs)
+        return clean if rng is None else laplace_release(clean, scales, rng)
+    rows = max(1, _BLOCK // levels)
+    parts = min(_cpus(), -(-n // rows))
+    edges = [n * k // parts for k in range(parts + 1)]
+    out = np.empty((n,) + np.shape(scales))
+    if rng is not None:
+        start = rng.bit_generator.state
+        gens = [np.random.Generator(np.random.PCG64()) for _ in range(parts)]
+        for g, first in zip(gens, edges):
+            g.bit_generator.state = start
+            g.bit_generator.advance(first * levels)
+        starts = [g.bit_generator.state["state"] for g in gens]
+
+    def fill(k: int) -> None:
+        for a in range(edges[k], edges[k + 1], rows):
+            block = slice(a, min(a + rows, edges[k + 1]))
+            if rng is None:
+                out[block] = ch.clean(xs[block])
+            else:
+                np.multiply(gens[k].laplace(0.0, 1.0, size=out[block].shape), scales, out=out[block])
+                out[block] += ch.clean(xs[block])
+
+    # threads per call: a pool kept in the module would reach forked workers without its threads
+    with concurrent.futures.ThreadPoolExecutor(max(1, parts - 1)) as pool:
+        # each helper runs in a copy of the caller's context (numpy's errstate lives there)
+        helpers = [pool.submit(contextvars.copy_context().run, fill, k) for k in range(1, parts)]
+        fill(0)
+        for f in helpers:
+            f.result()
+    if rng is None:
+        return out
+    ends = [g.bit_generator.state for g in gens]
+    if any(end["state"] != nxt for end, nxt in zip(ends, starts[1:])):
+        return laplace_release(ch.clean(xs), scales, rng)
+    # jumping ahead drops a buffered half of a 64-bit draw, which a serial release keeps
+    ends[-1].update(has_uint32=start["has_uint32"], uinteger=start["uinteger"])
+    rng.bit_generator.state = ends[-1]
+    return out
+
+
 class _LaplaceRelease:
     """Release clean(x) + scales() * L(1).
 
@@ -245,7 +325,7 @@ class _LaplaceRelease:
         xs = np.asarray(xs, dtype=float)
         if not np.all(np.isfinite(xs)):
             raise ValueError("raw values must be finite")
-        return laplace_release(self.clean(xs), self.scales(), rng)
+        return fill_rows(self, xs, rng)
 
 
 # ---------------------------------------------------------------------------

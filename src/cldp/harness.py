@@ -40,6 +40,7 @@ from .channels import (
     PrivacyBudget,
     audit_verdict,
     derive_rng,
+    fill_rows,
     kernel_order,
     make_kernel,
     make_rr_channel,
@@ -276,7 +277,7 @@ class Mode:
         mechanism, but each fixed level is.
         """
         channels = self.channels(X.shape[0], budget, options)
-        clean = [ch.clean(X[:, j]) for j, ch in enumerate(channels)]
+        clean = [fill_rows(ch, X[:, j]) for j, ch in enumerate(channels)]
         var = [2.0 * ch.scales(ch.alpha) ** 2 for ch in channels]
         return _moments_given_x(clean, var, self.level_table)
 
@@ -403,6 +404,11 @@ def run_mode(mode: Mode, model, n: int, budget: PrivacyBudget, options: dict, rn
     estimated; for adaptive modes the estimate is the selection.  Under the
     ``zero_noise`` option the channels draw no noise; the sampler draws as usual."""
     mode.check_model(model, budget)
+    return _sample_and_estimate(mode, model, n, budget, options, rng)
+
+
+def _sample_and_estimate(mode: Mode, model, n: int, budget: PrivacyBudget, options: dict, rng):
+    """``run_mode`` for a model already checked against the mode and the budget."""
     sample = sample_heavy_tailed if mode.model is ParetoFactorModel else sample_holder_density
     X = sample(model, n, rng)
     release_rng = ZeroNoiseRng(rng) if options.get("zero_noise") else rng
@@ -410,14 +416,23 @@ def run_mode(mode: Mode, model, n: int, budget: PrivacyBudget, options: dict, rn
     return X, mode.estimate(Z, budget, options)
 
 
-def _run_replication(cfg_json: dict, n: int, rep: int) -> dict:
-    """One replication: the squared error, plus the selection and oracle row if adaptive."""
+def _run_model(cfg_json: dict) -> tuple:
+    """The run's model, decoded from the config and checked, and its truth: work done once per run."""
+    mode = MODES[cfg_json["mode"]]
+    model = model_from_json(cfg_json["model"])
+    mode.check_model(model, PrivacyBudget(cfg_json["alphas"]))
+    return model, mode.truth(model, cfg_json["options"])
+
+
+def _run_replication(cfg_json: dict, n: int, rep: int, run_model: Optional[tuple] = None) -> dict:
+    """One replication: the squared error, plus the selection and oracle row if adaptive.
+    ``run_model`` is the run's ``_run_model(cfg_json)``, computed here when not given."""
     mode = MODES[cfg_json["mode"]]
     options = cfg_json["options"]
     budget = PrivacyBudget(cfg_json["alphas"])
-    model = model_from_json(cfg_json["model"])
-    X, est = run_mode(mode, model, n, budget, options, derive_rng(cfg_json["seed"], mode.id, n, rep))
-    truth = mode.truth(model, options)
+    model, truth = _run_model(cfg_json) if run_model is None else run_model
+    rng = derive_rng(cfg_json["seed"], mode.id, n, rep)
+    X, est = _sample_and_estimate(mode, model, n, budget, options, rng)
     out = {"sq_err": (mode.point(est) - truth) ** 2}
     if mode.level_table is not None:
         out["sel_index"] = np.atleast_1d(est.index).tolist()
@@ -441,10 +456,11 @@ def _replicator(workers: int, reps: int):
 
 
 def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
-    """Per-n MSE over replications against the model's cached ground truth."""
+    """Per-n MSE over replications against the model's ground truth, computed once per run."""
     mode = MODES[cfg.mode]
     budget = PrivacyBudget(cfg.alphas)
     cfg_json = cfg.to_json()
+    run_model = _run_model(cfg_json)
     points = []
     extras: dict = {"per_n": {}}
     with _replicator(cfg.workers, cfg.replications) as replicate:
@@ -456,7 +472,8 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
                 continue
             if mode.level_table is not None:  # the CSV's adaptive axes are deflated by log(n)^(2d+1)
                 n_eff /= math.log(n) ** (2 * budget.d + 1)
-            results = list(replicate(functools.partial(_run_replication, cfg_json, n), range(cfg.replications)))
+            replication = functools.partial(_run_replication, cfg_json, n, run_model=run_model)
+            results = list(replicate(replication, range(cfg.replications)))
             errs = np.array([r["sq_err"] for r in results])
             mse = float(errs.mean())
             stderr = float(errs.std(ddof=1) / math.sqrt(errs.size)) if errs.size > 1 else 0.0

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import cldp.channels
 from cldp.channels import (
     AuditResult,
     KernelLaplaceChannel,
@@ -18,6 +21,7 @@ from cldp.channels import (
     channel_from_json,
     channel_to_json,
     compose_ldp_level,
+    fill_rows,
     kernel_clean,
     kernel_order,
     laplace_release,
@@ -721,3 +725,131 @@ class TestLeanReleaseIsBitwiseTheFormula:
         old = _polyval_kernel(k, (xs[:, None] - x0) / h) / h
         assert _same_bytes(kernel_clean(k, xs[:, None], x0, h), old)
         assert _same_bytes(kernel_clean(k, xs, x0, h[0]), _polyval_kernel(k, (xs - x0) / h[0]) / h[0])
+
+
+SPLIT = 2 * cldp.channels._BLOCK  # draws from which a release is filled in row blocks
+
+
+def _four_channels(levels: int, order: int) -> list:
+    """The four Laplace-type channels; the multi-level two with ``levels`` levels."""
+    grid = tuple(2.0 ** -k for k in range(levels))
+    return [
+        LaplaceTruncChannel(T=1.5, alpha=0.7),
+        KernelLaplaceChannel(h=0.4, x0=0.1, kernel=make_kernel(order), alpha=1.3),
+        MultiTruncChannel(grid=tuple(4.0 * g for g in grid), alpha=0.9),
+        MultiBandwidthChannel(grid=grid, alpha=2.0, x0=-0.2, kernel=make_kernel(order)),
+    ]
+
+
+def _xs(n: int, seed: int = 0) -> np.ndarray:
+    return 2.0 * np.random.default_rng(seed).standard_normal(n)
+
+
+def _pcg64_zero_at(p: int) -> np.random.Generator:
+    """A PCG64 stream whose draw p (0-based) is the 64-bit zero, the one uniform the
+    Laplace sampler rejects and draws again: PCG64 outputs the xor of its state's halves."""
+    bg = np.random.PCG64(5)
+    state = bg.state
+    state["state"]["state"] = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF
+    bg.state = state
+    bg.advance(-(p + 1))
+    return np.random.Generator(bg)
+
+
+class TestRowBlocks:
+    """Releases and clean maps filled in row blocks give the serial bytes and leave the stream where
+    the serial release does."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        which=st.integers(0, 3),
+        levels=st.sampled_from([1, 2, 3, 7, 14]),
+        cpus=st.sampled_from([1, 2, 3, 5]),
+        pre=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bytes_and_stream_as_serial(self, data, which, levels, cpus, pre, seed):
+        ch = _four_channels(levels, order=seed % 4)[which]
+        rows = SPLIT // np.size(ch.scales())
+        # one row below, at and above the split size (at it exactly where the levels divide it),
+        # or up to three times it, with ragged last blocks
+        n = rows + data.draw(st.one_of(st.sampled_from([-1, 0, 1]), st.integers(2, 2 * rows)))
+        xs = _xs(n, seed)
+        split, serial = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (split, serial):  # an odd count leaves half a 64-bit draw buffered
+            rng.integers(0, 2**32, size=pre, dtype=np.uint32)
+        with mock.patch.object(cldp.channels, "_cpus", lambda: cpus), \
+                mock.patch.object(cldp.channels, "laplace_release", wraps=laplace_release) as whole:
+            z = ch.privatize_array(xs, split)
+            clean = fill_rows(ch, xs)
+        assert whole.called == (n * np.size(ch.scales()) < SPLIT)  # a split release is not redone whole
+        assert _same_bytes(z, laplace_release(ch.clean(xs), ch.scales(), serial))
+        assert _same_bytes(clean, ch.clean(xs))
+        assert split.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == \
+            serial.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+        assert split.random() == serial.random()
+
+    @pytest.mark.parametrize("which", range(4))
+    def test_proxies_and_other_generators_filled_serially(self, which):
+        ch = _four_channels(14, order=1)[which]
+        n = 2 * SPLIT // np.size(ch.scales()) + 5
+        xs = _xs(n)
+        assert _same_bytes(ch.privatize_array(xs, ZeroNoiseRng(np.random.default_rng(1))), ch.clean(xs))
+        drawn = []
+
+        class Counting:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def laplace(self, loc=0.0, scale=1.0, size=None):
+                drawn.append(int(np.prod(size)))
+                return self._rng.laplace(loc, scale, size)
+
+        z = ch.privatize_array(xs, Counting(np.random.default_rng(2)))
+        assert drawn == [n * np.size(ch.scales())]
+        assert _same_bytes(z, laplace_release(ch.clean(xs), ch.scales(), np.random.default_rng(2)))
+        mt, mt_serial = (np.random.Generator(np.random.MT19937(0)) for _ in range(2))
+        assert _same_bytes(ch.privatize_array(xs, mt), laplace_release(ch.clean(xs), ch.scales(), mt_serial))
+        assert mt.random() == mt_serial.random()
+
+    @pytest.mark.parametrize("where", ["first range", "last range"])
+    def test_rejected_uniform_gives_serial_bytes(self, where):
+        ch = _four_channels(7, order=0)[3]
+        n = SPLIT // 7 + 100
+        p = 7 * (10 if where == "first range" else n - 3)
+        split, serial = _pcg64_zero_at(p), _pcg64_zero_at(p)
+        probe = _pcg64_zero_at(p).bit_generator
+        probe.advance(p)
+        assert probe.random_raw() == 0
+        xs = _xs(n)
+        with mock.patch.object(cldp.channels, "_cpus", lambda: 2), \
+                mock.patch.object(cldp.channels, "laplace_release", wraps=laplace_release) as whole:
+            z = ch.privatize_array(xs, split)
+        # a redraw in the first range shifts the second: the release is redone serially
+        assert whole.called == (where == "first range")
+        assert _same_bytes(z, laplace_release(ch.clean(xs), ch.scales(), serial))
+        # the serial release drew one uniform more than it has values
+        ahead = _pcg64_zero_at(p).bit_generator
+        ahead.advance(7 * n + 1)
+        assert split.bit_generator.state == serial.bit_generator.state == ahead.state
+
+    def test_helper_thread_exception_reaches_caller(self):
+        raised_on = []
+
+        class Faulty(LaplaceTruncChannel):
+            def clean(self, x):
+                if np.any(np.asarray(x) == 9.0):
+                    raised_on.append(threading.current_thread())
+                    raise RuntimeError("clean failed")
+                return super().clean(x)
+
+        xs = _xs(2 * SPLIT)
+        xs[-10:] = 9.0  # in the last range, which a helper thread fills
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with mock.patch.object(cldp.channels, "_cpus", lambda: 2):
+            with pytest.raises(RuntimeError, match="clean failed"):
+                Faulty(T=1.0, alpha=1.0).privatize_array(xs, rng)
+        assert raised_on and raised_on[0] is not threading.main_thread()
+        assert rng.bit_generator.state == before

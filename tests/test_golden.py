@@ -6,8 +6,8 @@ the paths a change could disturb: regime-warning rows, ``zero_noise``, a
 bandwidth override, replications whose correlation is undefined, the adaptive
 oracle table (with and without an ``oracle_reps`` cap), and each
 ``cldp estimate`` / ``cldp adaptive`` mode.
-At n = 2^12, beyond the tiny configs, c07's and c08's multi-level releases and
-their oracle tables are pinned array by array.
+At n = 2^12 and 2^14, beyond the tiny configs, c07's and c08's multi-level
+releases and their oracle tables are pinned array by array.
 ``cldp report``, one ``cldp audit`` over every channel variant, one
 ``cldp leakage`` (a zero-mass cell and an identity channel walk the 0/0 and
 x/0 ratio branches), one ``cldp contract-verify`` and both
@@ -130,15 +130,41 @@ def _array_sha(a) -> str:
     return hashlib.sha256(np.asarray(a).tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(ARRAY_CASES))
-def test_multi_level_release_and_oracle_unchanged(name):
+def _release_and_oracle_shas(name, n):
     mode_name, model_json, alphas, options = ARRAY_CASES[name]
     mode, budget, model = MODES[mode_name], PrivacyBudget(alphas), model_from_json(model_json)
-    rng = derive_rng(11, mode.id, ARRAY_N, 0)
-    X = (sample_heavy_tailed if isinstance(model, ParetoFactorModel) else sample_holder_density)(model, ARRAY_N, rng)
-    Z = release_sample(X, mode.channels(ARRAY_N, budget, options), rng)
+    rng = derive_rng(11, mode.id, n, 0)
+    X = (sample_heavy_tailed if isinstance(model, ParetoFactorModel) else sample_holder_density)(model, n, rng)
+    Z = release_sample(X, mode.channels(n, budget, options), rng)
     mean, noise_var = mode.oracle(X, budget, options)
-    assert (_array_sha(Z.values), _array_sha(mean), _array_sha(noise_var)) == ARRAY_GOLDEN[name]
+    return _array_sha(Z.values), _array_sha(mean), _array_sha(noise_var)
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+def test_multi_level_release_and_oracle_unchanged(name):
+    assert _release_and_oracle_shas(name, ARRAY_N) == ARRAY_GOLDEN[name]
+
+
+# the same at n = 2^14: 14 levels make 229,376 draws per release, above the size
+# from which releases and the oracle's clean maps are filled in row blocks
+SPLIT_N = 2**14
+SPLIT_GOLDEN = {
+    "c07": (
+        "cfbb25f3759f1234b56daea0bb5f5dbf1b0bca59bd4bff14ff17e65487ae3f18",
+        "3fc53eb526b4ec1632529e2f98f58479de438d6b1714716e089e7db78ec6a8d7",
+        "26e2010916022e9d90a6cf22dd2b85bd00448d8963c1bf23ee4a47dc9d2346a5",
+    ),
+    "c08": (
+        "02507354c668da5956b08a94510eff751d477edbb54b36ad9f10ed45a28e623d",
+        "c6cbbe976706d2411400453f1b62b2ae6a8e39bf715c869949b387acdd1f5780",
+        "fe7575ce52e3ae211c8b488c5deef3f79352254c9a9c7b028d8f6637e1157ede",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CASES))
+def test_split_release_and_oracle_unchanged(name):
+    assert _release_and_oracle_shas(name, SPLIT_N) == SPLIT_GOLDEN[name]
 
 
 PARETO_CFG = "alphas=0.5,0.5\nks=4,4\nmodel=pareto_factor\na=5,5\nrho=0.5\nseed=3\n"

@@ -194,6 +194,23 @@ class TestRunRateExperiment:
         run_rate_experiment(mean_cfg(out=str(out8), workers=8))
         assert out1.read_bytes() == out8.read_bytes()
 
+    @pytest.mark.parametrize("case", ["c07", "c08"])
+    def test_split_releases_workers_byte_identical(self, case, tmp_path):
+        # at n = 2^14 the releases and the oracle's clean maps are filled in row
+        # blocks, on threads that each forked pool worker starts for itself
+        mode, model, alphas, options = ORACLE_CASES[case]
+        outs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}.csv"
+            run_rate_experiment(ExperimentConfig(mode=mode, n_grid=(2**14,), alphas=alphas, replications=2, seed=9,
+                                                 model=model.to_json(), options=options, out=str(out),
+                                                 workers=workers))
+            meta = json.loads((tmp_path / f"w{workers}.csv.meta.json").read_text())
+            assert meta["config"].pop("workers") == workers
+            assert "oracle_mse" in meta["extras"]["per_n"][str(2**14)]
+            outs.append((out.read_bytes(), json.dumps(meta, sort_keys=True)))
+        assert outs[0] == outs[1]
+
     def test_slope_validation(self):
         with pytest.raises(ValueError, match="replications"):
             mean_cfg(replications=5).validate_for_slope()
