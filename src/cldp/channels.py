@@ -13,12 +13,16 @@ per-call RNG stream (no ambient randomness): identical stream state implies an
 identical release, which is the contract the experiment harness relies on for
 determinism under any parallelism degree.
 
-Large releases (from 2^17 values) are filled in row blocks on every CPU the
-process may use, from the one stream they are given: each range of rows draws
-from a copy of the PCG64 stream jumped ahead past the rows before it, so every
-value gets the variate a serial draw would have given it, and the bytes, and
-the stream's end state, are those of the serial release.  There is no setting
-for it.  ``fill_rows`` does this; the harness's oracle uses it for its clean maps.
+Every release draws its unit Laplace noise as copysign(E, U - 0.5): an Exp(1)
+magnitude E with an independent fair sign, which is L(1) in law and costs
+no logarithm per value, unlike numpy's ``laplace``.  For one shape all of E is
+drawn first, then all of U, from the same stream.  A release
+of fewer than 2^17 values (a scalar ``privatize`` included) draws from the
+stream it is given.  A larger one draws one key from that stream, and its row
+block b draws from a stream of its own, spawned from the key and b; the blocks
+are filled on every CPU the process may use, and which thread fills which block
+changes no byte.  There is no setting for it.  ``fill_rows`` does this; the
+harness's oracle uses it for its clean maps.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ __all__ = [
     "channel_from_json",
     "derive_rng",
     "fill_rows",
+    "ZeroNoiseRng",
 ]
 
 
@@ -226,16 +231,38 @@ def kernel_extremes(kernel: KernelFn, x0, h):
     return x0 + u_lo * h, k_lo / h, x0 + u_hi * h, k_hi / h
 
 
-def laplace_release(clean, scales, rng):
-    """clean + scales * L(1), one independent unit-Laplace draw per entry of ``clean``.
+def laplace_release(clean, scales, rng, out=None):
+    """clean + scales * L(1), one independent unit-Laplace draw copysign(E, U - 0.5) per entry
+    of ``clean``: first E ~ Exp(1) for every entry, then U ~ U[0, 1) for every entry.
 
-    The draws are scaled and shifted in place, so the release is the one array
-    allocated; ``scales`` must broadcast to the shape of ``clean``.
+    The noise is drawn into ``out`` (a fresh array when None) and scaled and
+    shifted there in place; ``scales`` must broadcast to the shape of ``clean``.
     """
-    z = rng.laplace(0.0, 1.0, size=np.shape(clean))
+    z = np.empty(np.shape(clean)) if out is None else out
+    rng.standard_exponential(out=z)
+    sign = rng.random(z.shape)
+    sign -= 0.5  # exact; U = 1/2 gives +0, so each sign takes half the values of U
+    np.copysign(z, sign, out=z)
     z *= scales
     z += clean
     return z
+
+
+class ZeroNoiseRng:
+    """A stream whose releases carry no noise: ``fill_rows`` gives the clean map for it and draws
+    nothing, and its own Laplace draws are zero; every other draw is the wrapped stream's
+    (testing hook for noise-free channels)."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def laplace(self, loc=0.0, scale=1.0, size=None):
+        if size is None:
+            return 0.0
+        return np.zeros(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
 
 
 _BLOCK = 1 << 16  # values per row block: 512 KiB of float64, near the size of a core's cache
@@ -246,64 +273,46 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def fill_rows(ch, xs: np.ndarray, rng=None) -> np.ndarray:
-    """``laplace_release(ch.clean(xs), ch.scales(), rng)`` with the same bytes and the same
-    end state of ``rng``; ``ch.clean(xs)`` when ``rng`` is None.
+def _block_rng(key: int, b: int) -> np.random.Generator:
+    """The stream of row block ``b`` of a release keyed ``key``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key, spawn_key=(b,))))
 
-    From two blocks of values up, the rows of a 1-d ``xs`` are split into one
-    contiguous range per CPU, each filled block by block on its own thread
-    into one output: per block, the unit Laplace draws times the scales, then
-    the block's clean map added.  Range k draws from a PCG64 at the caller's
-    state jumped ahead by its first row times the levels per row, which are
-    the draws a serial release makes before it.  The Laplace sampler redraws
-    a uniform of 0 (probability 2^-53 per draw); a range that did so ends past
-    the next range's start, and then the release is redone serially.
+
+def fill_rows(ch, xs, rng=None) -> np.ndarray:
+    """``laplace_release(ch.clean(xs), ch.scales(), rng)`` below two blocks of values (and for a
+    scalar or a 2-d ``xs``); the clean map alone when ``rng`` is None or a ``ZeroNoiseRng``.
+
+    From two blocks up, one key ``int(rng.integers(0, 2**63))`` is drawn from
+    ``rng``, and block b of ``max(1, _BLOCK // levels)`` rows is released into
+    its rows of the output from ``_block_rng(key, b)``, on one thread per CPU,
+    in any order.
     """
+    if isinstance(rng, ZeroNoiseRng):
+        rng = None
     scales = ch.scales()
     levels = np.size(scales)
     n = len(xs) if np.ndim(xs) == 1 else 0
-    # only a plain Generator over PCG64 can jump ahead; a proxy (one that zeroes or
-    # counts draws) is filled serially, so it sees every draw
-    jumps = rng is None or (type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64)
-    if n * levels < 2 * _BLOCK or not jumps:
+    if n * levels < 2 * _BLOCK:
         clean = ch.clean(xs)
         return clean if rng is None else laplace_release(clean, scales, rng)
     rows = max(1, _BLOCK // levels)
-    parts = min(_cpus(), -(-n // rows))
-    edges = [n * k // parts for k in range(parts + 1)]
+    firsts = range(0, n, rows)
     out = np.empty((n,) + np.shape(scales))
-    if rng is not None:
-        start = rng.bit_generator.state
-        gens = [np.random.Generator(np.random.PCG64()) for _ in range(parts)]
-        for g, first in zip(gens, edges):
-            g.bit_generator.state = start
-            g.bit_generator.advance(first * levels)
-        starts = [g.bit_generator.state["state"] for g in gens]
+    key = None if rng is None else int(rng.integers(0, 2**63))
 
-    def fill(k: int) -> None:
-        for a in range(edges[k], edges[k + 1], rows):
-            block = slice(a, min(a + rows, edges[k + 1]))
-            if rng is None:
-                out[block] = ch.clean(xs[block])
-            else:
-                np.multiply(gens[k].laplace(0.0, 1.0, size=out[block].shape), scales, out=out[block])
-                out[block] += ch.clean(xs[block])
+    def fill(b: int) -> None:
+        block = slice(firsts[b], firsts[b] + rows)
+        if key is None:
+            out[block] = ch.clean(xs[block])
+        else:
+            laplace_release(ch.clean(xs[block]), scales, _block_rng(key, b), out=out[block])
 
     # threads per call: a pool kept in the module would reach forked workers without its threads
-    with concurrent.futures.ThreadPoolExecutor(max(1, parts - 1)) as pool:
-        # each helper runs in a copy of the caller's context (numpy's errstate lives there)
-        helpers = [pool.submit(contextvars.copy_context().run, fill, k) for k in range(1, parts)]
-        fill(0)
-        for f in helpers:
+    with concurrent.futures.ThreadPoolExecutor(min(_cpus(), len(firsts))) as pool:
+        # each block runs in a copy of the caller's context (numpy's errstate lives there)
+        blocks = [pool.submit(contextvars.copy_context().run, fill, b) for b in range(len(firsts))]
+        for f in blocks:
             f.result()
-    if rng is None:
-        return out
-    ends = [g.bit_generator.state for g in gens]
-    if any(end["state"] != nxt for end, nxt in zip(ends, starts[1:])):
-        return laplace_release(ch.clean(xs), scales, rng)
-    # jumping ahead drops a buffered half of a 64-bit draw, which a serial release keeps
-    ends[-1].update(has_uint32=start["has_uint32"], uinteger=start["uinteger"])
-    rng.bit_generator.state = ends[-1]
     return out
 
 
@@ -317,7 +326,7 @@ class _LaplaceRelease:
     """
 
     def privatize(self, x, rng):
-        z = laplace_release(self.clean(_check_finite_scalar(x)), self.scales(), rng)
+        z = fill_rows(self, _check_finite_scalar(x), rng)
         return z if np.ndim(z) else float(z)
 
     def privatize_array(self, xs: np.ndarray, rng) -> np.ndarray:

@@ -240,8 +240,8 @@ def random_instance(rng, dims=(2, 3)):
     for s_arr in supports:
         while np.any(np.diff(s_arr) <= 1e-9):  # enforce strict increase
             s_arr += np.linspace(0, 1e-6, s_arr.size)
-    P = DiscreteDist(supports, _random_table(rng, sizes))
-    Pt = DiscreteDist(supports, _random_table(rng, sizes))
+    P = DiscreteDist._trusted(supports, _random_table(rng, sizes))
+    Pt = DiscreteDist._trusted(supports, _random_table(rng, sizes))
     alphas = rng.uniform(0.1, 1.5, size=d)
     channels = [make_rr_channel(tuple(supports[j]), float(alphas[j])) for j in range(d)]
     return P, Pt, channels

@@ -38,6 +38,7 @@ from . import lowerbounds as lb
 from .channels import (
     LaplaceTruncChannel,
     PrivacyBudget,
+    ZeroNoiseRng,
     audit_verdict,
     derive_rng,
     fill_rows,
@@ -83,21 +84,6 @@ __all__ = [
     "derive_rng",
     "default_workers",
 ]
-
-class ZeroNoiseRng:
-    """RNG proxy whose Laplace draws are zero (testing hook for noise-free channels)."""
-
-    def __init__(self, rng):
-        self._rng = rng
-
-    def laplace(self, loc=0.0, scale=1.0, size=None):
-        if size is None:
-            return 0.0
-        return np.zeros(size)
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
 
 def default_workers() -> int:
     """The CLDP_WORKERS count, 1 when unset."""

@@ -103,7 +103,19 @@ class DiscreteDist:
         total = float(p.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"masses sum to {total!r}, not 1")
-        p = p / total
+        self._take(sups, p)
+
+    @classmethod
+    def _trusted(cls, supports, probs) -> "DiscreteDist":
+        """The law of strictly increasing float ``supports`` and a nonnegative table whose total
+        is 1 up to rounding, both by construction: no checks, but the table is divided by its
+        total as ``__init__`` divides it, so the bytes are the same."""
+        law = object.__new__(cls)
+        law._take(tuple(supports), np.asarray(probs, dtype=float))
+        return law
+
+    def _take(self, sups: tuple, p: np.ndarray) -> None:
+        p = p / float(p.sum())
         p.flags.writeable = False
         for s in sups:
             s.flags.writeable = False

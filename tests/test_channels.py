@@ -326,7 +326,7 @@ class TestSharedLaplaceRelease:
     def test_release_is_clean_map_plus_scaled_noise(self, ch, clean, scales):
         xs = np.linspace(-2.0, 2.0, 9)
         assert np.allclose(ch.scales(), scales, rtol=1e-12, atol=0.0)
-        expected = clean(xs) + derive_rng(18, 0).laplace(0.0, 1.0, size=np.shape(clean(xs))) * scales
+        expected = _formula(clean(xs), scales, derive_rng(18, 0))
         assert np.allclose(ch.privatize_array(xs, derive_rng(18, 0)), expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("ch, clean, scales", LAPLACE_TYPE)
@@ -651,6 +651,13 @@ def _same_bytes(a, b) -> bool:
     return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+def _formula(clean, scales, rng):
+    """clean + scales * copysign(E, U - 0.5), every E drawn before every U: the release written plainly."""
+    shape = np.shape(clean)
+    e = rng.standard_exponential(shape)
+    return clean + np.copysign(e, rng.random(shape) - 0.5) * scales
+
+
 def _polyval_kernel(k, u):
     """K(u) as np.where(|u| <= 1, polyval(u, coeffs), 0), the form the in-place evaluation replaces."""
     u = np.asarray(u, dtype=float)
@@ -671,21 +678,18 @@ class TestLeanReleaseIsBitwiseTheFormula:
         data=st.data(),
         shape=st.sampled_from([(), (7,), (5, 3), (1, 4)]),
         seed=st.integers(0, 2**32 - 1),
-        zero=st.booleans(),
     )
-    def test_laplace_release(self, data, shape, seed, zero):
+    def test_laplace_release(self, data, shape, seed):
         value = st.floats(-1e6, 1e6, allow_subnormal=True)
         clean = data.draw(hnp.arrays(np.float64, shape, elements=value))
         # one scale per entry, per level (the trailing axis) or one for all
         scale_shape = data.draw(st.sampled_from([(), shape[-1:], shape]))
         scales = data.draw(hnp.arrays(np.float64, scale_shape, elements=st.floats(1e-3, 1e3)))
-
-        def stream():
-            rng = np.random.default_rng(seed)
-            return ZeroNoiseRng(rng) if zero else rng
-
-        old = clean + stream().laplace(0.0, 1.0, size=np.shape(clean)) * scales
-        assert _same_bytes(laplace_release(clean, scales, stream()), old)
+        want = _formula(clean, scales, np.random.default_rng(seed))
+        assert _same_bytes(laplace_release(clean, scales, np.random.default_rng(seed)), want)
+        out = np.full(shape, np.nan)
+        assert laplace_release(clean, scales, np.random.default_rng(seed), out=out) is out
+        assert _same_bytes(out, want)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -745,20 +749,41 @@ def _xs(n: int, seed: int = 0) -> np.ndarray:
     return 2.0 * np.random.default_rng(seed).standard_normal(n)
 
 
-def _pcg64_zero_at(p: int) -> np.random.Generator:
-    """A PCG64 stream whose draw p (0-based) is the 64-bit zero, the one uniform the
-    Laplace sampler rejects and draws again: PCG64 outputs the xor of its state's halves."""
-    bg = np.random.PCG64(5)
-    state = bg.state
-    state["state"]["state"] = (0x0123456789ABCDEF << 64) | 0x0123456789ABCDEF
-    bg.state = state
-    bg.advance(-(p + 1))
-    return np.random.Generator(bg)
+def _reference_release(ch, xs, rng):
+    """The release as the stream layout states it, one block after another on one thread: below
+    the split size the formula on ``rng``; from it one key from ``rng``, and block b of
+    ``_BLOCK // levels`` rows the formula on the stream spawned from (key, b)."""
+    clean, scales = ch.clean(xs), ch.scales()
+    if np.size(clean) < SPLIT:
+        return _formula(clean, scales, rng)
+    key = int(rng.integers(0, 2**63))
+    rows = max(1, cldp.channels._BLOCK // np.size(scales))
+    return np.concatenate([
+        _formula(clean[a:a + rows], scales,
+                 np.random.Generator(np.random.PCG64(np.random.SeedSequence(key, spawn_key=(b,)))))
+        for b, a in enumerate(range(0, len(xs), rows))
+    ])
+
+
+class _PassThrough:
+    """A stream proxy that counts the exponential draws it is asked for, as a tracer's would."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.drawn = 0
+
+    def standard_exponential(self, size=None, dtype=np.float64, method="zig", out=None):
+        got = self._rng.standard_exponential(size, dtype, method, out)
+        self.drawn += np.size(got)
+        return got
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
 
 
 class TestRowBlocks:
-    """Releases and clean maps filled in row blocks give the serial bytes and leave the stream where
-    the serial release does."""
+    """Releases and clean maps filled in row blocks give the bytes of the reference layout, on any
+    number of CPUs, and leave the caller's stream where it does."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -779,60 +804,42 @@ class TestRowBlocks:
         split, serial = np.random.default_rng(seed), np.random.default_rng(seed)
         for rng in (split, serial):  # an odd count leaves half a 64-bit draw buffered
             rng.integers(0, 2**32, size=pre, dtype=np.uint32)
-        with mock.patch.object(cldp.channels, "_cpus", lambda: cpus), \
-                mock.patch.object(cldp.channels, "laplace_release", wraps=laplace_release) as whole:
+        with mock.patch.object(cldp.channels, "_cpus", lambda: cpus):
             z = ch.privatize_array(xs, split)
             clean = fill_rows(ch, xs)
-        assert whole.called == (n * np.size(ch.scales()) < SPLIT)  # a split release is not redone whole
-        assert _same_bytes(z, laplace_release(ch.clean(xs), ch.scales(), serial))
+        assert _same_bytes(z, _reference_release(ch, xs, serial))
         assert _same_bytes(clean, ch.clean(xs))
         assert split.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == \
             serial.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
         assert split.random() == serial.random()
 
     @pytest.mark.parametrize("which", range(4))
-    def test_proxies_and_other_generators_filled_serially(self, which):
+    def test_proxies_and_other_generators_give_the_layout_bytes(self, which):
         ch = _four_channels(14, order=1)[which]
-        n = 2 * SPLIT // np.size(ch.scales()) + 5
-        xs = _xs(n)
-        assert _same_bytes(ch.privatize_array(xs, ZeroNoiseRng(np.random.default_rng(1))), ch.clean(xs))
-        drawn = []
+        for n in (SPLIT // np.size(ch.scales()) - 1, 2 * SPLIT // np.size(ch.scales()) + 5):
+            xs = _xs(n)
+            # zero noise is the clean map exactly, below and above the split size, and for one value
+            assert _same_bytes(ch.privatize_array(xs, ZeroNoiseRng(np.random.default_rng(1))), ch.clean(xs))
+            assert _same_bytes(privatize(ch, xs[0], ZeroNoiseRng(np.random.default_rng(1))),
+                               np.asarray(ch.clean(xs[0])))
+            # a pass-through proxy gets the bare Generator's bytes and leaves its stream where it does
+            proxy, bare = _PassThrough(np.random.default_rng(2)), np.random.default_rng(2)
+            assert _same_bytes(ch.privatize_array(xs, proxy), ch.privatize_array(xs, bare))
+            assert proxy.random() == bare.random()
+            # below the split size the proxy sees every draw; above it, the blocks draw from their own streams
+            assert proxy.drawn == (n * np.size(ch.scales()) if n * np.size(ch.scales()) < SPLIT else 0)
+            mt, mt_serial = (np.random.Generator(np.random.MT19937(0)) for _ in range(2))
+            assert _same_bytes(ch.privatize_array(xs, mt), _reference_release(ch, xs, mt_serial))
+            assert mt.random() == mt_serial.random()
 
-        class Counting:
-            def __init__(self, rng):
-                self._rng = rng
-
-            def laplace(self, loc=0.0, scale=1.0, size=None):
-                drawn.append(int(np.prod(size)))
-                return self._rng.laplace(loc, scale, size)
-
-        z = ch.privatize_array(xs, Counting(np.random.default_rng(2)))
-        assert drawn == [n * np.size(ch.scales())]
-        assert _same_bytes(z, laplace_release(ch.clean(xs), ch.scales(), np.random.default_rng(2)))
-        mt, mt_serial = (np.random.Generator(np.random.MT19937(0)) for _ in range(2))
-        assert _same_bytes(ch.privatize_array(xs, mt), laplace_release(ch.clean(xs), ch.scales(), mt_serial))
-        assert mt.random() == mt_serial.random()
-
-    @pytest.mark.parametrize("where", ["first range", "last range"])
-    def test_rejected_uniform_gives_serial_bytes(self, where):
-        ch = _four_channels(7, order=0)[3]
-        n = SPLIT // 7 + 100
-        p = 7 * (10 if where == "first range" else n - 3)
-        split, serial = _pcg64_zero_at(p), _pcg64_zero_at(p)
-        probe = _pcg64_zero_at(p).bit_generator
-        probe.advance(p)
-        assert probe.random_raw() == 0
-        xs = _xs(n)
-        with mock.patch.object(cldp.channels, "_cpus", lambda: 2), \
-                mock.patch.object(cldp.channels, "laplace_release", wraps=laplace_release) as whole:
-            z = ch.privatize_array(xs, split)
-        # a redraw in the first range shifts the second: the release is redone serially
-        assert whole.called == (where == "first range")
-        assert _same_bytes(z, laplace_release(ch.clean(xs), ch.scales(), serial))
-        # the serial release drew one uniform more than it has values
-        ahead = _pcg64_zero_at(p).bit_generator
-        ahead.advance(7 * n + 1)
-        assert split.bit_generator.state == serial.bit_generator.state == ahead.state
+    @pytest.mark.parametrize("cpus", [2, 3, 5])
+    def test_bytes_do_not_depend_on_the_cpus(self, cpus):
+        ch = _four_channels(3, order=2)[3]
+        xs = _xs(5 * SPLIT // 3 + 7)
+        with mock.patch.object(cldp.channels, "_cpus", lambda: 1):
+            one = ch.privatize_array(xs, np.random.default_rng(4))
+        with mock.patch.object(cldp.channels, "_cpus", lambda: cpus):
+            assert _same_bytes(ch.privatize_array(xs, np.random.default_rng(4)), one)
 
     def test_helper_thread_exception_reaches_caller(self):
         raised_on = []
@@ -845,11 +852,38 @@ class TestRowBlocks:
                 return super().clean(x)
 
         xs = _xs(2 * SPLIT)
-        xs[-10:] = 9.0  # in the last range, which a helper thread fills
-        rng = np.random.default_rng(3)
-        before = rng.bit_generator.state
+        xs[-10:] = 9.0  # in the last block; every block is filled on a pool thread
+        rng, keyed = np.random.default_rng(3), np.random.default_rng(3)
+        keyed.integers(0, 2**63)  # the release's one draw from the caller's stream: its key
         with mock.patch.object(cldp.channels, "_cpus", lambda: 2):
             with pytest.raises(RuntimeError, match="clean failed"):
                 Faulty(T=1.0, alpha=1.0).privatize_array(xs, rng)
         assert raised_on and raised_on[0] is not threading.main_thread()
-        assert rng.bit_generator.state == before
+        assert rng.bit_generator.state == keyed.bit_generator.state
+
+
+class TestLaplaceNoise:
+    """The unit noise copysign(E, U - 0.5) is Laplace(0, 1), from the caller's stream below the
+    split size and from one stream per row block above it."""
+
+    # a clamp at T = 1/2 and level 1 has scale 1, so the release of zeros is the unit noise
+    UNIT = LaplaceTruncChannel(T=0.5, alpha=1.0)
+
+    @pytest.mark.parametrize("n", [SPLIT - 1, 3 * SPLIT + 11])
+    def test_moments_and_law(self, n):
+        from scipy import stats
+
+        z = self.UNIT.privatize_array(np.zeros(n), np.random.default_rng(5))
+        # mean 0 with variance 2, and the sample variance 2 with variance E L^4 - 4 = 20
+        assert abs(z.mean()) / math.sqrt(2.0 / n) < 4.0
+        assert abs(z.var() - 2.0) / math.sqrt(20.0 / n) < 4.0
+        assert stats.kstest(z, "laplace").pvalue > 1e-3
+
+    def test_blocks_are_uncorrelated(self):
+        rows = cldp.channels._BLOCK
+        z = self.UNIT.privatize_array(np.zeros(4 * rows), np.random.default_rng(6)).reshape(4, rows)
+        # each block against the next, value by value, and the values either side of each boundary
+        for a, b in zip(z[:-1], z[1:]):
+            assert abs(np.corrcoef(a, b)[0, 1]) * math.sqrt(rows) < 4.0
+        across = np.corrcoef(z[:-1, -1000:].ravel(), z[1:, :1000].ravel())[0, 1]
+        assert abs(across) * math.sqrt(3000) < 4.0

@@ -67,40 +67,40 @@ RATE_CASES = {
 
 RATE_GOLDEN = {
     "mean": (
-        "6760b03bc27d2c9ee405c13bb2f0c8ace5e98d61e6d065a852e129a176876b14",
-        "e3b9c7f8cbb34cc8b3a6a4b573adbb18a16ca7397e4ec822e63eb1506c3d1914",
+        "597e0b177833f31695177a1080395f928e64738c34077e5d2852e063aad37358",
+        "81467971103028ef12e337a8755d2cf3c3b8835a0980e20e352908f3ef125453",
     ),
     "moment_zero_noise": (
         "0a1f864db5777028d6e223725f73fced9d2f155c4e737541374af5441f60bb05",
         "2e0f241913d2b7469bcc752a8acaa702819b04b980c920b91713e1c23002d2c6",
     ),
     "cov": (
-        "d2d3821f01dfc03ccc10bcd5bcedc493b886f3fc91dc429785c18803977255ad",
+        "7d065c3dd93e6113c41129b04cd2809cc0dd1f45665f9acfa7d8810569fc9eda",
         "00287aed9a7ab2e7fa83a7ba3369c5f1f74ddb4b3fc76ce87b9eaf9b3188b513",
     ),
     "corr": (
-        "b3990b23927ba74832bd782cf784c2df5155ad0e14a4ddd2262cedbf2e9fa0a6",
+        "61cc85b4c884e0e5f00afc979a5daa2a4e562a9b3dd44f57b272bf81d4d7875f",
         "39217a642ac064d9f22db38b2e01a32fa491f209c111afd7b78f1ac6371d65ee",
     ),
     "kde_h": (
-        "eafee5420e7453e517a0e6bb4488c3276298e956d35c40c0b6db322eb0ac7e46",
+        "87b4bb53f1a340df7809223507c1a33917ebc0e2fd5584f6f018b34e1ee9c876",
         "3e967939b0ef5d54a16835c7245fdf87f644fbb71c94d6d4ae886df608435222",
     ),
     "kde_nonprivate": (
-        "a69128ccbbb70551351f80515f37ac405cec979faf9271c471ce39fe9d489365",
+        "526e24c4a694c7a13959f05e3911f46aa876c0c77c04f8b749f94dd2f88c3c16",
         "71257bd1acede3d4c9a0c544c5387446b98723b13f9e52e9f1bd1ee7c92cef58",
     ),
     "adaptive_moment": (
-        "18948bbaf364a6e257a3d147ff8a6ddb4c7498aa3b04a6139ff83f278538b7e6",
-        "58233d66d93be324b36603430f710c74d5b6cb6bc35039e07b6541e76055fa28",
+        "3a15f88b93b75494272711f66a0906cd3609428939256da44bf2fc7c23c92472",
+        "4a007447a263f0056202e3a44326900d4adb455480dbc5c691a7406d496d4e2e",
     ),
     "adaptive_moment_d2": (
-        "2dbbc7f397dc8b2fb80d0c74a3ae6a225191d2b05a01a427d34e815df7902d4f",
-        "78877545930495e19de1fb0c95d8498adfe658c436da7d63dcee05af557c4b31",
+        "cea956657e421af461c89c6d1cc125658fb26fa1ad228dc41f4aa01587b82dcb",
+        "97e9525becbd26f318833cf469160565eb01a3931dd42817f6332cb5a0e1411f",
     ),
     "adaptive_density": (
-        "eeb8eaac810e9235348e9cede1aff83eb4632e8fec0822e0c59b06b498d319c5",
-        "f7679e3c605c3c1060caa1df2b9659efb321c8c8689bfaeb6079bd3c71e4fce8",
+        "2bdcf214ff5b4b44ea90553c9dc83d14d03ae1bf0ef7c86cc66d34ebec04b10f",
+        "45275467cc3ae05f470e4a21ba5e4a158f90727d26928c19d59e336c21f13859",
     ),
 }
 
@@ -114,12 +114,12 @@ ARRAY_CASES = {
 
 ARRAY_GOLDEN = {  # (release, oracle mean, oracle noise variance)
     "c07": (
-        "b3646882f2d4c3583d770b29db296983be4aa479050d2b6b3ab30d7858ed8008",
+        "eca1de9a40ba1abbd06d1c1e2f35c611fd23632ff436269176d604f264102913",
         "c3d5450c03c9534a939f439eb41afc2f1d2875db10a78b728d9c3958a8a5fc26",
         "6923931471d4594c7dbf73deefc32f2f7a01438985e14aabe88acd9e7dc196da",
     ),
     "c08": (
-        "22f9055efd126096092e68228c542e4ccc00ddc4e24d1de740041a7cb6509a97",
+        "d8730a4ef8c34acd2875aed024ff4f1c7f0f8bb3054117dd7fea20bb90a5cf02",
         "bb41b2a2eb664a3eeb8988e02e1d6c3a2388ad83699025c64cbefb6dc55bb676",
         "80893be24bd9b55830608f530f0d407e10375ec70e2e741b026512e2eea0cea2",
     ),
@@ -150,12 +150,12 @@ def test_multi_level_release_and_oracle_unchanged(name):
 SPLIT_N = 2**14
 SPLIT_GOLDEN = {
     "c07": (
-        "cfbb25f3759f1234b56daea0bb5f5dbf1b0bca59bd4bff14ff17e65487ae3f18",
+        "40d248edf174af863b903a552dd9b37b5b664de1b93da9d441621568217afd62",
         "3fc53eb526b4ec1632529e2f98f58479de438d6b1714716e089e7db78ec6a8d7",
         "26e2010916022e9d90a6cf22dd2b85bd00448d8963c1bf23ee4a47dc9d2346a5",
     ),
     "c08": (
-        "02507354c668da5956b08a94510eff751d477edbb54b36ad9f10ed45a28e623d",
+        "c9d6101bee202721790dbbe05ad6ba988a2e996349a78304226e399126fa7970",
         "c6cbbe976706d2411400453f1b62b2ae6a8e39bf715c869949b387acdd1f5780",
         "fe7575ce52e3ae211c8b488c5deef3f79352254c9a9c7b028d8f6637e1157ede",
     ),
@@ -185,14 +185,14 @@ CLI_CASES = {
 }
 
 CLI_GOLDEN = {
-    "estimate_mean": "ecc286bc7745eb20a248296cc1fcea622140f06e3998550e507182b912b9ae56",
-    "estimate_moment": "5efd5af30ff969f7fdee6b0411ab828f15837b4638b487f047b72b96a54c6afc",
-    "estimate_cov": "9efeb6fedc46fc71a272da3d42f5ac2edaf55a77c52ff1c1c41f348282df8a66",
-    "estimate_corr": "efb865f7d307f6b36049043cf98b4bd4e98c7a5fde6dcd314ccd3b36ace949f4",
-    "estimate_kde": "54d9d4a0c42e63935c8461229e52c16af35c4fd30484c9caf2c0ad9d8ef2276c",
-    "estimate_kde_h": "017d7418dfd575fd2d99149806ec8c19fd33ec12e2be06bfa41fedd8d86bf92a",
-    "adaptive_moment": "95766d0d5a2794959df57833057fe6b5d36bee1ba5385a6b853440a4bec64b2e",
-    "adaptive_density": "83d56276ceb0fba6a5f95755fa0052ef37768aa54bc3f39afcd1eb26a563c1cd",
+    "estimate_mean": "cd8ed3d11f2e146053a884b77609ee13f91accb002481ca9834a36fd52a43b72",
+    "estimate_moment": "822743d60844d4d72aefc5304ab8c9f16d204f63fd8237b29d608ebf8c763699",
+    "estimate_cov": "a277c0646ae4b34d62e779fb9b585fb5d90066b78b6ba72b44ea5424749be58c",
+    "estimate_corr": "21847d5587268b5e9a5236525cbc09a680a620f991716fb70e9da4a35c2beff4",
+    "estimate_kde": "a9642badd7df333df8124d9500de3c7ee0bc8661a77cc878750faa4820a500aa",
+    "estimate_kde_h": "8cdabef383dc6b24897738f2d44684188231f6fd8e575c759fad307b33bc114c",
+    "adaptive_moment": "bf28b8235d9a141061b63925c450fccc88d5a60facdb3f561a22a1cf555e359a",
+    "adaptive_density": "f5e7c679d3454f0a9142ccfb03d16a34d3b56ba83a5bceb489a5e5d06f4cdd8f",
 }
 
 

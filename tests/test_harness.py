@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import cldp.channels
 import cldp.harness
 from cldp.adaptive import _diagonal_table, _estimate_table, build_bandwidth_grid, build_truncation_grid
 from cldp.channels import (
@@ -97,6 +98,16 @@ class TestFitLogLog:
     def test_needs_four_points(self):
         with pytest.raises(ValueError, match="4 points"):
             fit_loglog_slope((np.array([1.0, 2.0]), np.array([1.0, 2.0])))
+
+
+class _PassThroughRng:
+    """A stream proxy that forwards every draw, as the benchmark tracer's counting one does."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
 
 
 class TestRunRateExperiment:
@@ -195,21 +206,27 @@ class TestRunRateExperiment:
         assert out1.read_bytes() == out8.read_bytes()
 
     @pytest.mark.parametrize("case", ["c07", "c08"])
-    def test_split_releases_workers_byte_identical(self, case, tmp_path):
+    def test_split_releases_workers_byte_identical(self, case, tmp_path, monkeypatch):
         # at n = 2^14 the releases and the oracle's clean maps are filled in row
-        # blocks, on threads that each forked pool worker starts for itself
+        # blocks, on threads that each forked pool worker starts for itself; the
+        # last run hands each replication a pass-through proxy stream, as a
+        # tracer does, on one CPU
         mode, model, alphas, options = ORACLE_CASES[case]
         outs = []
-        for workers in (1, 2):
-            out = tmp_path / f"w{workers}.csv"
+        for run, workers in enumerate((1, 2, 1)):
+            if run == 2:
+                derive = cldp.harness.derive_rng
+                monkeypatch.setattr(cldp.harness, "derive_rng", lambda *key: _PassThroughRng(derive(*key)))
+                monkeypatch.setattr(cldp.channels, "_cpus", lambda: 1)
+            out = tmp_path / f"run{run}.csv"
             run_rate_experiment(ExperimentConfig(mode=mode, n_grid=(2**14,), alphas=alphas, replications=2, seed=9,
                                                  model=model.to_json(), options=options, out=str(out),
                                                  workers=workers))
-            meta = json.loads((tmp_path / f"w{workers}.csv.meta.json").read_text())
+            meta = json.loads((tmp_path / f"run{run}.csv.meta.json").read_text())
             assert meta["config"].pop("workers") == workers
             assert "oracle_mse" in meta["extras"]["per_n"][str(2**14)]
             outs.append((out.read_bytes(), json.dumps(meta, sort_keys=True)))
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
 
     def test_slope_validation(self):
         with pytest.raises(ValueError, match="replications"):
@@ -493,7 +510,7 @@ class TestExactOracle:
     def test_replication_draws_only_the_release(self, case, monkeypatch):
         # the oracle draws nothing: past the data sampler's own draws (the kink
         # component of the Holder density is Laplace), a replication's Laplace
-        # variates are its release's n * d * m
+        # variates, each one exponential magnitude, are its release's n * d * m
         drawn = []
 
         class Counting:
@@ -504,6 +521,11 @@ class TestExactOracle:
                 out = self._rng.laplace(loc, scale, size)
                 drawn.append(np.size(out))
                 return out
+
+            def standard_exponential(self, size=None, dtype=np.float64, method="zig", out=None):
+                got = self._rng.standard_exponential(size, dtype, method, out)
+                drawn.append(np.size(got))
+                return got
 
             def __getattr__(self, name):
                 return getattr(self._rng, name)

@@ -61,6 +61,17 @@ class TestDiscreteDist:
         with pytest.raises(ValueError):
             d.probs[0] = 0.3
 
+    def test_trusted_law_is_the_checked_law(self):
+        # a table off 1 by rounding, as a normalized random table is, is divided by its total alike
+        rng = np.random.default_rng(3)
+        for shape in [(2,), (3, 2), (2, 3, 3)] * 5:
+            supports = [np.cumsum(rng.uniform(0.1, 1.0, size=k)) for k in shape]
+            raw = rng.gamma(1.0, 1.0, size=shape)
+            table = raw / raw.sum()
+            trusted, checked = DiscreteDist._trusted(supports, table), DiscreteDist(supports, table)
+            assert trusted == checked and trusted.probs.tobytes() == checked.probs.tobytes()
+            assert not trusted.probs.flags.writeable and not any(s.flags.writeable for s in trusted.supports)
+
 
 class TestMarginal:
     def test_uniform_square_axis1(self):
