@@ -4,6 +4,9 @@ The selector balances a data-driven bias proxy against a variance penalty over
 dyadic grids.  Every candidate pair is evaluated from the same releases, so the
 auxiliary estimators commute exactly; the (bias-proxy, penalty) tables are pure
 functions of the released tensor and are returned in full as diagnostics.
+Each selector is a rule over the level table of the releases
+(``gl_truncation_rule``, ``gl_bandwidth_rule``); ``gl_select_*`` build that
+table from a released sample, and the harness sums it over row blocks.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ __all__ = [
     "multi_bandwidth_channels",
     "gl_select_truncation",
     "gl_select_bandwidth",
+    "gl_truncation_rule",
+    "gl_bandwidth_rule",
     "TruncationSelection",
     "BandwidthSelection",
 ]
@@ -107,11 +112,11 @@ def multi_bandwidth_channels(
     )
 
 
-def _estimate_table(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Means of row products for every grid combination.
+def _estimate_sums(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Sums over rows of row products for every grid combination.
 
-    columns: one (n, m) array per axis, or a (1, m) row shared by every row;
-    returns an m^d table whose entry at (r_1, ..., r_d) is the mean over rows
+    columns: one (rows, m) array per axis, or a (1, m) row shared by every row;
+    returns an m^d table whose entry at (r_1, ..., r_d) is the sum over rows
     of prod_j columns[j][i, r_j].
     """
     d = len(columns)
@@ -119,12 +124,22 @@ def _estimate_table(columns: Sequence[np.ndarray]) -> np.ndarray:
     if d > len(letters):
         raise ValueError("dimension too large")
     spec = ",".join(f"i{letters[j]}" for j in range(d)) + "->" + letters[:d]
-    return np.einsum(spec, *columns) / max(c.shape[0] for c in columns)
+    return np.einsum(spec, *columns)
+
+
+def _diagonal_sums(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """The diagonal of ``_estimate_sums`` on the same columns: one level shared by every axis."""
+    return functools.reduce(np.multiply, columns).sum(axis=0)
+
+
+def _estimate_table(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Means of row products for every grid combination: ``_estimate_sums`` over the rows."""
+    return _estimate_sums(columns) / max(c.shape[0] for c in columns)
 
 
 def _diagonal_table(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """The diagonal of ``_estimate_table`` on the same columns: one level shared by every axis."""
-    return functools.reduce(np.multiply, columns).mean(axis=0)
+    """The diagonal of ``_estimate_table`` on the same columns."""
+    return _diagonal_sums(columns) / max(c.shape[0] for c in columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,15 +162,17 @@ class BandwidthSelection:
     pi_table: np.ndarray
 
 
-def _check_multi_sample(Zm: PrivatizedSample, cfg: GLConfig, grid_len: int):
+def _check_multi_sample(Zm: PrivatizedSample, cfg: GLConfig):
     if not Zm.multi_level:
         raise ValueError("selector needs multi-level releases")
-    if Zm.values.shape[2] != grid_len:
+    if Zm.values.shape[2] != cfg.grid_cardinality:  # both grids have floor(log2 n) levels
         raise ValueError(
-            f"sample has {Zm.values.shape[2]} levels but the n={cfg.n} grid has {grid_len}"
+            f"sample has {Zm.values.shape[2]} levels but the n={cfg.n} grid has {cfg.grid_cardinality}"
         )
     if Zm.n != cfg.n:
         raise ValueError(f"sample size {Zm.n} does not match config n={cfg.n}")
+    if Zm.d != cfg.budget.d:
+        raise ValueError(f"sample has {Zm.d} component(s) but the budget {cfg.budget.d}")
 
 
 def _gl_select(table: np.ndarray, V: np.ndarray, prefer: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
@@ -186,8 +203,9 @@ def _gl_select(table: np.ndarray, V: np.ndarray, prefer: np.ndarray) -> tuple[tu
     return tuple(int(i) for i in best), B
 
 
-def gl_select_truncation(Zm: PrivatizedSample, cfg: GLConfig) -> TruncationSelection:
-    """Select clamp levels by minimizing bias proxy plus variance penalty.
+def gl_truncation_rule(gamma: np.ndarray, cfg: GLConfig) -> TruncationSelection:
+    """Select clamp levels from the m^d table ``gamma`` of joint-moment estimates, entry
+    (r_1, ..., r_d) at clamp levels (grid[r_1], ..., grid[r_d]) of the decreasing grid.
 
     Penalty:     V_T = a_n * prod_j T_j^2 / (n * prod_j beta_n_j^2)
     Bias proxy:  B_T = sup_T' ( |gamma^(T, T') - gamma^(T')|^2 - V_T' )_+,
@@ -195,12 +213,10 @@ def gl_select_truncation(Zm: PrivatizedSample, cfg: GLConfig) -> TruncationSelec
     Ties resolve to the largest prod_j T_j (the lowest-variance representative).
     """
     grid = build_truncation_grid(cfg.n)  # decreasing
-    _check_multi_sample(Zm, cfg, grid.size)
-    gamma = _estimate_table([Zm.values[:, j, :] for j in range(Zm.d)])  # m^d
     denom = cfg.n * float(np.prod(cfg.beta_n() ** 2))
-    V = cfg.a_n * _outer_product([grid**2] * Zm.d) / denom
+    V = cfg.a_n * _outer_product([grid**2] * gamma.ndim) / denom
     # the grid is decreasing, so the componentwise minimum of (grid[i], grid[j]) is grid[max(i, j)]
-    best, B = _gl_select(gamma, V, _outer_product([grid] * Zm.d))
+    best, B = _gl_select(gamma, V, _outer_product([grid] * gamma.ndim))
     return TruncationSelection(
         T_hat=tuple(float(grid[i]) for i in best),
         gamma_hat=float(gamma[best]),
@@ -211,8 +227,15 @@ def gl_select_truncation(Zm: PrivatizedSample, cfg: GLConfig) -> TruncationSelec
     )
 
 
-def gl_select_bandwidth(Zm: PrivatizedSample, cfg: GLConfig) -> BandwidthSelection:
-    """Select the bandwidth by minimizing bias proxy plus variance penalty.
+def gl_select_truncation(Zm: PrivatizedSample, cfg: GLConfig) -> TruncationSelection:
+    """``gl_truncation_rule`` on the joint-moment table of the multi-level releases ``Zm``."""
+    _check_multi_sample(Zm, cfg)
+    return gl_truncation_rule(_estimate_table([Zm.values[:, j, :] for j in range(Zm.d)]), cfg)
+
+
+def gl_bandwidth_rule(pi: np.ndarray, cfg: GLConfig) -> BandwidthSelection:
+    """Select the bandwidth from the table ``pi`` of density estimates, entry r at bandwidth
+    grid[r] of the increasing grid on every axis.
 
     Penalty:     V_h = a_n / (n h^{2d} prod_j beta_n_j^2)
     Bias proxy:  B_h = sup_eta ( |pi_(max(h, eta)) - pi_eta|^2 - V_eta )_+,
@@ -226,10 +249,8 @@ def gl_select_bandwidth(Zm: PrivatizedSample, cfg: GLConfig) -> BandwidthSelecti
     selection constant at h_max regardless of the data.
     """
     grid = build_bandwidth_grid(cfg.n)  # increasing
-    _check_multi_sample(Zm, cfg, grid.size)
-    pi = _diagonal_table([Zm.values[:, j, :] for j in range(Zm.d)])  # (m,)
     denom = cfg.n * float(np.prod(cfg.beta_n() ** 2))
-    V = cfg.a_n / (grid ** (2 * Zm.d)) / denom
+    V = cfg.a_n / (grid ** (2 * cfg.budget.d)) / denom
     # the grid is increasing, so the coarser scale max(grid[i], grid[j]) is grid[max(i, j)]
     (best,), B = _gl_select(pi, V, grid)
     return BandwidthSelection(
@@ -240,6 +261,12 @@ def gl_select_bandwidth(Zm: PrivatizedSample, cfg: GLConfig) -> BandwidthSelecti
         V_table=V,
         pi_table=pi,
     )
+
+
+def gl_select_bandwidth(Zm: PrivatizedSample, cfg: GLConfig) -> BandwidthSelection:
+    """``gl_bandwidth_rule`` on the density table of the multi-level releases ``Zm``."""
+    _check_multi_sample(Zm, cfg)
+    return gl_bandwidth_rule(_diagonal_table([Zm.values[:, j, :] for j in range(Zm.d)]), cfg)
 
 
 def _outer_product(vectors: list[np.ndarray]) -> np.ndarray:

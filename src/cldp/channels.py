@@ -21,8 +21,10 @@ of fewer than 2^17 values (a scalar ``privatize`` included) draws from the
 stream it is given.  A larger one draws one key from that stream, and its row
 block b draws from a stream of its own, spawned from the key and b; the blocks
 are filled on every CPU the process may use, and which thread fills which block
-changes no byte.  There is no setting for it.  ``fill_rows`` does this; the
-harness's oracle uses it for its clean maps.
+changes no byte.  There is no setting for it.  ``row_blocks`` cuts the rows
+into blocks and runs them, and ``block_streams`` names each block's stream;
+``fill_rows`` releases one channel through them, and the harness's adaptive
+pass releases every axis through them and keeps only the blocks' sums.
 """
 
 from __future__ import annotations
@@ -211,10 +213,26 @@ def trunc_scale(T, level):
 
 
 def kernel_clean(kernel: KernelFn, x, x0, h):
-    """The kernel map (1/h) K((x - x0)/h), divided by h in K's own array."""
-    k = kernel((np.asarray(x, dtype=float) - x0) / h)
-    k /= h
-    return k
+    """The kernel map (1/h) K((x - x0)/h), with the bytes of ``kernel((x - x0)/h) / h``.
+
+    The support test is |x - x0| <= h: no double lies in (h, h (1 + 2^-53)], so
+    it is |fl((x - x0)/h)| <= 1.  Off the support the map is 0; on it, u and the
+    quotient by h are taken there only, and Horner's rule runs only for a kernel
+    with a u-term.
+    """
+    diff = np.asarray(x, dtype=float) - x0
+    inside = np.abs(diff) <= h
+    *lower, lead = kernel.coeffs
+    if lower:
+        u = np.divide(diff, h, out=np.zeros(inside.shape), where=inside)
+        vals = np.full(inside.shape, lead)
+        for c in reversed(lower):
+            vals *= u
+            vals += c
+    else:
+        vals = lead
+    k = np.divide(vals, h, out=np.zeros(inside.shape), where=inside)
+    return k if k.ndim else float(k)
 
 
 def kernel_scale(kernel: KernelFn, h, level):
@@ -249,9 +267,9 @@ def laplace_release(clean, scales, rng, out=None):
 
 
 class ZeroNoiseRng:
-    """A stream whose releases carry no noise: ``fill_rows`` gives the clean map for it and draws
-    nothing, and its own Laplace draws are zero; every other draw is the wrapped stream's
-    (testing hook for noise-free channels)."""
+    """A stream whose releases carry no noise: ``block_streams`` gives none for it, so a release
+    is the clean map and draws nothing, and its own Laplace draws are zero; every other draw is
+    the wrapped stream's (testing hook for noise-free channels)."""
 
     def __init__(self, rng):
         self._rng = rng
@@ -278,41 +296,65 @@ def _block_rng(key: int, b: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key, spawn_key=(b,))))
 
 
+def row_blocks(n: int, levels: int, fill) -> list:
+    """``[fill(b, rows) for every row block b]`` of n rows of ``levels`` values, in block order.
+
+    Below two blocks of values one block holds every row and is filled on this
+    thread.  From two blocks up, block b is rows b k to (b + 1) k, k =
+    ``max(1, _BLOCK // levels)``, filled on one thread per CPU in any order; an
+    exception in a block is raised here once every block has ended.
+    """
+    if n * levels < 2 * _BLOCK:
+        return [fill(0, slice(0, n))]
+    rows = max(1, _BLOCK // levels)
+    # threads per call: a pool kept in the module would reach forked workers without its threads
+    with concurrent.futures.ThreadPoolExecutor(min(_cpus(), -(-n // rows))) as pool:
+        # each block runs in a copy of the caller's context (numpy's errstate lives there)
+        blocks = [pool.submit(contextvars.copy_context().run, fill, b, slice(a, a + rows))
+                  for b, a in enumerate(range(0, n, rows))]
+        return [f.result() for f in blocks]
+
+
+def block_streams(rng, n: int, levels: int, count: int):
+    """``streams(j, b)``, the stream of row block b of release j of ``count`` releases of n rows
+    of ``levels`` values; None for no noise (``rng`` None or a ``ZeroNoiseRng``).
+
+    Below two blocks of values every release draws from ``rng`` in turn.  From
+    two blocks up, one key ``int(rng.integers(0, 2**63))`` per release is drawn
+    from ``rng`` now, in order, and block b of release j draws from
+    ``_block_rng(key_j, b)``.
+    """
+    if rng is None or isinstance(rng, ZeroNoiseRng):
+        return None
+    if n * levels < 2 * _BLOCK:
+        return lambda j, b: rng
+    keys = [int(rng.integers(0, 2**63)) for _ in range(count)]
+    return lambda j, b: _block_rng(keys[j], b)
+
+
 def fill_rows(ch, xs, rng=None) -> np.ndarray:
     """``laplace_release(ch.clean(xs), ch.scales(), rng)`` below two blocks of values (and for a
     scalar or a 2-d ``xs``); the clean map alone when ``rng`` is None or a ``ZeroNoiseRng``.
 
-    From two blocks up, one key ``int(rng.integers(0, 2**63))`` is drawn from
-    ``rng``, and block b of ``max(1, _BLOCK // levels)`` rows is released into
-    its rows of the output from ``_block_rng(key, b)``, on one thread per CPU,
-    in any order.
+    From two blocks up, each of the ``row_blocks`` is released into its rows of
+    the output from its stream in ``block_streams``.
     """
-    if isinstance(rng, ZeroNoiseRng):
-        rng = None
     scales = ch.scales()
     levels = np.size(scales)
     n = len(xs) if np.ndim(xs) == 1 else 0
+    streams = block_streams(rng, n, levels, 1)
     if n * levels < 2 * _BLOCK:
         clean = ch.clean(xs)
-        return clean if rng is None else laplace_release(clean, scales, rng)
-    rows = max(1, _BLOCK // levels)
-    firsts = range(0, n, rows)
+        return clean if streams is None else laplace_release(clean, scales, rng)
     out = np.empty((n,) + np.shape(scales))
-    key = None if rng is None else int(rng.integers(0, 2**63))
 
-    def fill(b: int) -> None:
-        block = slice(firsts[b], firsts[b] + rows)
-        if key is None:
-            out[block] = ch.clean(xs[block])
+    def fill(b: int, rows: slice) -> None:
+        if streams is None:
+            out[rows] = ch.clean(xs[rows])
         else:
-            laplace_release(ch.clean(xs[block]), scales, _block_rng(key, b), out=out[block])
+            laplace_release(ch.clean(xs[rows]), scales, streams(0, b), out=out[rows])
 
-    # threads per call: a pool kept in the module would reach forked workers without its threads
-    with concurrent.futures.ThreadPoolExecutor(min(_cpus(), len(firsts))) as pool:
-        # each block runs in a copy of the caller's context (numpy's errstate lives there)
-        blocks = [pool.submit(contextvars.copy_context().run, fill, b) for b in range(len(firsts))]
-        for f in blocks:
-            f.result()
+    row_blocks(n, levels, fill)
     return out
 
 

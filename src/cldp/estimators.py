@@ -11,6 +11,7 @@ log-log slopes and never match constants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -181,7 +182,8 @@ def private_joint_moment(Z: PrivatizedSample) -> float:
         raise ValueError("empty sample")
     if Z.multi_level:
         raise ValueError("multi-level samples need a selected level first")
-    return float(np.prod(Z.values, axis=1).mean())
+    # the columns multiplied left to right: the bits of np.prod(axis=1), without its per-row loop
+    return float(functools.reduce(np.multiply, Z.values.T).mean())
 
 
 @dataclass(frozen=True)
@@ -266,7 +268,8 @@ def private_kde(Z: PrivatizedSample) -> float:
         raise ValueError("mismatched bandwidths across columns")
     if len(x0s) != 1:
         raise ValueError("mismatched evaluation points across columns")
-    return float(np.prod(Z.values, axis=1).mean())
+    # the columns multiplied left to right: the bits of np.prod(axis=1), without its per-row loop
+    return float(functools.reduce(np.multiply, Z.values.T).mean())
 
 
 @dataclass(frozen=True)

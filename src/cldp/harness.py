@@ -6,6 +6,12 @@ SeedSequence(entropy=seed, spawn_key=(mode_id, n, r)); aggregation sums
 per-replication results in replication order after collecting them by index,
 so the CSV is identical for any parallelism degree.
 
+A fixed-tuning replication estimates from ``release_sample``.  An adaptive
+one makes one pass over row blocks of its sample (``Mode.level_pass``) that
+releases each block as ``release_sample`` would and keeps only the level
+table's sums and the oracle's sums from the same clean maps: no (n, levels)
+array is held.
+
 The effective-sample-size axis of each experiment is fixed by the rate
 statement being checked and recorded in the output metadata, so slope targets
 are unambiguous:
@@ -40,12 +46,14 @@ from .channels import (
     PrivacyBudget,
     ZeroNoiseRng,
     audit_verdict,
+    block_streams,
     derive_rng,
-    fill_rows,
     kernel_order,
+    laplace_release,
     make_kernel,
     make_rr_channel,
     privacy_audit,
+    row_blocks,
 )
 from .estimators import (
     HolderClass,
@@ -228,9 +236,13 @@ def _n_prod(n: int, budget: PrivacyBudget, options: dict) -> float:
 class Mode:
     """One rate mode: stream key, axis, estimand and release-and-estimate pipeline.
 
-    The callables look up the sampling, release, estimator and selector
-    functions when they run, so replacing those module attributes (as a
-    tracer does) reaches every mode.
+    The callables look up the functions they run when they run, so replacing
+    those module attributes (as a tracer does) reaches every mode: the
+    samplers, ``release_sample`` and the ``private_*`` estimators of this module
+    for the fixed-tuning modes; for the adaptive modes the samplers, the
+    ``channels`` helpers ``row_blocks``, ``block_streams`` and
+    ``laplace_release`` of the pass, and the rules ``gl_truncation_rule`` and
+    ``gl_bandwidth_rule`` of ``cldp.adaptive``.
     """
 
     id: int  # replication r of grid point n draws from the stream (seed, id, n, r)
@@ -239,11 +251,13 @@ class Mode:
     config_keys: tuple[str, ...]  # config keys the pipeline reads besides the model's
     truth: Callable  # (model, options) -> estimand
     channels: Callable  # (n, budget, options) -> channels; RegimeError outside the regime, ValueError on a bad option
-    estimate: Callable  # (Z, budget, options) -> estimate, or the adaptive selection
+    # (Z, budget, options) -> estimate; adaptive modes: (level table, n, budget, options) -> the selection
+    estimate: Callable
     n_eff: Callable = _n_prod  # (n, budget, options) -> effective sample size before log deflation
     point: Callable = lambda est: est  # the scalar scored against the truth
-    # adaptive modes: per-axis release columns -> the estimate at every level, which the oracle scores
-    level_table: Optional[Callable] = None
+    # adaptive modes: per-axis (rows, m) columns -> the sums over rows of the estimate at every level;
+    # over the releases that is n times the level table the selector reads, which the oracle also scores
+    level_sums: Optional[Callable] = None
     release_input: Callable = lambda X: X  # (n, d) raw sample -> the columns the channels release
 
     def check_model(self, model, budget: PrivacyBudget) -> None:
@@ -255,6 +269,47 @@ class Mode:
         if isinstance(model, HolderDensityModel) and not model._axis_norm() >= 0.01:
             raise ValueError(f"box mass {model._axis_norm():.3g} per axis is below 0.01")
 
+    def level_pass(self, X: np.ndarray, channels, rng, oracle: bool) -> tuple:
+        """(level table, oracle moments) of the (n, d) sample X through the per-axis multi-level
+        ``channels``, in one pass over the row blocks of X.
+
+        Each block computes every axis's clean map once and releases it from its
+        stream in ``block_streams``, so ``release_sample(X, channels, rng)`` gives
+        exactly the releases reduced here; the block keeps the level sums of its
+        releases and, with ``oracle``, the ``_oracle_sums`` of its clean maps, and
+        the sums are added in block order.  A ``ZeroNoiseRng`` releases the clean
+        maps; ``rng`` None gives no table, and no ``oracle`` no moments.
+        """
+        X = np.asarray(X, dtype=float)
+        if not np.all(np.isfinite(X)):
+            raise ValueError("raw values must be finite")
+        n = X.shape[0]
+        scales = [ch.scales() for ch in channels]
+        var = [2.0 * ch.scales(ch.alpha) ** 2 for ch in channels]
+        levels = np.size(scales[0])  # every axis has the same grid, so the blocks line up across axes
+        streams = block_streams(rng, n, levels, len(channels))
+
+        def block(b: int, rows: slice) -> list:
+            clean = [ch.clean(X[rows, j]) for j, ch in enumerate(channels)]
+            sums = []
+            if rng is not None:
+                z = clean if streams is None else [
+                    laplace_release(c, s, streams(j, b)) for j, (c, s) in enumerate(zip(clean, scales))
+                ]
+                sums.append(self.level_sums(z))
+            if oracle:
+                sums += _oracle_sums(clean, var, self.level_sums)
+            return sums
+
+        total = functools.reduce(lambda acc, sums: [a + s for a, s in zip(acc, sums)], row_blocks(n, levels, block))
+        table = None if rng is None else total.pop(0) / n
+        if not oracle:
+            return table, None
+        mean, *noise = total
+        # one axis has no noise sum over rows: its noise variance is 2 b^2 / n
+        noise_var = sum(s / n for s in noise) if noise else var[0]
+        return table, (mean / n, noise_var / n)
+
     def oracle(self, X: np.ndarray, budget: PrivacyBudget, options: dict) -> tuple:
         """Mean and noise variance, given X, of the full-budget estimate at every level table entry:
         each axis's channel gives its clean map of X and its per-level scales at its full alpha.
@@ -262,10 +317,7 @@ class Mode:
         Reference only: releasing all levels at full budget is not a private
         mechanism, but each fixed level is.
         """
-        channels = self.channels(X.shape[0], budget, options)
-        clean = [fill_rows(ch, X[:, j]) for j, ch in enumerate(channels)]
-        var = [2.0 * ch.scales(ch.alpha) ** 2 for ch in channels]
-        return _moments_given_x(clean, var, self.level_table)
+        return self.level_pass(X, self.channels(X.shape[0], budget, options), None, oracle=True)[1]
 
 
 def _x0(options: dict) -> np.ndarray:
@@ -304,21 +356,22 @@ def _corr_estimate(Z: PrivatizedSample, budget: PrivacyBudget, options: dict):
     return private_covariance_correlation(raw, sq)
 
 
-def _moments_given_x(clean: list, var: list, row_mean: Callable) -> tuple:
-    """Mean and variance over the Laplace noise, given X, of the full-budget estimate.
+def _oracle_sums(clean: list, var: list, level_sums: Callable) -> list:
+    """The sums over rows behind the oracle's mean and noise variance given X, for one row block.
 
-    clean[j] is axis j's (n, m) clean map and var[j] = 2 b_j^2 its per-level
-    noise variance; ``row_mean`` maps per-axis factors, each (n, m) or a (1, m)
-    row shared by every row, to the mean over rows of their product on the
-    oracle's level table.  Rows and axes draw independent noise, so the
-    variance is n^-2 sum_i [prod_j (c_ij^2 + 2 b_j^2) - prod_j c_ij^2], summed
-    here as sum_j 2 b_j^2 prod_{k<j} (c_k^2 + 2 b_k^2) prod_{k>j} c_k^2, which
-    has no cancellation (on one axis it is 2 b^2 / n).
+    clean[j] is axis j's (rows, m) clean map and var[j] = 2 b_j^2 its per-level
+    noise variance.  Rows and axes draw independent noise, so the noise
+    variance of the full-budget estimate is
+    n^-2 sum_i [prod_j (c_ij^2 + 2 b_j^2) - prod_j c_ij^2], summed here as
+    sum_j 2 b_j^2 prod_{k<j} (c_k^2 + 2 b_k^2) prod_{k>j} c_k^2, which has no
+    cancellation.  Returns the level sums of the clean maps and, on two or more
+    axes, of each term j; on one axis the noise variance is 2 b^2 / n.
     """
+    if len(clean) == 1:
+        return [level_sums(clean)]
     second = [c * c + v for c, v in zip(clean[:-1], var)]  # E[z^2 | x] on every axis but the last
     clean_sq = [c * c for c in clean[1:]]
-    noise = sum(row_mean(second[:j] + [v[None, :]] + clean_sq[j:]) for j, v in enumerate(var))
-    return row_mean(clean), noise / clean[0].shape[0]
+    return [level_sums(clean)] + [level_sums(second[:j] + [v[None, :]] + clean_sq[j:]) for j, v in enumerate(var)]
 
 
 MODES = {
@@ -368,9 +421,9 @@ MODES = {
         id=5, axis="n*prod(alpha^2)/log(n)^(2d+1)", model=ParetoFactorModel, config_keys=("c0",),
         truth=lambda model, options: model.gamma(),
         channels=lambda n, budget, options: ad.multi_trunc_channels(_gl_config(n, budget, options)),
-        estimate=lambda Z, budget, options: ad.gl_select_truncation(Z, _gl_config(Z.n, budget, options)),
+        estimate=lambda table, n, budget, options: ad.gl_truncation_rule(table, _gl_config(n, budget, options)),
         point=lambda sel: sel.gamma_hat,
-        level_table=ad._estimate_table,
+        level_sums=ad._estimate_sums,
     ),
     "adaptive_density": Mode(
         id=6, axis="n*prod(alpha^2)/log(n)^(1+2d)", model=HolderDensityModel, config_keys=("beta", "x0", "c0"),
@@ -378,9 +431,9 @@ MODES = {
         channels=lambda n, budget, options: ad.multi_bandwidth_channels(
             _gl_config(n, budget, options), _x0(options), _kernel(budget, options)
         ),
-        estimate=lambda Z, budget, options: ad.gl_select_bandwidth(Z, _gl_config(Z.n, budget, options)),
+        estimate=lambda table, n, budget, options: ad.gl_bandwidth_rule(table, _gl_config(n, budget, options)),
         point=lambda sel: sel.pi_hat,
-        level_table=ad._diagonal_table,
+        level_sums=ad._diagonal_sums,
     ),
 }
 
@@ -390,16 +443,21 @@ def run_mode(mode: Mode, model, n: int, budget: PrivacyBudget, options: dict, rn
     estimated; for adaptive modes the estimate is the selection.  Under the
     ``zero_noise`` option the channels draw no noise; the sampler draws as usual."""
     mode.check_model(model, budget)
-    return _sample_and_estimate(mode, model, n, budget, options, rng)
+    return _sample_and_estimate(mode, model, n, budget, options, rng)[:2]
 
 
-def _sample_and_estimate(mode: Mode, model, n: int, budget: PrivacyBudget, options: dict, rng):
-    """``run_mode`` for a model already checked against the mode and the budget."""
+def _sample_and_estimate(mode: Mode, model, n: int, budget: PrivacyBudget, options: dict, rng,
+                         oracle: bool = False):
+    """``run_mode`` for a model already checked against the mode and the budget, and the oracle's
+    moments from the same pass (None for a fixed-tuning mode or without ``oracle``)."""
     sample = sample_heavy_tailed if mode.model is ParetoFactorModel else sample_holder_density
     X = sample(model, n, rng)
     release_rng = ZeroNoiseRng(rng) if options.get("zero_noise") else rng
-    Z = release_sample(mode.release_input(X), mode.channels(n, budget, options), release_rng)
-    return X, mode.estimate(Z, budget, options)
+    channels = mode.channels(n, budget, options)
+    if mode.level_sums is None:
+        return X, mode.estimate(release_sample(mode.release_input(X), channels, release_rng), budget, options), None
+    table, moments = mode.level_pass(mode.release_input(X), channels, release_rng, oracle)
+    return X, mode.estimate(table, n, budget, options), moments
 
 
 def _run_model(cfg_json: dict) -> tuple:
@@ -418,15 +476,16 @@ def _run_replication(cfg_json: dict, n: int, rep: int, run_model: Optional[tuple
     budget = PrivacyBudget(cfg_json["alphas"])
     model, truth = _run_model(cfg_json) if run_model is None else run_model
     rng = derive_rng(cfg_json["seed"], mode.id, n, rep)
-    X, est = _sample_and_estimate(mode, model, n, budget, options, rng)
+    oracle = options.get("oracle", True) and rep < int(options.get("oracle_reps", 10**9))
+    _, est, moments = _sample_and_estimate(mode, model, n, budget, options, rng, oracle)
     out = {"sq_err": (mode.point(est) - truth) ** 2}
-    if mode.level_table is not None:
+    if mode.level_sums is not None:
         out["sel_index"] = np.atleast_1d(est.index).tolist()
-        if options.get("oracle", True) and rep < int(options.get("oracle_reps", 10**9)):
-            # the squared error in expectation over the full-budget noise; zero_noise releases have none
-            mean, noise_var = mode.oracle(X, budget, options)
-            noise_var = 0.0 if options.get("zero_noise") else noise_var
-            out["oracle_sq"] = ((mean - truth) ** 2 + noise_var).ravel().tolist()
+    if moments is not None:
+        # the squared error in expectation over the full-budget noise; zero_noise releases have none
+        mean, noise_var = moments
+        noise_var = 0.0 if options.get("zero_noise") else noise_var
+        out["oracle_sq"] = ((mean - truth) ** 2 + noise_var).ravel().tolist()
     return out
 
 
@@ -456,7 +515,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
                 points.append(RatePoint(n, float("nan"), float("nan"), float("nan"), 0, cfg.seed))
                 extras["per_n"][str(n)] = {"warning": str(n_eff)}
                 continue
-            if mode.level_table is not None:  # the CSV's adaptive axes are deflated by log(n)^(2d+1)
+            if mode.level_sums is not None:  # the CSV's adaptive axes are deflated by log(n)^(2d+1)
                 n_eff /= math.log(n) ** (2 * budget.d + 1)
             replication = functools.partial(_run_replication, cfg_json, n, run_model=run_model)
             results = list(replicate(replication, range(cfg.replications)))

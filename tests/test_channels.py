@@ -731,6 +731,30 @@ class TestLeanReleaseIsBitwiseTheFormula:
         assert _same_bytes(kernel_clean(k, xs, x0, h[0]), _polyval_kernel(k, (xs - x0) / h[0]) / h[0])
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        order=st.integers(0, 4),
+        x0=st.floats(-2.0, 2.0),
+        hs=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=6),
+        grid=st.booleans(),
+    )
+    def test_kernel_clean_at_the_support_edge(self, data, order, x0, hs, grid):
+        # the map tests |x - x0| <= h instead of |(x - x0)/h| <= 1 and divides by h on the support
+        # only: the bytes of kernel((x - x0)/h) / h, with points planted at |x - x0| = h and one
+        # ulp either side of it
+        k, h = make_kernel(order), np.asarray(hs if grid else hs[:1])
+        planted = [x0 + s * t for t in h for s in (-1.0, 1.0)]
+        planted += [np.nextafter(p, d) for p in planted for d in (-math.inf, math.inf)]
+        xs = np.array(planted + data.draw(st.lists(st.floats(-4.0, 4.0), max_size=20)))
+        hh = h if grid else h[0]
+        x = xs[:, None] if grid else xs
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = k((x - x0) / hh) / hh
+        assert _same_bytes(kernel_clean(k, x, x0, hh), want)
+        assert kernel_clean(k, xs[0], x0, h[0]) == k((xs[0] - x0) / h[0]) / h[0]
+
+
 SPLIT = 2 * cldp.channels._BLOCK  # draws from which a release is filled in row blocks
 
 

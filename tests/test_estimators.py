@@ -96,6 +96,16 @@ class TestPointEstimators:
         assert private_mean(Z, 1) == pytest.approx(acc_mean / 64, abs=1e-12)
         assert private_joint_moment(Z) == pytest.approx(acc_prod / 64, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_row_products_are_the_bits_of_prod(self, d):
+        # the estimators multiply the columns left to right instead of np.prod(axis=1)
+        vals = derive_rng(3, 1, d).standard_cauchy(size=(4099, d))
+        vals[0, 0], vals[1, -1] = -0.0, 1e-310  # a signed zero and a subnormal
+        chans = tuple(KernelLaplaceChannel(h=0.5, x0=0.0, kernel=make_kernel(1), alpha=1.0) for _ in range(d))
+        want = float(np.prod(vals, axis=1).mean()).hex()
+        assert private_joint_moment(PrivatizedSample(vals, (None,) * d)).hex() == want
+        assert private_kde(PrivatizedSample(vals, chans)).hex() == want
+
     def test_column_out_of_range(self):
         Z = PrivatizedSample(np.zeros((2, 2)), (None, None))
         with pytest.raises(ValueError):

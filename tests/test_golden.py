@@ -151,7 +151,7 @@ SPLIT_N = 2**14
 SPLIT_GOLDEN = {
     "c07": (
         "40d248edf174af863b903a552dd9b37b5b664de1b93da9d441621568217afd62",
-        "3fc53eb526b4ec1632529e2f98f58479de438d6b1714716e089e7db78ec6a8d7",
+        "abdc804f88372873569a188686ebcc22bb31a19d377629ccbb0609f02aa70d2e",
         "26e2010916022e9d90a6cf22dd2b85bd00448d8963c1bf23ee4a47dc9d2346a5",
     ),
     "c08": (

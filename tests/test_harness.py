@@ -5,10 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+import cldp.adaptive
 import cldp.channels
 import cldp.harness
 from cldp.adaptive import _diagonal_table, _estimate_table, build_bandwidth_grid, build_truncation_grid
@@ -207,17 +209,17 @@ class TestRunRateExperiment:
 
     @pytest.mark.parametrize("case", ["c07", "c08"])
     def test_split_releases_workers_byte_identical(self, case, tmp_path, monkeypatch):
-        # at n = 2^14 the releases and the oracle's clean maps are filled in row
-        # blocks, on threads that each forked pool worker starts for itself; the
-        # last run hands each replication a pass-through proxy stream, as a
-        # tracer does, on one CPU
+        # at n = 2^14 each replication's pass over row blocks runs on threads that each
+        # forked pool worker starts for itself: runs on 1, 2 and 3 CPUs, on two workers,
+        # and with each replication handed a pass-through proxy stream, as a tracer does
         mode, model, alphas, options = ORACLE_CASES[case]
         outs = []
-        for run, workers in enumerate((1, 2, 1)):
-            if run == 2:
-                derive = cldp.harness.derive_rng
+        derive = cldp.harness.derive_rng
+        runs = [(1, 1, False), (1, 2, False), (1, 3, False), (2, 2, False), (1, 1, True)]
+        for run, (workers, cpus, proxy) in enumerate(runs):
+            monkeypatch.setattr(cldp.channels, "_cpus", lambda: cpus)
+            if proxy:
                 monkeypatch.setattr(cldp.harness, "derive_rng", lambda *key: _PassThroughRng(derive(*key)))
-                monkeypatch.setattr(cldp.channels, "_cpus", lambda: 1)
             out = tmp_path / f"run{run}.csv"
             run_rate_experiment(ExperimentConfig(mode=mode, n_grid=(2**14,), alphas=alphas, replications=2, seed=9,
                                                  model=model.to_json(), options=options, out=str(out),
@@ -226,7 +228,7 @@ class TestRunRateExperiment:
             assert meta["config"].pop("workers") == workers
             assert "oracle_mse" in meta["extras"]["per_n"][str(2**14)]
             outs.append((out.read_bytes(), json.dumps(meta, sort_keys=True)))
-        assert outs[0] == outs[1] == outs[2]
+        assert all(o == outs[0] for o in outs)
 
     def test_slope_validation(self):
         with pytest.raises(ValueError, match="replications"):
@@ -323,24 +325,22 @@ class TestZeroNoiseRng:
     def test_zero_noise_keeps_the_sampler_draws(self, monkeypatch):
         # c08's density draws its kink component with rng.laplace: under zero_noise
         # the sample is the unwrapped stream's and only the release is noise-free
+        # (the releases reach the selector only through its level table)
         mode, model, alphas, options = ORACLE_CASES["c08"]
         n = 256
         cfg = ExperimentConfig(mode=mode, n_grid=(n,), alphas=alphas, replications=1, seed=3,
                                model=model.to_json(), options={**options, "zero_noise": True})
-        released = []
-        release = cldp.harness.release_sample
-
-        def recording(X, *args):
-            released.append((X, release(X, *args)))
-            return released[-1][1]
-
-        monkeypatch.setattr(cldp.harness, "release_sample", recording)
+        sampled, tables = [], []
+        sample, rule = cldp.harness.sample_holder_density, cldp.adaptive.gl_bandwidth_rule
+        monkeypatch.setattr(cldp.harness, "sample_holder_density",
+                            lambda *args: sampled.append(sample(*args)) or sampled[-1])
+        monkeypatch.setattr(cldp.adaptive, "gl_bandwidth_rule", lambda pi, cfg: tables.append(pi) or rule(pi, cfg))
         _run_replication(cfg.to_json(), n, 0)
-        X, Z = released[0]
+        X, = sampled
         assert np.array_equal(X, sample_holder_density(model, n, derive_rng(3, MODES[mode].id, n, 0)))
         assert np.count_nonzero(X == 0.0) == 0
         chans = MODES[mode].channels(n, PrivacyBudget(alphas), options)
-        assert np.array_equal(Z.values[:, 0, :], chans[0].clean(X[:, 0]))
+        assert np.array_equal(tables[0], _diagonal_table([chans[0].clean(X[:, 0])]))
 
 
 class TestCovarianceRate:
@@ -415,12 +415,24 @@ def full_budget_release(mode, X, alphas, options):
     return clean, scales, lambda cols: np.prod(cols, axis=0).mean(axis=0)
 
 
+def moments_given_x(clean: list, var: list, row_mean) -> tuple:
+    """Mean and variance over the Laplace noise, given X, of the full-budget estimate, from whole
+    clean maps: clean[j] is axis j's (n, m) clean map, var[j] = 2 b_j^2 its per-level noise
+    variance and ``row_mean`` a level table (per-axis (n, m) factors or (1, m) rows -> mean over
+    rows of their product); the noise variance is summed as
+    sum_j 2 b_j^2 prod_{k<j} (c_k^2 + 2 b_k^2) prod_{k>j} c_k^2, divided by n^2."""
+    second = [c * c + v for c, v in zip(clean[:-1], var)]
+    clean_sq = [c * c for c in clean[1:]]
+    noise = sum(row_mean(second[:j] + [v[None, :]] + clean_sq[j:]) for j, v in enumerate(var))
+    return row_mean(clean), noise / clean[0].shape[0]
+
+
 def reference_moment_table(X, budget, options):
     """The moment oracle written from the options alone: clamp grid, clamp map and 2T/alpha scales."""
     grid = build_truncation_grid(X.shape[0])
     clean = [np.clip(X[:, j, None], -grid, grid) for j in range(budget.d)]
     var = [2.0 * trunc_scale(grid, alpha) ** 2 for alpha in budget.alphas]
-    return cldp.harness._moments_given_x(clean, var, _estimate_table)
+    return moments_given_x(clean, var, _estimate_table)
 
 
 def reference_kde_per_h(X, budget, options):
@@ -430,7 +442,7 @@ def reference_kde_per_h(X, budget, options):
     x0 = np.atleast_1d(np.asarray(options.get("x0", 0.0), dtype=float))
     clean = [kernel_clean(kernel, X[:, j, None], x0[j], grid) for j in range(budget.d)]
     var = [2.0 * kernel_scale(kernel, grid, alpha) ** 2 for alpha in budget.alphas]
-    return cldp.harness._moments_given_x(clean, var, _diagonal_table)
+    return moments_given_x(clean, var, _diagonal_table)
 
 
 def sample_for(mode, model, n, rng):
@@ -565,6 +577,102 @@ class TestOracleMatchesReference:
         want_mean, want_var = reference(X, budget, options)
         assert np.array_equal(mean, want_mean)
         assert np.array_equal(noise_var, want_var)
+
+
+PASS_N = 2**14  # 14 levels: 229,376 values per axis, above the size from which the pass splits into row blocks
+assert PASS_N * 14 >= 2 * cldp.channels._BLOCK
+
+
+def _pass_inputs(case, n):
+    mode, model, alphas, options = ORACLE_CASES[case]
+    budget = PrivacyBudget(alphas)
+    X = sample_for(mode, model, n, derive_rng(43, n, len(alphas)))
+    return MODES[mode], budget, options, X, MODES[mode].channels(n, budget, options)
+
+
+def assert_same_sums(got, want, level_sums, columns):
+    """got == want to 1e-13 of the level sums of |columns| over their rows: the bound on a change of
+    summation order, which for a sum without cancellation is 1e-13 relative."""
+    scale = level_sums([np.abs(c) for c in columns]) / columns[0].shape[0]
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+class TestLevelPass:
+    """One pass over row blocks gives the table of ``release_sample``'s releases and the oracle of
+    the whole clean maps, draws what ``release_sample`` draws, and holds no (n, m) array."""
+
+    @pytest.mark.parametrize("case", ["c07", "c08", "pareto_d2"])
+    def test_table_selection_oracle_and_stream_match_the_release(self, case):
+        mode, budget, options, X, channels = _pass_inputs(case, PASS_N)
+        passed, released = derive_rng(44, PASS_N), derive_rng(44, PASS_N)
+        table, (mean, noise_var) = mode.level_pass(X, channels, passed, oracle=True)
+        Z = release_sample(X, channels, released)
+        columns = [Z.values[:, j, :] for j in range(budget.d)]
+        assert_same_sums(table, mode.level_sums(columns) / PASS_N, mode.level_sums, columns)
+        cfg = cldp.adaptive.GLConfig(n=PASS_N, budget=budget, c0=options["c0"])
+        select = cldp.adaptive.gl_select_truncation if mode.id == 5 else cldp.adaptive.gl_select_bandwidth
+        assert mode.estimate(table, PASS_N, budget, options).index == select(Z, cfg).index
+        table_of = _estimate_table if mode.id == 5 else _diagonal_table
+        clean = [ch.clean(X[:, j]) for j, ch in enumerate(channels)]
+        want_mean, want_var = moments_given_x(clean, [2.0 * ch.scales(ch.alpha) ** 2 for ch in channels], table_of)
+        assert_same_sums(mean, want_mean, mode.level_sums, clean)
+        np.testing.assert_allclose(noise_var, want_var, rtol=1e-13, atol=0)
+        assert passed.random() == released.random()
+
+    @pytest.mark.parametrize("case", ["c07", "pareto_d2"])
+    def test_zero_noise_and_no_stream(self, case):
+        # zero noise releases the clean maps and draws nothing; the oracle alone has no table
+        mode, budget, options, X, channels = _pass_inputs(case, PASS_N)
+        rng, untouched = derive_rng(45), derive_rng(45)
+        table, moments = mode.level_pass(X, channels, ZeroNoiseRng(rng), oracle=False)
+        assert moments is None and rng.random() == untouched.random()
+        clean = [ch.clean(X[:, j]) for j, ch in enumerate(channels)]
+        assert_same_sums(table, mode.level_sums(clean) / PASS_N, mode.level_sums, clean)
+        table, moments = mode.level_pass(X, channels, None, oracle=True)
+        assert table is None
+        assert all(np.array_equal(a, b) for a, b in zip(moments, mode.oracle(X, budget, options)))
+
+    def test_block_exception_reaches_caller(self, monkeypatch):
+        raised_on = []
+
+        class Faulty(cldp.channels.MultiTruncChannel):
+            def clean(self, x):
+                if np.any(np.asarray(x) == 9.0):
+                    raised_on.append(threading.current_thread())
+                    raise RuntimeError("clean failed")
+                return super().clean(x)
+
+        mode, budget, options, X, channels = _pass_inputs("c07", PASS_N)
+        X = X.copy()
+        X[-10:] = 9.0  # in the last block; every block is reduced on a pool thread
+        rng, keyed = derive_rng(46), derive_rng(46)
+        keyed.integers(0, 2**63)  # the pass's one draw from the caller's stream: the axis's key
+        monkeypatch.setattr(cldp.channels, "_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="clean failed"):
+            mode.level_pass(X, (Faulty(grid=channels[0].grid, alpha=channels[0].alpha),), rng, oracle=True)
+        assert raised_on and raised_on[0] is not threading.main_thread()
+        assert rng.bit_generator.state == keyed.bit_generator.state
+
+    def test_replication_holds_no_release_sized_array(self, monkeypatch):
+        # one c07 and one c08 replication at n = 2^16 (16 levels) on two CPUs: the traced peak
+        # stays below one (n, m) float64 array
+        import tracemalloc
+
+        n, levels = 2**16, 16
+        monkeypatch.setattr(cldp.channels, "_cpus", lambda: 2)
+        for case in ("c07", "c08"):
+            mode, model, alphas, options = ORACLE_CASES[case]
+            cfg = ExperimentConfig(mode=mode, n_grid=(n,), alphas=alphas, replications=1, seed=3,
+                                   model=model.to_json(), options=options).to_json()
+            _run_replication(cfg, 64, 0)  # first calls outside the trace
+            tracemalloc.start()
+            try:
+                out = _run_replication(cfg, n, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert "oracle_sq" in out
+            assert peak < n * levels * 8, (case, peak)
 
 
 class TestReportCommand:
