@@ -443,41 +443,39 @@ def run_mode(mode: Mode, model, n: int, budget: PrivacyBudget, options: dict, rn
     estimated; for adaptive modes the estimate is the selection.  Under the
     ``zero_noise`` option the channels draw no noise; the sampler draws as usual."""
     mode.check_model(model, budget)
-    return _sample_and_estimate(mode, model, n, budget, options, rng)[:2]
+    return _sample_and_estimate(mode, model, n, budget, mode.channels(n, budget, options), options, rng)[:2]
 
 
-def _sample_and_estimate(mode: Mode, model, n: int, budget: PrivacyBudget, options: dict, rng,
+def _sample_and_estimate(mode: Mode, model, n: int, budget: PrivacyBudget, channels, options: dict, rng,
                          oracle: bool = False):
-    """``run_mode`` for a model already checked against the mode and the budget, and the oracle's
+    """``run_mode`` for a model already checked and the mode's channels at n, and the oracle's
     moments from the same pass (None for a fixed-tuning mode or without ``oracle``)."""
     sample = sample_heavy_tailed if mode.model is ParetoFactorModel else sample_holder_density
     X = sample(model, n, rng)
     release_rng = ZeroNoiseRng(rng) if options.get("zero_noise") else rng
-    channels = mode.channels(n, budget, options)
     if mode.level_sums is None:
         return X, mode.estimate(release_sample(mode.release_input(X), channels, release_rng), budget, options), None
     table, moments = mode.level_pass(mode.release_input(X), channels, release_rng, oracle)
     return X, mode.estimate(table, n, budget, options), moments
 
 
-def _run_model(cfg_json: dict) -> tuple:
-    """The run's model, decoded from the config and checked, and its truth: work done once per run."""
-    mode = MODES[cfg_json["mode"]]
-    model = model_from_json(cfg_json["model"])
-    mode.check_model(model, PrivacyBudget(cfg_json["alphas"]))
-    return model, mode.truth(model, cfg_json["options"])
+def _plan(cfg_json: dict, n: int) -> tuple:
+    """(model, truth, budget, channels) of grid point n: the model decoded from the config and
+    checked, its truth, and the channels, built once for all the point's replications."""
+    mode, options = MODES[cfg_json["mode"]], cfg_json["options"]
+    model, budget = model_from_json(cfg_json["model"]), PrivacyBudget(cfg_json["alphas"])
+    mode.check_model(model, budget)
+    return model, mode.truth(model, options), budget, mode.channels(n, budget, options)
 
 
-def _run_replication(cfg_json: dict, n: int, rep: int, run_model: Optional[tuple] = None) -> dict:
+def _run_replication(cfg_json: dict, n: int, rep: int, plan: Optional[tuple] = None) -> dict:
     """One replication: the squared error, plus the selection and oracle row if adaptive.
-    ``run_model`` is the run's ``_run_model(cfg_json)``, computed here when not given."""
-    mode = MODES[cfg_json["mode"]]
-    options = cfg_json["options"]
-    budget = PrivacyBudget(cfg_json["alphas"])
-    model, truth = _run_model(cfg_json) if run_model is None else run_model
+    ``plan`` is ``_plan(cfg_json, n)``, computed here when not given."""
+    mode, options = MODES[cfg_json["mode"]], cfg_json["options"]
+    model, truth, budget, channels = plan or _plan(cfg_json, n)
     rng = derive_rng(cfg_json["seed"], mode.id, n, rep)
     oracle = options.get("oracle", True) and rep < int(options.get("oracle_reps", 10**9))
-    _, est, moments = _sample_and_estimate(mode, model, n, budget, options, rng, oracle)
+    _, est, moments = _sample_and_estimate(mode, model, n, budget, channels, options, rng, oracle)
     out = {"sq_err": (mode.point(est) - truth) ** 2}
     if mode.level_sums is not None:
         out["sel_index"] = np.atleast_1d(est.index).tolist()
@@ -501,11 +499,10 @@ def _replicator(workers: int, reps: int):
 
 
 def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
-    """Per-n MSE over replications against the model's ground truth, computed once per run."""
+    """Per-n MSE over replications against the model's ground truth; each grid point is planned once."""
     mode = MODES[cfg.mode]
     budget = PrivacyBudget(cfg.alphas)
     cfg_json = cfg.to_json()
-    run_model = _run_model(cfg_json)
     points = []
     extras: dict = {"per_n": {}}
     with _replicator(cfg.workers, cfg.replications) as replicate:
@@ -517,7 +514,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
                 continue
             if mode.level_sums is not None:  # the CSV's adaptive axes are deflated by log(n)^(2d+1)
                 n_eff /= math.log(n) ** (2 * budget.d + 1)
-            replication = functools.partial(_run_replication, cfg_json, n, run_model=run_model)
+            replication = functools.partial(_run_replication, cfg_json, n, plan=_plan(cfg_json, n))
             results = list(replicate(replication, range(cfg.replications)))
             errs = np.array([r["sq_err"] for r in results])
             mse = float(errs.mean())

@@ -7,11 +7,21 @@ covariance, correlation, pi(x0)) are closed-form and cached on the model, so
 MSE experiments always score against a stable target.
 
 Sampling is deterministic given (seed, n): generators consume an explicit RNG
-stream and nothing else.
+stream and nothing else, in this order.  Mixture coupling: with rho > 0 n shared
+values, then per axis n own values and, with rho > 0, n uniforms U (U < rho takes
+the shared value); one uniform U gives a one-sided value (1 - U)^(-1/a), or, with
+s = 2U - 1 + 2^-53 (symmetric about 0, never 0), the sign of s times |s|^(-1/a).
+Power coupling: n uniforms U (0 read as 1), then if symmetric n signs from
+``integers(0, 2)``; axis j is sign * U^(-1/a_j).  Holder densities go axis by
+axis, in passes until n values lie in the box; a pass draws uniforms, then as
+many Laplace and normal values (beta = 1: 1.4 w + 16 for w values still wanted,
+U < kink_weight takes the Laplace) or standard normals Z (beta 2, 3: sized from
+the box mass; the component is the count of cumulative weights <= U; mu + sigma Z).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -141,18 +151,13 @@ class ParetoFactorModel:
 
     def component_scales(self) -> np.ndarray:
         """Per-axis scales making E|X^j|^{k_j} = scale^{k_j} at the given scale."""
-        out = []
-        for j, k in enumerate(self.ks):
-            out.append(self.scale * self._axis_abs_moment(j, k) ** (-1.0 / k))
-        return np.asarray(out)
+        return np.asarray([self.scale * self._axis_abs_moment(j, k) ** (-1.0 / k) for j, k in enumerate(self.ks)])
 
     def _axis_abs_moment(self, j: int, order: float) -> float:
         """E |U_j|^order for the unit-scale magnitude U_j of axis j (0-based)."""
         if self.coupling == "power":
             return self._abs_moment(self.a[j], order)
-        return self.rho * self._abs_moment(self.a_shared, order) + (
-            1.0 - self.rho
-        ) * self._abs_moment(self.a[j], order)
+        return self.rho * self._abs_moment(self.a_shared, order) + (1.0 - self.rho) * self._abs_moment(self.a[j], order)
 
     # --- exact ground truths ---
 
@@ -200,41 +205,35 @@ class ParetoFactorModel:
             raise ValueError("correlation defined for d=2")
         return self.covariance() / math.sqrt(self.variance(1) * self.variance(2))
 
-def _pareto_mag(rng, tail: float, size) -> np.ndarray:
-    return rng.random(size) ** (-1.0 / tail)
-
-
-def _sym_pareto(rng, tail: float, size) -> np.ndarray:
-    mag = _pareto_mag(rng, tail, size)
-    sign = rng.integers(0, 2, size=size) * 2.0 - 1.0
-    return sign * mag
+def _pareto(rng, tail: float, n: int, symmetric: bool) -> np.ndarray:
+    """n Pareto(tail) values of magnitude >= 1, one uniform U each (see the module docstring)."""
+    u = rng.random(n)
+    if not symmetric:
+        return np.power(np.subtract(1.0, u, out=u), -1.0 / tail, out=u)
+    u *= 2.0
+    u -= 1.0 - 2.0**-53  # exact: s = 2U - 1 + 2^-53, an odd multiple of 2^-53 in (-1, 1)
+    return np.copysign(np.power(np.abs(u), -1.0 / tail), u, out=u)
 
 
 def sample_heavy_tailed(model: ParetoFactorModel, n: int, rng) -> np.ndarray:
     """(n, d) iid rows from the shared-factor Pareto model."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = model.d
+    X = np.empty((n, model.d))
     if model.coupling == "power":
         u = rng.random(n)  # U = u^-1 ~ Pareto(1)
-        if model.symmetric:
-            sign = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        else:
-            sign = np.ones(n)
-        X = np.empty((n, d))
-        for j in range(d):
+        u[u == 0.0] = 1.0  # u in (0, 1], the law of 1 - u
+        sign = rng.integers(0, 2, size=n) * 2.0 - 1.0 if model.symmetric else np.ones(n)
+        for j in range(model.d):
             X[:, j] = sign * u ** (-1.0 / model.a[j])
         return X * model.component_scales()
-    w = _pareto_mag(rng, model.a_shared, n) if not model.symmetric else _sym_pareto(rng, model.a_shared, n)
-    X = np.empty((n, d))
-    for j in range(d):
-        if model.symmetric:
-            v = _sym_pareto(rng, model.a[j], n)
-        else:
-            v = _pareto_mag(rng, model.a[j], n)
-        pick = rng.random(n) < model.rho
-        X[:, j] = np.where(pick, w, v)
-    return X * model.component_scales()
+    w = _pareto(rng, model.a_shared, n, model.symmetric) if model.rho > 0 else None
+    for j, scale in enumerate(model.component_scales()):
+        col = _pareto(rng, model.a[j], n, model.symmetric)
+        if w is not None:
+            col = np.where(rng.random(n) < model.rho, w, col)
+        np.multiply(col, scale, out=X[:, j])
+    return X
 
 
 def _ndtr(x) -> np.ndarray:
@@ -338,31 +337,35 @@ class HolderDensityModel:
         cdf = self._axis_cdf_raw(edges)
         return np.diff(cdf) / self._axis_norm()
 
+    @functools.cached_property
+    def _mixture(self) -> tuple:
+        """The beta 2, 3 sampler's constants: cumulative weights but the last, mus, sigmas, box mass."""
+        return np.cumsum(self.weights)[:-1], np.asarray(self.mus), np.asarray(self.sigmas), self._axis_norm()
+
     def _sample_axis(self, n: int, rng) -> np.ndarray:
-        out = np.empty(0)
-        while out.size < n:
-            want = n - out.size
-            draw = int(want * 1.4) + 16
+        parts, kept = [], 0
+        while kept < n:
+            want = n - kept
             if int(self.beta) == 1:
+                draw = int(want * 1.4) + 16
                 pick = rng.random(draw) < self.kink_weight
-                vals = np.where(
-                    pick,
-                    rng.laplace(0.0, self.kink_b, size=draw),
-                    rng.normal(0.0, 1.2, size=draw),
-                )
+                vals = np.where(pick, rng.laplace(0.0, self.kink_b, size=draw), rng.normal(0.0, 1.2, size=draw))
             else:
-                comp = rng.choice(len(self.weights), size=draw, p=np.asarray(self.weights))
-                vals = rng.normal(np.asarray(self.mus)[comp], np.asarray(self.sigmas)[comp])
-            vals = vals[np.abs(vals) <= self.box]
-            out = np.concatenate([out, vals])
-        return out[:n]
+                cuts, mus, sigmas, mass = self._mixture
+                # kept on average: want + 4 sqrt(want), so a second pass is rare; the harness refuses a mass < 0.01
+                draw = int((want + 4.0 * math.sqrt(want)) / max(mass, 0.01)) + 16
+                u = rng.random(draw)
+                comp = sum((u >= cut for cut in cuts), np.zeros(draw, dtype=np.intp))  # searchsorted(cuts, u, "right")
+                vals = mus.take(comp) + sigmas.take(comp) * rng.standard_normal(draw)
+            parts.append(vals[np.abs(vals) <= self.box])
+            kept += parts[-1].size
+        return np.concatenate(parts)[:n]
 
 def sample_holder_density(model: HolderDensityModel, n: int, rng) -> np.ndarray:
     """(n, d) iid rows from the truncated product density."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    cols = [model._sample_axis(n, rng) for _ in range(model.d)]
-    return np.stack(cols, axis=1)
+    return np.stack([model._sample_axis(n, rng) for _ in range(model.d)], axis=1)
 
 
 MODEL_KINDS = {"pareto_factor": ParetoFactorModel, "holder_density": HolderDensityModel}

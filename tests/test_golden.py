@@ -67,27 +67,27 @@ RATE_CASES = {
 
 RATE_GOLDEN = {
     "mean": (
-        "597e0b177833f31695177a1080395f928e64738c34077e5d2852e063aad37358",
-        "81467971103028ef12e337a8755d2cf3c3b8835a0980e20e352908f3ef125453",
+        "d9622d7b59097669e78e47920881f6941338919590f994840319658b9682a6d7",
+        "4348820e9b8587a0b3877d464a3f41464a3eb2355fd454ccdba9e8d68903c982",
     ),
     "moment_zero_noise": (
-        "0a1f864db5777028d6e223725f73fced9d2f155c4e737541374af5441f60bb05",
+        "c3e0068e0067a39e45cf890667bab0eb9099ab6172a3b7f8e06cdb22f1475475",
         "2e0f241913d2b7469bcc752a8acaa702819b04b980c920b91713e1c23002d2c6",
     ),
     "cov": (
-        "7d065c3dd93e6113c41129b04cd2809cc0dd1f45665f9acfa7d8810569fc9eda",
+        "289c09f69eb330c0090aad6e390c57fad6855f734450b16021e5a06c69225958",
         "00287aed9a7ab2e7fa83a7ba3369c5f1f74ddb4b3fc76ce87b9eaf9b3188b513",
     ),
     "corr": (
-        "61cc85b4c884e0e5f00afc979a5daa2a4e562a9b3dd44f57b272bf81d4d7875f",
+        "140c52fb7b54e167e0cb626d38c385a2c8fcb2c91f0edaa84531de62bb428f09",
         "39217a642ac064d9f22db38b2e01a32fa491f209c111afd7b78f1ac6371d65ee",
     ),
     "kde_h": (
-        "87b4bb53f1a340df7809223507c1a33917ebc0e2fd5584f6f018b34e1ee9c876",
+        "66a83ff4d36e49eecf0cf3e5b502225401adb190d8a47758294b02a383030ac1",
         "3e967939b0ef5d54a16835c7245fdf87f644fbb71c94d6d4ae886df608435222",
     ),
     "kde_nonprivate": (
-        "526e24c4a694c7a13959f05e3911f46aa876c0c77c04f8b749f94dd2f88c3c16",
+        "04e78bbfd14672b638faec283b50c27c9180a9ea3181a7ffb0ed05edfd398ddf",
         "71257bd1acede3d4c9a0c544c5387446b98723b13f9e52e9f1bd1ee7c92cef58",
     ),
     "adaptive_moment": (
@@ -95,8 +95,8 @@ RATE_GOLDEN = {
         "4a007447a263f0056202e3a44326900d4adb455480dbc5c691a7406d496d4e2e",
     ),
     "adaptive_moment_d2": (
-        "cea956657e421af461c89c6d1cc125658fb26fa1ad228dc41f4aa01587b82dcb",
-        "97e9525becbd26f318833cf469160565eb01a3931dd42817f6332cb5a0e1411f",
+        "2e637feb85f2955cf19d42b82e4c2712404ee09b14c7350ee9206c63978c398d",
+        "67c4813c238e8c6043a57fb5e1247a10bf54df5d7dab8f09bba9a1d4551f68c3",
     ),
     "adaptive_density": (
         "2bdcf214ff5b4b44ea90553c9dc83d14d03ae1bf0ef7c86cc66d34ebec04b10f",
@@ -185,13 +185,13 @@ CLI_CASES = {
 }
 
 CLI_GOLDEN = {
-    "estimate_mean": "cd8ed3d11f2e146053a884b77609ee13f91accb002481ca9834a36fd52a43b72",
-    "estimate_moment": "822743d60844d4d72aefc5304ab8c9f16d204f63fd8237b29d608ebf8c763699",
-    "estimate_cov": "a277c0646ae4b34d62e779fb9b585fb5d90066b78b6ba72b44ea5424749be58c",
-    "estimate_corr": "21847d5587268b5e9a5236525cbc09a680a620f991716fb70e9da4a35c2beff4",
-    "estimate_kde": "a9642badd7df333df8124d9500de3c7ee0bc8661a77cc878750faa4820a500aa",
-    "estimate_kde_h": "8cdabef383dc6b24897738f2d44684188231f6fd8e575c759fad307b33bc114c",
-    "adaptive_moment": "bf28b8235d9a141061b63925c450fccc88d5a60facdb3f561a22a1cf555e359a",
+    "estimate_mean": "03eb3df2d6646650941f8b8fd19ef682afa21c8ebb39c41d0d9e9c10756d961d",
+    "estimate_moment": "c6d52f8f3b335fdf68e7720a9d87f25f2c41a0b26cdb6aaec100205223aa13c5",
+    "estimate_cov": "f90c8a4fbdba25cc32b8d00e86a39d4199ccf8015f25ba2ebf9629f34612ff30",
+    "estimate_corr": "7bea3075fedeb72c3e715d202fad2c46370593b4708ed82811747b9e1dec5d46",
+    "estimate_kde": "544ac793108418e8486c6750f3d597af8a4a2eba99335de1cd3415a8f8d1cdce",
+    "estimate_kde_h": "1168f73e98d481524ac8ae39feb87c755d5b538506a23b3bd27d0978b4717c54",
+    "adaptive_moment": "e6f258440fda77b7f0c9910a1cb4ca3f926a0de21ef44fe5b072482f9ab15658",
     "adaptive_density": "f5e7c679d3454f0a9142ccfb03d16a34d3b56ba83a5bceb489a5e5d06f4cdd8f",
 }
 

@@ -254,6 +254,22 @@ class TestRunRateExperiment:
         assert cfg.grid()[1] == 64.0
         assert run_rate_experiment(cfg).points[1].n_eff == 64.0 / math.log(64) ** 3
 
+    def test_channels_built_once_per_grid_point(self, monkeypatch):
+        # each grid point's channels reach its replications through the plan, also on a pool
+        built = []
+        optimal = cldp.harness.optimal_truncations
+        monkeypatch.setattr(cldp.harness, "optimal_truncations", lambda *a, **k: built.append(a[2]) or optimal(*a, **k))
+        counts, csvs = [], []
+        for replications, workers in ((2, 1), (6, 1), (6, 2)):
+            cfg = mean_cfg(n_grid=(2, 256, 512), replications=replications, workers=workers)
+            built.clear()
+            csvs.append(run_rate_experiment(cfg).to_csv())
+            counts.append(len(built))
+        assert counts[0] == counts[1] == counts[2] <= 2 * 3
+        assert csvs[1] == csvs[2]
+        cfg = mean_cfg(n_grid=(256,)).to_json()
+        assert _run_replication(cfg, 256, 3) == _run_replication(cfg, 256, 3, plan=cldp.harness._plan(cfg, 256))
+
 
 class TestVerificationSuites:
     def test_contraction_suite_clean(self):

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from cldp import simdata
 from cldp.harness import derive_rng
@@ -140,6 +143,138 @@ class TestHolderDensity:
     def test_unsupported_beta(self):
         with pytest.raises(ValueError, match="smoothness"):
             HolderDensityModel(beta=2.5)
+
+
+class ZeroStream:
+    """A stream whose every uniform is exactly 0.0 and every integer 0."""
+
+    def random(self, size=None):
+        return np.zeros(size)
+
+    def integers(self, low, high=None, size=None):
+        return np.zeros(size, dtype=np.int64)
+
+
+class FirstPassOutside:
+    """The wrapped stream, except that the first call of each continuous draw lands outside every box."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, collections.Counter()
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+        if name not in ("laplace", "normal", "standard_normal"):
+            return draw
+
+        def shifted(*args, **kwargs):
+            self.calls[name] += 1
+            return draw(*args, **kwargs) + (1e6 if self.calls[name] == 1 else 0.0)
+
+        return shifted
+
+
+# sha256 of the samples' bytes, written before the mixture and beta in {2, 3} samplers were
+# redrawn: the power coupling (c07's model among them) and beta = 1 (c08's) keep every byte
+SAMPLE_PINS = {
+    "power_symmetric_d2": (ParetoFactorModel(ks=[4.0, 4.0], a=[4.5, 4.5], coupling="power"),
+                           "ea0272f34f01c3bcb106aaee173fc3714a8af48bb5af65a49e388fd2b8bb859c"),
+    "power_c07": (ParetoFactorModel(ks=[2.0], a=[2.1], scale=16.0, coupling="power", symmetric=False),
+                  "a651825bba4edf6bf251a0949d5896e9dce535f7f904c211285ff0c5f33232b7"),
+    "kink_c08": (HolderDensityModel(beta=1.0, kink_b=0.2),
+                 "0a63fa9786bad5324d033ea5d805e73b57536a10e3546bbc6365fd93417f19f4"),
+    # box mass about 0.49 per axis: every axis takes several passes
+    "kink_d2_box_half": (HolderDensityModel(beta=1.0, d=2, box=0.5),
+                         "e8b7b5de740c30e8b6136ed4f4c9f5d2ab2c1b2ec5d827034e44dec36b661330"),
+}
+
+
+def _sample(model, n, rng):
+    return (sample_heavy_tailed if isinstance(model, ParetoFactorModel) else sample_holder_density)(model, n, rng)
+
+
+class TestSamplerLaws:
+    """The draws of each sampler branch: byte pins where the layout is kept, laws where it was redrawn."""
+
+    @pytest.mark.parametrize("name", sorted(SAMPLE_PINS))
+    def test_kept_branches_keep_their_bytes(self, name):
+        model, sha = SAMPLE_PINS[name]
+        assert hashlib.sha256(_sample(model, 3000, derive_rng(5, 0)).tobytes()).hexdigest() == sha
+
+    @pytest.mark.parametrize("model", [
+        ParetoFactorModel(ks=[2.0, 2.0], a=[3.0, 4.0], rho=rho, symmetric=symmetric)
+        for rho in (0.0, 0.5, 1.0) for symmetric in (True, False)
+    ] + [ParetoFactorModel(ks=[2.0, 2.0], a=[4.5, 4.5], coupling="power", symmetric=symmetric)
+         for symmetric in (True, False)], ids=repr)
+    def test_zero_uniforms_give_finite_values(self, model):
+        # a uniform of exactly 0 once became 0 ** (-1/a) = inf; the base now lies in (0, 1]
+        X = sample_heavy_tailed(model, 8, ZeroStream())
+        assert np.all(np.isfinite(X))
+        if model.coupling == "power":  # 0 is read as 1: magnitude 1, the sign from integers() 0
+            assert np.array_equal(X, np.tile(model.component_scales() * (-1.0 if model.symmetric else 1.0), (8, 1)))
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_pareto_sign_and_magnitude(self, rho, symmetric):
+        # axis j is scale_j times the shared value (tail min(a)) at rho = 1 and its own (tail a_j) at rho = 0
+        model = ParetoFactorModel(ks=[2.0, 2.0], a=[3.0, 4.0], rho=rho, symmetric=symmetric)
+        n = 200_000
+        Y = sample_heavy_tailed(model, n, derive_rng(21, int(rho), int(symmetric))) / model.component_scales()
+        for j, tail in enumerate(model.a if rho == 0.0 else (model.a_shared,) * 2):
+            mag, positive = np.abs(Y[:, j]), Y[:, j] > 0
+            assert stats.kstest(tail * np.log(mag), "expon").pvalue > 1e-3
+            if not symmetric:
+                assert positive.all()
+                continue
+            assert abs(positive.sum() - n / 2) <= 4.0 * math.sqrt(n / 4)
+            assert stats.ks_2samp(mag[positive], mag[~positive]).pvalue > 1e-3
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    def test_pick_rate_and_shared_rows(self, rho):
+        n = 200_000
+        # equal axes: X^1 = X^2 exactly where both axes picked the shared value, with probability rho^2
+        X = sample_heavy_tailed(ParetoFactorModel(ks=[2.0, 2.0], a=[3.0, 3.0], rho=rho), n, derive_rng(22, 0))
+        equal = int(np.count_nonzero(X[:, 0] == X[:, 1]))
+        assert abs(equal - n * rho**2) <= 4.0 * math.sqrt(n * rho**2 * (1 - rho**2))
+        # axis 2 (own tail 4, shared tail 3) is Pareto(3) with probability rho, else Pareto(4)
+        model = ParetoFactorModel(ks=[2.0, 2.0], a=[3.0, 4.0], rho=rho)
+        mag = np.abs(sample_heavy_tailed(model, n, derive_rng(22, 1))[:, 1] / model.component_scales()[1])
+        assert stats.kstest(mag, lambda t: 1.0 - rho * t**-3.0 - (1.0 - rho) * t**-4.0).pvalue > 1e-3
+
+    @pytest.mark.parametrize("model", [
+        HolderDensityModel(beta=2.0),
+        HolderDensityModel(beta=3.0, d=2, box=1.5, weights=(0.5, 0.0, 0.5), mus=(-1.0, 0.0, 1.2),
+                           sigmas=(0.4, 1.0, 0.9)),
+        HolderDensityModel(beta=2.0, box=0.3, weights=(1.0,), mus=(0.0,), sigmas=(1.0,)),
+    ], ids=repr)
+    def test_truncated_mixture_bin_masses(self, model):
+        n = 200_000
+        X = sample_holder_density(model, n, derive_rng(23, 0))
+        edges = np.linspace(-model.box, model.box, 31)
+        probs = model.axis_bin_mass(edges)
+        for j in range(model.d):
+            counts, _ = np.histogram(X[:, j], bins=edges)
+            assert counts.sum() == n
+            assert stats.chisquare(counts, n * probs / probs.sum()).pvalue > 1e-3
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+    def test_exactly_n_values_in_the_box(self, beta):
+        model = HolderDensityModel(beta=beta, d=2, box=2.0)
+        X = sample_holder_density(model, 1, derive_rng(24, 0))
+        assert X.shape == (1, 2) and np.all(np.isfinite(X)) and np.all(np.abs(X) <= model.box)
+        # the first axis's first pass lands wholly outside the box: it takes a second pass
+        rng = FirstPassOutside(derive_rng(24, 1))
+        X = sample_holder_density(model, 500, rng)
+        assert X.shape == (500, 2) and np.all(np.isfinite(X)) and np.all(np.abs(X) <= model.box)
+        assert rng.calls and all(count >= 3 for count in rng.calls.values())
+
+    def test_box_mass_computed_once_per_model(self, monkeypatch):
+        calls = []
+        norm = HolderDensityModel._axis_norm
+        monkeypatch.setattr(HolderDensityModel, "_axis_norm", lambda self: calls.append(self) or norm(self))
+        model = HolderDensityModel(beta=2.0, d=2)
+        for seed in (1, 2):
+            sample_holder_density(model, 100, derive_rng(seed))
+        assert len(calls) == 1
 
 
 class TestNormalCdf:
