@@ -11,18 +11,26 @@ one-directional KLs; those are reported alongside.  All verification uses
 finite channels so pushforward laws are exact and the only tolerance is
 floating-point (1e-9 absolute).
 
-Pure functions over immutable inputs; the randomized sweep derives one RNG
-stream per instance, so results are deterministic under any execution order.
+Verification runs on stacks of instances of one support shape: every step and
+every check takes the whole stack along a leading axis, and
+``verify_contraction`` is a stack of one.  The randomized sweep draws instance
+i from its own stream (seed, i), groups the instances by support shape and
+checks each group as one stack; its reports are those of instance-by-instance
+checks, byte for byte and in instance order.
+
+Pure functions over immutable inputs, deterministic under any execution order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import PrivacyBudget, derive_rng, make_rr_channel
-from .measures import DiscreteDist, SubsetIndex, fl_term, kl_term, nonempty_subsets, pushforward
+from .measures import DiscreteDist, SubsetIndex, fl_term, kl_term, nonempty_subsets, push_axes, support_index
+from .measures import pushforward  # noqa: F401  (perfbench/tracing.py wraps it at this name)
 
 __all__ = [
     "MarginalTVTable",
@@ -63,29 +71,55 @@ class MarginalTVTable:
         return self.values[S]
 
     @classmethod
+    def _trusted(cls, d: int, values: dict) -> "MarginalTVTable":
+        """A table of every subset's entry, each checked by ``_marginal_tvs``."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "d", d)
+        object.__setattr__(table, "values", values)
+        return table
+
+    @classmethod
     def from_dists(cls, P: DiscreteDist, Pt: DiscreteDist) -> "MarginalTVTable":
         """tv_distance(marginal(P, S), marginal(Pt, S)) for every S, read from the
-        mass tables: each S-marginal is normalized by its own total, as
-        ``marginal`` does through DiscreteDist, so the values are bit-identical."""
+        mass tables by ``_marginal_tvs`` on a stack of one."""
         if not P.same_support(Pt):
             raise ValueError("distributions must share the same supports")
-        vals = {}
-        for S in nonempty_subsets(P.d):
-            drop = tuple(ax for ax in range(P.d) if ax + 1 not in S.members)
-            p, q = (D.probs.sum(axis=drop) if drop else D.probs for D in (P, Pt))
-            vals[S] = float(np.abs(p / float(p.sum()) - q / float(q.sum())).sum())
-        return cls(P.d, vals)
+        tvs = _marginal_tvs(P.probs[None], Pt.probs[None])
+        return cls._trusted(P.d, {S: float(t[0]) for S, t in tvs.items()})
+
+
+def _marginal_tvs(P: np.ndarray, Pt: np.ndarray) -> dict:
+    """S -> d_TV between the S-marginals of each pair of (B, ...) mass tables, one value
+    per row.  Each S-marginal is normalized by its own total, as ``marginal`` does
+    through DiscreteDist, so the values are ``tv_distance``'s bit for bit."""
+    B, d = len(P), P.ndim - 1
+    tvs = {}
+    for S in nonempty_subsets(d):
+        drop = tuple(ax for ax in range(1, d + 1) if ax not in S.members)
+        p, q = ((D.sum(axis=drop) if drop else D).reshape(B, -1) for D in (P, Pt))
+        tv = np.abs(p / p.sum(axis=1, keepdims=True) - q / q.sum(axis=1, keepdims=True)).sum(axis=1)
+        bad = ~((tv >= 0.0) & (tv <= 2.0 + 1e-12))
+        if np.any(bad):
+            raise ValueError(f"tv entry for {S} out of [0, 2]: {float(tv[bad][0])}")
+        tvs[S] = tv
+    return tvs
+
+
+def _subset_sums(tvs, factors: np.ndarray) -> np.ndarray:
+    """sum over nonempty S of prod_{j in S} factors[:, j-1] * tvs[S], one sum per row
+    of the (B, d) factors, the terms added in subset order."""
+    total = 0.0
+    for S in nonempty_subsets(factors.shape[1]):
+        prod = 1.0
+        for j in S:
+            prod = prod * factors[:, j - 1]
+        total = total + prod * tvs[S]
+    return total
 
 
 def _subset_sum(tvs: MarginalTVTable, factors: np.ndarray) -> float:
     """sum over nonempty S of prod_{j in S} factors[j-1] * tvs[S]."""
-    total = 0.0
-    for S in nonempty_subsets(tvs.d):
-        prod = 1.0
-        for j in S:
-            prod *= factors[j - 1]
-        total += prod * tvs[S]
-    return total
+    return _subset_sums(tvs, np.asarray(factors)[None])[0]
 
 
 def cldp_kl_bound(tvs: MarginalTVTable, budget: PrivacyBudget) -> float:
@@ -130,6 +164,12 @@ def f_divergence_bound(tvs: MarginalTVTable, eps, l: float) -> float:
     return _subset_sum(tvs, eps) ** l
 
 
+def _check_orders(l_values) -> None:
+    for l in l_values:
+        if not l > 1:
+            raise ValueError(f"f_l divergence requires l > 1, got {l}")
+
+
 def channel_fl_epsilons(channels, l: float) -> np.ndarray:
     """Per-channel eps_j with sup_{x,x'} D_{f_l}(Q^j(.|x') || Q^j(.|x)) = eps_j^l.
 
@@ -139,27 +179,25 @@ def channel_fl_epsilons(channels, l: float) -> np.ndarray:
     equal ``fl_term``'s bit for bit unless a row has zero cells and k >= 8,
     where the zeros shift numpy's pairwise summation (agreement to rounding).
     """
-    return _fl_epsilons(channels, (l,))[0]
+    _check_orders((l,))
+    tables = (np.asarray(ch.transition_table, dtype=float)[None] for ch in channels)
+    return np.array([_fl_epsilons(t, (l,))[0, 0] for t in tables], dtype=float)
 
 
-def _fl_epsilons(channels, l_values) -> np.ndarray:
-    """``channel_fl_epsilons`` for each order in ``l_values``, one row per order: each
-    channel's |p/q - 1| table is built once and raised to every l."""
-    for l in l_values:
-        if not l > 1:
-            raise ValueError(f"f_l divergence requires l > 1, got {l}")
-    eps = np.empty((len(l_values), len(channels)))
-    for j, ch in enumerate(channels):
-        rows = np.asarray(ch.transition_table, dtype=float)
-        q, p = rows[:, None, :], rows[None, :, :]
-        if np.any((q == 0) & (p > 0)):
-            raise ValueError("divergence undefined: P > 0 where Q = 0")
-        defined = q > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(p / q - 1.0)
-            for i, l in enumerate(l_values):
-                cells = np.where(defined, q * ratio**l, 0.0)
-                eps[i, j] = float(cells.sum(axis=-1).max()) ** (1.0 / l)
+def _fl_epsilons(tables: np.ndarray, l_values) -> np.ndarray:
+    """``channel_fl_epsilons`` of a (B, m, k) stack of transition tables for each order
+    in ``l_values``, shape (len(l_values), B): the |p/q - 1| table of every ordered
+    row pair is built once and raised to every l."""
+    q, p = tables[:, :, None, :], tables[:, None, :, :]
+    if np.any((q == 0) & (p > 0)):
+        raise ValueError("divergence undefined: P > 0 where Q = 0")
+    defined = q > 0
+    eps = np.empty((len(l_values), len(tables)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(p / q - 1.0)
+        for i, l in enumerate(l_values):
+            worst = np.where(defined, q * ratio**l, 0.0).sum(axis=-1).max(axis=(1, 2))
+            eps[i] = [w ** (1.0 / l) for w in worst.tolist()]  # Python float powers: an array's may differ
     return eps
 
 
@@ -201,55 +239,139 @@ class ContractionReport:
 def verify_contraction(
     P: DiscreteDist, Pt: DiscreteDist, channels, l_values=()
 ) -> ContractionReport:
-    """Exact pushforward check of the contraction bound on one instance."""
+    """Exact pushforward check of the contraction bound on one instance: the
+    stacked check on a stack of one."""
     if not P.same_support(Pt):
         raise ValueError("priors must share supports")
-    alphas = tuple(ch.alpha for ch in channels)
-    budget = PrivacyBudget(alphas)
-    m = pushforward(P, channels).probs.ravel()
-    mt = pushforward(Pt, channels).probs.ravel()
-    lhs_f = kl_term(m, mt)
-    lhs_r = kl_term(mt, m)
-    lhs_j = lhs_f + lhs_r
-    tvs = MarginalTVTable.from_dists(P, Pt)
-    rhs = cldp_kl_bound(tvs, budget)
+    if len(channels) != P.d:
+        raise ValueError(f"need {P.d} channels, got {len(channels)}")
+    if any(getattr(ch, "transition_table", None) is None for ch in channels):
+        raise ValueError("exact laws require finite output channels")
+
+    def one(x):
+        return np.asarray(x, dtype=float)[None]
+
+    axes = [(one(ch.transition_table), one(ch.input_support), one(ch.output_support)) for ch in channels]
+    alphas = [tuple(ch.alpha for ch in channels)]
+    return _verify_stack([one(s) for s in P.supports], one(P.probs), one(Pt.probs), axes, alphas, l_values)[0]
+
+
+def _verify_stack(supports, P, Pt, axes, alphas, l_values=()) -> list[ContractionReport]:
+    """``verify_contraction`` on B instances of one support shape at once: ``supports``
+    holds one (B, s_j) array per axis, ``P`` and ``Pt`` the (B, s_1, ..., s_d) mass
+    tables, ``axes`` one (tables (B, m, k), inputs (B, m), outputs (B, k)) channel
+    stack per axis and ``alphas`` one tuple per instance.  Every check of the
+    instance-by-instance path runs on the whole stack."""
     l_values = tuple(l_values)
-    checks = []
-    for l, eps in zip(l_values, _fl_epsilons(channels, l_values)):
-        lhs = fl_term(m, mt, l)
-        bound = f_divergence_bound(tvs, eps, l)
-        checks.append(FlCheck(l, lhs, bound, lhs > bound + VIOLATION_TOL))
-    return ContractionReport(
-        lhs_jeffreys=lhs_j,
-        lhs_kl_forward=lhs_f,
-        lhs_kl_reverse=lhs_r,
-        rhs=rhs,
-        tvs=tvs,
-        alphas=alphas,
-        violation=lhs_j > rhs + VIOLATION_TOL,
-        f_checks=tuple(checks),
-    )
+    _check_orders(l_values)
+    a = np.array(alphas, dtype=float)
+    if not np.all(a >= 0):
+        PrivacyBudget(alphas[int(np.flatnonzero(~np.all(a >= 0, axis=1))[0])])  # raises its ValueError
+    B, d = a.shape
+    rows = []
+    for ax, (sup, (tables, inputs, outputs)) in enumerate(zip(supports, axes)):
+        if tables.shape != (B, inputs.shape[1], outputs.shape[1]):
+            raise ValueError("transition table shape does not match supports")
+        if np.any(tables < 0):
+            raise ValueError("transition probabilities must be nonnegative")
+        if np.any(np.abs(tables.sum(axis=-1) - 1.0) > 1e-12):
+            raise ValueError("transition rows must each sum to 1")
+        if np.any(np.diff(outputs, axis=-1) <= 0):
+            raise ValueError(f"axis {ax + 1}: support points must be strictly increasing")
+        idx = support_index(inputs, sup, f"the axis-{ax + 1} channel's input support")
+        rows.append(np.take_along_axis(tables, idx[..., None], axis=1))
+    M, Mt = (_release_law(T, rows) for T in (P, Pt))
+    lhs_f, lhs_r = kl_term(M, Mt), kl_term(Mt, M)
+    tvs = _marginal_tvs(P, Pt)
+    totals = _subset_sums(tvs, np.expm1(a))
+    eps = np.stack([_fl_epsilons(tables, l_values) for tables, _, _ in axes], axis=-1)  # (L, B, d)
+    ok = np.all(eps >= 0, axis=-1)
+    if not np.all(ok):
+        raise ValueError(f"epsilons must be nonnegative, got {eps[~ok][0].tolist()}")
+    f_lhs = [fl_term(M, Mt, l).tolist() for l in l_values]
+    f_totals = [_subset_sums(tvs, e) for e in eps]
+    tv_rows = np.stack(list(tvs.values()), axis=1).tolist()
+    reports = []
+    for b, (kl_f, kl_r) in enumerate(zip(lhs_f.tolist(), lhs_r.tolist())):
+        # numpy float64 scalar powers, as on one instance: an array's ** 2.0 is a square
+        rhs, lhs_j = totals[b] ** 2, kl_f + kl_r
+        checks = []
+        for l, lhs, total in zip(l_values, f_lhs, f_totals):
+            bound = total[b] ** l
+            checks.append(FlCheck(l, lhs[b], bound, lhs[b] > bound + VIOLATION_TOL))
+        reports.append(ContractionReport(
+            lhs_jeffreys=lhs_j,
+            lhs_kl_forward=kl_f,
+            lhs_kl_reverse=kl_r,
+            rhs=rhs,
+            tvs=MarginalTVTable._trusted(d, dict(zip(tvs, tv_rows[b]))),
+            alphas=alphas[b],
+            violation=lhs_j > rhs + VIOLATION_TOL,
+            f_checks=tuple(checks),
+        ))
+    return reports
+
+
+def _release_law(T: np.ndarray, rows) -> np.ndarray:
+    """The (B, K) flattened release laws of a stack of mass tables through the stacked
+    transition rows, checked and normalized as ``pushforward``'s DiscreteDist."""
+    out = push_axes(T, rows).reshape(len(T), -1)
+    if np.any(out < 0):
+        raise ValueError("negative mass")
+    total = out.sum(axis=1, keepdims=True)
+    off = np.abs(total - 1.0) > 1e-9
+    if np.any(off):
+        raise ValueError(f"masses sum to {float(total[off][0])!r}, not 1")
+    return out / total
 
 
 def random_instance(rng, dims=(2, 3)):
     """One random (P, Pt, channels) triple for the verification sweep: d drawn from
     ``dims``, 2 or 3 support points per axis, each alpha_j uniform on [0.1, 1.5]."""
+    supports, p, pt, alphas = _draw_instance(rng, dims)
+    P, Pt = DiscreteDist._trusted(supports, p), DiscreteDist._trusted(supports, pt)
+    return P, Pt, [make_rr_channel(tuple(s), a) for s, a in zip(supports, alphas.tolist())]
+
+
+def _draw_instance(rng, dims):
+    """The draws of one instance, in stream order: supports, the two prior tables
+    (each divided by its total once; DiscreteDist divides once more) and alphas."""
     d = int(rng.choice(dims))
     sizes = [int(rng.integers(2, 4)) for _ in range(d)]
     supports = [np.sort(rng.normal(size=s) * 2.0) for s in sizes]
     for s_arr in supports:
-        while np.any(np.diff(s_arr) <= 1e-9):  # enforce strict increase
+        while (s_arr[1:] - s_arr[:-1] <= 1e-9).any():  # enforce strict increase
             s_arr += np.linspace(0, 1e-6, s_arr.size)
-    P = DiscreteDist._trusted(supports, _random_table(rng, sizes))
-    Pt = DiscreteDist._trusted(supports, _random_table(rng, sizes))
-    alphas = rng.uniform(0.1, 1.5, size=d)
-    channels = [make_rr_channel(tuple(supports[j]), float(alphas[j])) for j in range(d)]
-    return P, Pt, channels
+    p, pt = _random_table(rng, sizes), _random_table(rng, sizes)
+    return supports, p, pt, rng.uniform(0.1, 1.5, size=d)
 
 
 def _random_table(rng, sizes) -> np.ndarray:
     raw = rng.gamma(1.0, 1.0, size=tuple(sizes))
     return raw / raw.sum()
+
+
+def _rr_tables(m: int, alphas) -> np.ndarray:
+    """The (B, m, m) tables of ``make_rr_channel`` at each of ``alphas``, in closed form."""
+    e = np.array([math.exp(a) for a in alphas])  # math.exp, as make_rr_channel: np.exp may differ in the last bit
+    den = e + m - 1
+    tables = np.empty((len(e), m, m))
+    tables[...] = (1.0 / den)[:, None, None]
+    tables[:, range(m), range(m)] = (e / den)[:, None]
+    return tables
+
+
+def _verify_group(sizes, rows, l_values) -> list[ContractionReport]:
+    """``verify_contraction`` of ``random_instance``'s triples for the instances of one
+    support shape, as one stack: each row holds an instance's supports, prior tables
+    and alphas, flat and in that order."""
+    B, d, K = len(rows), len(sizes), math.prod(sizes)
+    parts = [np.ascontiguousarray(x) for x in np.split(np.stack(rows), np.cumsum([*sizes, K, K]), axis=1)]
+    supports, alphas = parts[:d], [tuple(a) for a in parts[d + 2].tolist()]
+    P, Pt = (T.reshape(B, *sizes) for T in parts[d:d + 2])
+    P, Pt = (T / T.sum(axis=tuple(range(1, d + 1)), keepdims=True) for T in (P, Pt))  # as DiscreteDist divides
+    axes = [(_rr_tables(s.shape[1], [a[j] for a in alphas]), s, s) for j, s in enumerate(supports)]
+    return _verify_stack(supports, P, Pt, axes, alphas, l_values)
 
 
 def check_sweep_size(instances: int, dims=(1,)) -> None:
@@ -267,17 +389,21 @@ def run_contraction_sweep(
     seed: int = 7,
     l_values=(1.5, 2.0, 3.0),
 ) -> dict:
-    """Randomized brute-force sweep; returns a JSON-ready report."""
+    """Randomized brute-force sweep; returns a JSON-ready report.  Instance i draws
+    from the stream (seed, i); the instances of each support shape are checked as
+    one stack and reported in instance order."""
     check_sweep_size(instances, dims)
-    reports = []
-    violations = 0
+    groups: dict = {}
     for i in range(instances):
-        rng = derive_rng(seed, i)
-        P, Pt, channels = random_instance(rng, dims)
-        rep = verify_contraction(P, Pt, channels, l_values=l_values)
-        bad = rep.violation or any(c.violation for c in rep.f_checks)
-        violations += int(bad)
-        reports.append(rep.to_json())
+        supports, p, pt, alphas = _draw_instance(derive_rng(seed, i), dims)
+        # one flat row per instance: its several small arrays would hold more memory until checked
+        groups.setdefault(p.shape, []).append((i, np.concatenate([*supports, p.ravel(), pt.ravel(), alphas])))
+    reports, violations = [None] * instances, 0
+    while groups:  # each group's draws and reports are dropped once its rows are written
+        sizes, members = groups.popitem()
+        for (i, _), rep in zip(members, _verify_group(sizes, [row for _, row in members], l_values)):
+            violations += bool(rep.violation or any(c.violation for c in rep.f_checks))
+            reports[i] = rep.to_json()
     return {
         "suite": "contraction",
         "instances": instances,

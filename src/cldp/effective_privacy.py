@@ -88,7 +88,8 @@ def _release_given_x1(P: DiscreteDist, channels) -> np.ndarray:
     """m(z | X^1 = x1) for every x1: axis 0 is x1, then one axis per release component."""
     rows = transition_rows(P, channels)
     # x1 moves to the back, so it is the leading axis once the others are contracted
-    rest = push_axes(np.moveaxis(_conditional_law(P), 0, -1), rows[1:])  # (x1, z2, ..., zd)
+    cond = np.moveaxis(_conditional_law(P), 0, -1)
+    rest = push_axes(cond[None], [t[None] for t in rows[1:]])[0]  # (x1, z2, ..., zd)
     return rows[0].reshape(rows[0].shape + (1,) * (P.d - 1)) * rest[:, None]
 
 

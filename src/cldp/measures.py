@@ -221,32 +221,49 @@ def divergence(P: DiscreteDist, Q: DiscreteDist, kind: str = "kl", l: float | No
     raise ValueError(f"unknown divergence kind {kind!r}")
 
 
-def fl_term(p: np.ndarray, q: np.ndarray, l: float | None) -> float:
-    """sum q |p/q - 1|^l over the cells where q > 0, for l > 1; P must be
-    absolutely continuous with respect to Q."""
+def fl_term(p: np.ndarray, q: np.ndarray, l: float | None):
+    """sum q |p/q - 1|^l along the last axis, over the cells where q > 0, for l > 1:
+    a float for 1-d p and q, one sum per row otherwise.  P must be absolutely
+    continuous with respect to Q."""
     if l is None or not l > 1:
         raise ValueError(f"f_l divergence requires l > 1, got {l}")
     if np.any(q[p > 0] == 0):
         raise ValueError("divergence undefined: P > 0 where Q = 0")
-    mask = q > 0
-    return float(np.sum(q[mask] * np.abs(p[mask] / q[mask] - 1.0) ** l))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _masked_sum(q * np.abs(p / q - 1.0) ** l, q > 0)
 
 
-def kl_term(p: np.ndarray, q: np.ndarray) -> float:
-    """sum p log(p/q) over the cells where p > 0; P must be absolutely
-    continuous with respect to Q."""
+def kl_term(p: np.ndarray, q: np.ndarray):
+    """sum p log(p/q) along the last axis, over the cells where p > 0: a float for
+    1-d p and q, one sum per row otherwise.  P must be absolutely continuous with
+    respect to Q."""
     mask = p > 0
     if np.any(q[mask] == 0):
         raise ValueError("divergence undefined: P > 0 where Q = 0")
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _masked_sum(p * np.log(p / q), mask)
+
+
+def _masked_sum(cells: np.ndarray, mask: np.ndarray):
+    """Per row of ``cells``, ``np.sum`` of the cells where ``mask`` holds.  A row with a
+    masked cell is summed compressed: zeros left in place would shift numpy's pairwise
+    summation from 8 cells on."""
+    rows, keep = np.atleast_2d(cells), np.atleast_2d(mask)
+    sums = rows.sum(axis=-1)
+    for b in np.flatnonzero(~keep.all(axis=-1)):
+        sums[b] = rows[b][keep[b]].sum()
+    return float(sums[0]) if cells.ndim == 1 else sums
 
 
 def support_index(support, values, where: str):
     """Index into ``support`` of each of ``values`` (any shape): the one point
-    within 1e-12 absolute.  ValueError naming ``where`` for a value that matches
+    within 1e-12 absolute; a (B, m) stack of supports matches each row of (B, n)
+    values against its own.  ValueError naming ``where`` for a value that matches
     no point or several."""
     vals = np.asarray(values, dtype=float)
     s = np.asarray(support, dtype=float)
+    if s.ndim == 2:  # a stack of supports, one per row of values
+        s = s[:, None, :]
     with np.errstate(invalid="ignore"):  # inf - inf; the == term matches equal infinities
         hits = (np.abs(s - vals[..., None]) <= 1e-12) | (s == vals[..., None])
     unmatched = hits.sum(axis=-1) != 1
@@ -269,16 +286,22 @@ def transition_rows(P: DiscreteDist, channels) -> list[np.ndarray]:
     return rows
 
 
-def push_axes(table: np.ndarray, rows) -> np.ndarray:
-    """Contract the leading axes of ``table`` against ``rows``, one at a time; each
-    output axis goes to the back, so contracting every axis keeps the axis order."""
+def push_axes(tables: np.ndarray, rows) -> np.ndarray:
+    """Contract axes 1, 2, ... of a stack of tables (B, ...) against stacked rows
+    (B, a, k), one axis at a time; each output axis goes to the back, so contracting
+    every axis keeps the axis order.  Each step is one ``np.matmul`` over the stack,
+    which gives every table the bits of ``np.tensordot``'s BLAS product; a
+    broadcast multiply-add would not."""
+    B = len(tables)
     for t in rows:
-        table = np.tensordot(table, t, axes=([0], [0]))
-    return table
+        rest = tables.shape[2:]
+        flat = np.moveaxis(tables, 1, -1).reshape(B, -1, t.shape[1])
+        tables = np.matmul(flat, t).reshape(B, *rest, t.shape[2])
+    return tables
 
 
 def pushforward(P: DiscreteDist, channels) -> DiscreteDist:
     """Exact law of Z = (Z^1, ..., Z^d) with Z^j ~ Q^j(.|X^j), conditionally
     independent across axes given X.  Finite-output channels only."""
-    out = push_axes(P.probs, transition_rows(P, channels))
+    out = push_axes(P.probs[None], [t[None] for t in transition_rows(P, channels)])[0]
     return DiscreteDist([np.asarray(ch.output_support, dtype=float) for ch in channels], out)

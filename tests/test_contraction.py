@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from cldp.contraction import (
     tensorized_bound,
     verify_contraction,
 )
+from cldp.harness import _np_default
 from cldp.measures import (
     DiscreteDist,
     SubsetIndex,
@@ -388,3 +390,223 @@ class TestRejectsMalformedArguments:
         report = run_contraction_sweep(dims=(1,), instances=3, seed=2)
         assert report["violations"] == 0
         assert all(len(r["alphas"]) == 1 for r in report["reports"])
+
+
+# ---------------------------------------------------------------------------
+# the stacked check against a pinned copy of the instance-by-instance check
+# ---------------------------------------------------------------------------
+
+
+def _pinned_random_instance(rng, dims=(2, 3)):
+    """random_instance as it was before the sweep was stacked."""
+    d = int(rng.choice(dims))
+    sizes = [int(rng.integers(2, 4)) for _ in range(d)]
+    supports = [np.sort(rng.normal(size=s) * 2.0) for s in sizes]
+    for s_arr in supports:
+        while np.any(np.diff(s_arr) <= 1e-9):
+            s_arr += np.linspace(0, 1e-6, s_arr.size)
+    tables = []
+    for _ in range(2):
+        raw = rng.gamma(1.0, 1.0, size=tuple(sizes))
+        tables.append(raw / raw.sum())
+    P, Pt = (DiscreteDist._trusted(supports, t) for t in tables)
+    alphas = rng.uniform(0.1, 1.5, size=d)
+    return P, Pt, [make_rr_channel(tuple(supports[j]), float(alphas[j])) for j in range(d)]
+
+
+def _pinned_kl(p, q):
+    mask = p > 0
+    if np.any(q[mask] == 0):
+        raise ValueError("divergence undefined: P > 0 where Q = 0")
+    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
+def _pinned_fl(p, q, l):
+    if np.any(q[p > 0] == 0):
+        raise ValueError("divergence undefined: P > 0 where Q = 0")
+    mask = q > 0
+    return float(np.sum(q[mask] * np.abs(p[mask] / q[mask] - 1.0) ** l))
+
+
+def _pinned_push(P, channels):
+    """pushforward as it was: rows matched by support_index, one np.tensordot per axis."""
+    from cldp.measures import support_index
+
+    table = P.probs
+    for ax, (ch, sup) in enumerate(zip(channels, P.supports)):
+        rows = ch.transition_table[support_index(ch.input_support, sup, f"the axis-{ax + 1} channel's input support")]
+        table = np.tensordot(table, rows, axes=([0], [0]))
+    return DiscreteDist([np.asarray(ch.output_support, dtype=float) for ch in channels], table).probs.ravel()
+
+
+def _pinned_subset_sum(tvs, factors):
+    total = 0.0
+    for S in nonempty_subsets(tvs.d):
+        prod = 1.0
+        for j in S:
+            prod *= factors[j - 1]
+        total += prod * tvs[S]
+    return total
+
+
+def _pinned_verify_contraction(P, Pt, channels, l_values=()):
+    """verify_contraction's JSON as it was computed one instance at a time."""
+    if not P.same_support(Pt):
+        raise ValueError("priors must share supports")
+    alphas = tuple(ch.alpha for ch in channels)
+    factors = PrivacyBudget(alphas).exp_minus_one()
+    m, mt = _pinned_push(P, channels), _pinned_push(Pt, channels)
+    lhs_f, lhs_r = _pinned_kl(m, mt), _pinned_kl(mt, m)
+    vals = {}
+    for S in nonempty_subsets(P.d):
+        drop = tuple(ax for ax in range(P.d) if ax + 1 not in S.members)
+        p, q = (D.probs.sum(axis=drop) if drop else D.probs for D in (P, Pt))
+        vals[S] = float(np.abs(p / float(p.sum()) - q / float(q.sum())).sum())
+    tvs = MarginalTVTable(P.d, vals)
+    rhs = _pinned_subset_sum(tvs, factors) ** 2
+    eps = np.empty((len(l_values), len(channels)))
+    for j, ch in enumerate(channels):  # every channel's row pairs are checked, even with no order l
+        rows = np.asarray(ch.transition_table, dtype=float)
+        q, p = rows[:, None, :], rows[None, :, :]
+        if np.any((q == 0) & (p > 0)):
+            raise ValueError("divergence undefined: P > 0 where Q = 0")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i, l in enumerate(l_values):
+                cells = np.where(q > 0, q * np.abs(p / q - 1.0) ** l, 0.0)
+                eps[i, j] = float(cells.sum(axis=-1).max()) ** (1.0 / l)
+    checks = []
+    for l, e in zip(l_values, eps):
+        lhs, bound = _pinned_fl(m, mt, l), _pinned_subset_sum(tvs, e) ** l
+        checks.append({"l": l, "lhs": lhs, "rhs": bound, "violation": lhs > bound + VIOLATION_TOL})
+    lhs_j = lhs_f + lhs_r
+    return {
+        "lhs_jeffreys": lhs_j,
+        "lhs_kl_forward": lhs_f,
+        "lhs_kl_reverse": lhs_r,
+        "rhs": rhs,
+        "tvs": {"".join(str(j) for j in S): t for S, t in tvs.values.items()},
+        "alphas": list(alphas),
+        "violation": lhs_j > rhs + VIOLATION_TOL,
+        "f_checks": checks,
+    }
+
+
+def _text(obj) -> str:
+    """The bytes the CLI writes for obj."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=_np_default)
+
+
+def _report_or_error(check, *args):
+    try:
+        return _text(check(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestStackedSweepMatchesPinnedCheck:
+    @pytest.mark.parametrize("dims", [(1,), (2,), (3,), (2, 3)])
+    @pytest.mark.parametrize("l_values", [(), (1.5, 2, 3)])
+    @pytest.mark.parametrize("seed", [0, 19, 4242])
+    def test_sweep_rows_are_pinned_reports(self, dims, l_values, seed):
+        report = run_contraction_sweep(dims=dims, instances=40, seed=seed, l_values=l_values)
+        for i, row in enumerate(report["reports"]):
+            P, Pt, channels = _pinned_random_instance(derive_rng(seed, i), dims)
+            assert _text(row) == _text(_pinned_verify_contraction(P, Pt, channels, l_values))
+            assert _text(row) == _text(_reference_report(P, Pt, channels, l_values))
+            assert _text(row) == _text(verify_contraction(P, Pt, channels, l_values).to_json())
+
+    @pytest.mark.parametrize("dims", [(1,), (2, 3)])
+    def test_random_instance_keeps_its_draws(self, dims):
+        for i in range(30):
+            rng, pinned_rng = derive_rng(3, i), derive_rng(3, i)
+            P, Pt, channels = random_instance(rng, dims)
+            Q, Qt, pinned = _pinned_random_instance(pinned_rng, dims)
+            assert P == Q and Pt == Qt and rng.random() == pinned_rng.random()
+            for ch, ref in zip(channels, pinned):
+                assert (ch.alpha, ch.input_support, ch.output_support) == (ref.alpha, ref.input_support, ref.output_support)
+                assert np.array_equal(ch.transition_table, ref.transition_table)
+
+
+@pytest.fixture(scope="module")
+def full_sweep():
+    return run_contraction_sweep(instances=500, seed=7)
+
+
+@pytest.mark.parametrize("k", [1, 2, 13, 64, 250])
+def test_sweep_prefix_rows(full_sweep, k):
+    # grouping by shape and scattering back keeps instance order: a shorter sweep is a prefix
+    short = run_contraction_sweep(instances=k, seed=7)
+    assert _text(short["reports"]) == _text(full_sweep["reports"][:k])
+    assert short["violations"] == sum(
+        r["violation"] or any(c["violation"] for c in r["f_checks"]) for r in full_sweep["reports"][:k]
+    )
+
+
+def _finite_channel(inputs, outputs, table, alpha=1.0):
+    table = np.asarray(table, dtype=float)
+    return RandomizedResponseChannel(tuple(inputs), tuple(outputs), table / table.sum(axis=1, keepdims=True), alpha)
+
+
+def _law(supports, seed, zero=None):
+    rng = np.random.default_rng(seed)
+    raw = rng.gamma(1.0, 1.0, size=tuple(len(s) for s in supports))
+    if zero is not None:
+        raw[zero] = 0.0
+    return DiscreteDist(supports, raw / raw.sum())
+
+
+class TestGeneralChannels:
+    """verify_contraction on inputs the sweep never draws, against the pinned check."""
+
+    L = (1.5, 2.0, 3.0)
+
+    def _same(self, P, Pt, channels, l_values=L):
+        got = _report_or_error(lambda *a: verify_contraction(*a).to_json(), P, Pt, channels, l_values)
+        assert got == _report_or_error(_pinned_verify_contraction, P, Pt, channels, l_values)
+        return got
+
+    def test_zero_cells_sum_compressed_rows(self):
+        # 12 outputs, 4 of them never released: the laws have zero cells, summed as compressed rows
+        rng = np.random.default_rng(31)
+        table = rng.gamma(1.0, 1.0, size=(3, 12)) * (np.arange(12) % 3 != 0)
+        ch = _finite_channel((0.0, 1.0, 2.0), tuple(range(12)), table)
+        P, Pt = _law([[0.0, 1.0, 2.0]], 1), _law([[0.0, 1.0, 2.0]], 2)
+        got = json.loads(self._same(P, Pt, [ch]))
+        assert got["lhs_jeffreys"] > 0 and len(got["f_checks"]) == 3
+
+    def test_unequal_alphabets(self):
+        rng = np.random.default_rng(32)
+        chans = [
+            _finite_channel((0.0, 1.0), (-1.0, 0.0, 2.0, 3.0, 7.0), rng.gamma(1.0, 1.0, size=(2, 5)), 0.8),
+            _finite_channel((0.0, 1.0, 2.0), (0.0, 1.0), rng.gamma(1.0, 1.0, size=(3, 2)), 1.3),
+        ]
+        sup = [[0.0, 1.0], [0.0, 1.0, 2.0]]
+        self._same(_law(sup, 3), _law(sup, 4), chans)
+
+    @pytest.mark.parametrize("inputs", [(2.0, 0.0, 1.0), (-1.0, 0.0, 1.0, 2.0, 5.0), (5.0, 2.0, -1.0, 1.0, 0.0)])
+    def test_input_support_permuted_or_larger(self, inputs):
+        rng = np.random.default_rng(33)
+        ch = _finite_channel(inputs, (0.0, 1.0, 2.0, 3.0), rng.gamma(1.0, 1.0, size=(len(inputs), 4)), 0.6)
+        rr = make_rr_channel((-2.0, 4.0), 0.9)
+        sup = [[0.0, 1.0, 2.0], [-2.0, 4.0]]
+        self._same(_law(sup, 5), _law(sup, 6), [ch, rr])
+
+    def test_released_mass_where_the_other_law_has_none(self):
+        # output 3 comes only from input 2, which P never takes: KL(Mt || M) is undefined
+        table = [[1.0, 1.0, 1.0, 0.0], [1.0, 2.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]]
+        ch = _finite_channel((0.0, 1.0, 2.0), (0.0, 1.0, 2.0, 3.0), table)
+        P, Pt = _law([[0.0, 1.0, 2.0]], 7, zero=2), _law([[0.0, 1.0, 2.0]], 8)
+        assert self._same(P, Pt, [ch], ()) == "ValueError: divergence undefined: P > 0 where Q = 0"
+        assert self._same(P, Pt, [ch]) == "ValueError: divergence undefined: P > 0 where Q = 0"
+
+    def test_value_without_a_support_match(self):
+        ch = make_rr_channel((0.0, 1.0), 0.5)
+        P, Pt = _law([[0.0, 1.0, 2.0]], 9), _law([[0.0, 1.0, 2.0]], 10)
+        assert self._same(P, Pt, [ch]) == "ValueError: value 2.0 not in the axis-1 channel's input support"
+
+    def test_identity_channel_epsilons_undefined(self):
+        ch = make_identity_channel((0.0, 1.0))
+        P, Pt = _law([[0.0, 1.0]], 11), _law([[0.0, 1.0]], 12)
+        # the channel's row pairs are checked even when no order l is asked for
+        for l_values in ((), self.L):
+            assert self._same(P, Pt, [ch], l_values) == "ValueError: divergence undefined: P > 0 where Q = 0"

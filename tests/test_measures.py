@@ -12,8 +12,10 @@ from cldp.measures import (
     SubsetIndex,
     divergence,
     fl_term,
+    kl_term,
     marginal,
     nonempty_subsets,
+    push_axes,
     pushforward,
     support_index,
     tv_distance,
@@ -319,3 +321,78 @@ class TestNonFiniteOrder:
             fl_term(p, np.array([0.25, 0.75]), l)
         with pytest.raises(ValueError, match="l > 1"):
             divergence(bern(0.5), bern(0.25), "fl", l=l)
+
+
+# ---------------------------------------------------------------------------
+# the stacked forms against one table at a time
+# ---------------------------------------------------------------------------
+
+
+def _reference_push_axes(table, rows):
+    """The per-table contraction: one np.tensordot per axis."""
+    for t in rows:
+        table = np.tensordot(table, t, axes=([0], [0]))
+    return table
+
+
+def _reference_kl_term(p, q):
+    mask = p > 0
+    if np.any(q[mask] == 0):
+        raise ValueError("divergence undefined: P > 0 where Q = 0")
+    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
+def _reference_fl_term(p, q, l):
+    if np.any(q[p > 0] == 0):
+        raise ValueError("divergence undefined: P > 0 where Q = 0")
+    mask = q > 0
+    return float(np.sum(q[mask] * np.abs(p[mask] / q[mask] - 1.0) ** l))
+
+
+class TestStackedForms:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        outs=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+        B=st.sampled_from([1, 2, 7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_push_axes_is_tensordot_per_table(self, sizes, outs, B, seed):
+        rng = np.random.default_rng(seed)
+        tables = rng.gamma(1.0, 1.0, size=(B, *sizes))
+        rows = [rng.random((B, s, k)) for s, k in zip(sizes, outs)]
+        got = push_axes(tables, rows)
+        for b in range(B):
+            want = _reference_push_axes(tables[b], [t[b] for t in rows])
+            assert got[b].shape == want.shape and np.array_equal(got[b], want)
+
+    @settings(max_examples=120, deadline=None)
+    @given(k=st.integers(1, 27), B=st.integers(1, 6), l=st.sampled_from([1.5, 2.0, 3.0]), seed=st.integers(0, 2**32 - 1))
+    def test_row_sums_are_the_one_row_sums(self, k, B, l, seed):
+        # rows with zero cells are summed compressed, as the one-row terms sum them
+        rng = np.random.default_rng(seed)
+        zeros = rng.uniform(size=(B, k)) < 0.3
+        q = rng.gamma(1.0, 1.0, size=(B, k)) * ~(zeros & (rng.uniform(size=(B, 1)) < 0.5))
+        p = rng.gamma(1.0, 1.0, size=(B, k)) * (q > 0) * (rng.uniform(size=(B, k)) < 0.8)
+        kl, fl = kl_term(p, q), fl_term(p, q, l)
+        assert kl.shape == fl.shape == (B,)
+        for b in range(B):
+            assert kl[b] == _reference_kl_term(p[b], q[b]) == kl_term(p[b], q[b])
+            assert fl[b] == _reference_fl_term(p[b], q[b], l) == fl_term(p[b], q[b], l)
+        assert isinstance(kl_term(p[0], q[0]), float) and isinstance(fl_term(p[0], q[0], l), float)
+
+    def test_row_terms_reject_undefined_rows(self):
+        p = np.array([[0.5, 0.5], [0.5, 0.5]])
+        q = np.array([[0.5, 0.5], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="P > 0 where Q = 0"):
+            kl_term(p, q)
+        with pytest.raises(ValueError, match="P > 0 where Q = 0"):
+            fl_term(p, q, 2.0)
+
+    def test_support_index_on_a_stack_of_supports(self):
+        supports = np.array([[0.0, 1.0, 2.0], [2.0, -1.0, 0.5]])
+        values = np.array([[2.0, 0.0], [0.5, 2.0 + 1e-13]])
+        got = support_index(supports, values, "s")
+        assert got.tolist() == [support_index(s, v, "s").tolist() for s, v in zip(supports, values)] == [[2, 0], [2, 0]]
+        with pytest.raises(ValueError, match=r"value 1\.0 not in s"):
+            support_index(supports, np.array([[0.0, 1.0], [1.0, 2.0]]), "s")

@@ -240,6 +240,27 @@ class TestSamplerLaws:
         mag = np.abs(sample_heavy_tailed(model, n, derive_rng(22, 1))[:, 1] / model.component_scales()[1])
         assert stats.kstest(mag, lambda t: 1.0 - rho * t**-3.0 - (1.0 - rho) * t**-4.0).pvalue > 1e-3
 
+    @pytest.mark.parametrize("rho", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("kw", [
+        {"ks": [2.0, 2.0], "a": [3.0, 4.0]},
+        {"ks": [2.0, 2.0], "a": [3.0, 4.0], "symmetric": False},
+        {"ks": [0.005, 0.005], "a": [0.01, 0.02]},  # tails so heavy that some values are +-inf
+    ], ids=repr)
+    def test_mixture_pick_equals_np_where(self, rho, kw):
+        # the branch-free pick gives np.where's bits on the same stream, signs and infinities included
+        model, n = ParetoFactorModel(rho=rho, **kw), 4096
+        with np.errstate(over="ignore"):
+            got = sample_heavy_tailed(model, n, derive_rng(25, 0))
+            rng = derive_rng(25, 0)
+            w = simdata._pareto(rng, model.a_shared, n, model.symmetric)
+            want = np.empty((n, model.d))
+            for j, scale in enumerate(model.component_scales()):
+                col = simdata._pareto(rng, model.a[j], n, model.symmetric)
+                want[:, j] = np.where(rng.random(n) < rho, w, col) * scale
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        if kw["a"][0] < 1.0:
+            assert np.isinf(got).any() and not np.isnan(got).any()
+
     @pytest.mark.parametrize("model", [
         HolderDensityModel(beta=2.0),
         HolderDensityModel(beta=3.0, d=2, box=1.5, weights=(0.5, 0.0, 0.5), mus=(-1.0, 0.0, 1.2),
