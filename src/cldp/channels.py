@@ -23,8 +23,8 @@ block b draws from a stream of its own, spawned from the key and b; the blocks
 are filled on every CPU the process may use, and which thread fills which block
 changes no byte.  There is no setting for it.  ``row_blocks`` cuts the rows
 into blocks and runs them, and ``block_streams`` names each block's stream;
-``fill_rows`` releases one channel through them, and the harness's adaptive
-pass releases every axis through them and keeps only the blocks' sums.
+every release is one pass through them, ``release_rows``, which hands each
+block's clean maps and releases to a caller that writes them out or sums them.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ __all__ = [
     "channel_to_json",
     "channel_from_json",
     "derive_rng",
-    "fill_rows",
+    "release_rows",
     "ZeroNoiseRng",
 ]
 
@@ -249,14 +249,14 @@ def kernel_extremes(kernel: KernelFn, x0, h):
     return x0 + u_lo * h, k_lo / h, x0 + u_hi * h, k_hi / h
 
 
-def laplace_release(clean, scales, rng, out=None):
+def laplace_release(clean, scales, rng):
     """clean + scales * L(1), one independent unit-Laplace draw copysign(E, U - 0.5) per entry
     of ``clean``: first E ~ Exp(1) for every entry, then U ~ U[0, 1) for every entry.
 
-    The noise is drawn into ``out`` (a fresh array when None) and scaled and
-    shifted there in place; ``scales`` must broadcast to the shape of ``clean``.
+    The noise is drawn into a fresh array and scaled and shifted there in
+    place; ``scales`` must broadcast to the shape of ``clean``.
     """
-    z = np.empty(np.shape(clean)) if out is None else out
+    z = np.empty(np.shape(clean))
     rng.standard_exponential(out=z)
     sign = rng.random(z.shape)
     sign -= 0.5  # exact; U = 1/2 gives +0, so each sign takes half the values of U
@@ -267,20 +267,11 @@ def laplace_release(clean, scales, rng, out=None):
 
 
 class ZeroNoiseRng:
-    """A stream whose releases carry no noise: ``block_streams`` gives none for it, so a release
-    is the clean map and draws nothing, and its own Laplace draws are zero; every other draw is
-    the wrapped stream's (testing hook for noise-free channels)."""
+    """Marks a release as noise-free (testing hook): ``block_streams`` gives no stream for it, so a
+    release is the clean map.  It has no draws, so randomized response raises on it."""
 
     def __init__(self, rng):
-        self._rng = rng
-
-    def laplace(self, loc=0.0, scale=1.0, size=None):
-        if size is None:
-            return 0.0
-        return np.zeros(size)
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
+        self.rng = rng
 
 
 _BLOCK = 1 << 16  # values per row block: 512 KiB of float64, near the size of a core's cache
@@ -332,30 +323,28 @@ def block_streams(rng, n: int, levels: int, count: int):
     return lambda j, b: _block_rng(keys[j], b)
 
 
-def fill_rows(ch, xs, rng=None) -> np.ndarray:
-    """``laplace_release(ch.clean(xs), ch.scales(), rng)`` below two blocks of values (and for a
-    scalar or a 2-d ``xs``); the clean map alone when ``rng`` is None or a ``ZeroNoiseRng``.
+def release_rows(X, channels, rng, keep) -> list:
+    """``[keep(rows, clean, z) for every row block]`` in block order: the ``row_blocks`` of the
+    (n, d) raw sample X, where clean[j] is ``channels[j].clean(X[rows, j])`` and z[j] its
+    ``laplace_release`` from its stream in ``block_streams``, or clean[j] itself with no noise.
+    Every channel must have the first's levels, so the blocks line up across columns."""
+    X = np.asarray(X, dtype=float)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("raw values must be finite")
+    scales = [ch.scales() for ch in channels]
+    if any(np.shape(s) != np.shape(scales[0]) for s in scales):
+        raise ValueError("every channel must release the same number of levels")
+    n, levels = X.shape[0], np.size(scales[0])
+    streams = block_streams(rng, n, levels, len(channels))
 
-    From two blocks up, each of the ``row_blocks`` is released into its rows of
-    the output from its stream in ``block_streams``.
-    """
-    scales = ch.scales()
-    levels = np.size(scales)
-    n = len(xs) if np.ndim(xs) == 1 else 0
-    streams = block_streams(rng, n, levels, 1)
-    if n * levels < 2 * _BLOCK:
-        clean = ch.clean(xs)
-        return clean if streams is None else laplace_release(clean, scales, rng)
-    out = np.empty((n,) + np.shape(scales))
+    def block(b: int, rows: slice):
+        clean = [ch.clean(X[rows, j]) for j, ch in enumerate(channels)]
+        z = clean if streams is None else [
+            laplace_release(c, s, streams(j, b)) for j, (c, s) in enumerate(zip(clean, scales))
+        ]
+        return keep(rows, clean, z)
 
-    def fill(b: int, rows: slice) -> None:
-        if streams is None:
-            out[rows] = ch.clean(xs[rows])
-        else:
-            laplace_release(ch.clean(xs[rows]), scales, streams(0, b), out=out[rows])
-
-    row_blocks(n, levels, fill)
-    return out
+    return row_blocks(n, levels, block)
 
 
 class _LaplaceRelease:
@@ -368,15 +357,21 @@ class _LaplaceRelease:
     """
 
     def privatize(self, x, rng):
-        z = fill_rows(self, _check_finite_scalar(x), rng)
+        z = self.privatize_array(_check_finite_scalar(x), rng)
         return z if np.ndim(z) else float(z)
 
     def privatize_array(self, xs: np.ndarray, rng) -> np.ndarray:
-        """Releases with shape xs.shape, plus a trailing level axis for multi-level channels."""
+        """Releases with shape xs.shape, plus a trailing level axis for multi-level channels: the
+        ``release_rows`` of xs flattened to one column, written into one fresh array."""
         xs = np.asarray(xs, dtype=float)
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("raw values must be finite")
-        return fill_rows(self, xs, rng)
+        out = np.empty(xs.shape + np.shape(self.scales()))
+        rows_out = out.reshape((xs.size,) + np.shape(self.scales()))  # a view of out
+
+        def keep(rows, clean, z) -> None:
+            rows_out[rows] = z[0]
+
+        release_rows(xs.reshape(-1, 1), (self,), rng, keep)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .channels import (
     PrivacyBudget,
     kernel_order,
     make_kernel,
+    release_rows,
 )
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "private_mean",
     "private_joint_moment",
     "private_covariance_correlation",
+    "covariance_correlation",
     "CovCorrEstimate",
     "corr_release_plan",
     "private_kde",
@@ -121,19 +123,19 @@ class PrivatizedSample:
 
 
 def release_sample(X: np.ndarray, channels, rng) -> PrivatizedSample:
-    """Push an (n, d) raw matrix through per-column channels.
-
-    Columns are released in axis order from a single stream, so a fixed stream
-    state yields a fixed sample.  Each release is drawn into a fresh array that
-    the sample takes over: one column is viewed, not copied, and several are
-    stacked once.
-    """
+    """The ``release_rows`` of an (n, d) raw matrix through per-column channels, written into one
+    fresh array that the sample takes over: a fixed stream state yields a fixed sample."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(channels):
         raise ValueError("X must be (n, d) with one channel per column")
-    cols = [ch.privatize_array(X[:, j], rng) for j, ch in enumerate(channels)]
-    # scalar channels give (n,) columns, multi-level channels give (n, m)
-    values = cols[0][:, None] if len(cols) == 1 else np.stack(cols, axis=1)
+    # scalar channels give (n, d) values, multi-level channels (n, d, m)
+    values = np.empty(X.shape + np.shape(channels[0].scales()))
+
+    def keep(rows, clean, z) -> None:
+        for j, zj in enumerate(z):
+            values[rows, j] = zj
+
+    release_rows(X, channels, rng, keep)
     return PrivatizedSample._take(values, channels)
 
 
@@ -200,27 +202,31 @@ class CovCorrEstimate:
 def private_covariance_correlation(
     Z: PrivatizedSample, Z2: Optional[PrivatizedSample] = None
 ) -> CovCorrEstimate:
-    """Covariance gamma_hat - m_hat^1 m_hat^2 from one set of releases (d=2).
+    """``covariance_correlation`` of the means of one set of releases (d=2) and, when ``Z2``
+    (releases of the squared components through their own channels) is given, of its means.
 
     The same releases feed the joint moment and both means: disclosing a second
-    tuned release per raw value would spend extra budget, so the single-release
-    design is the default.  When ``Z2`` (releases of the squared components
-    through their own channels) is supplied, the correlation is estimated as a
-    ratio and clipped to [-1, 1]; a nonpositive variance estimate yields
-    ``corr=None`` with a diagnostic instead of an exception.
+    tuned release per raw value would spend extra budget.
     """
     if Z.d != 2:
         raise ValueError("covariance estimation requires d=2")
-    gamma = private_joint_moment(Z)
-    m1 = private_mean(Z, 1)
-    m2 = private_mean(Z, 2)
-    theta = gamma - m1 * m2
+    means = (private_mean(Z, 1), private_mean(Z, 2), private_joint_moment(Z))
     if Z2 is None:
-        return CovCorrEstimate(theta, None, False, None)
+        return covariance_correlation(*means)
     if Z2.d != 2 or Z2.n != Z.n:
         raise ValueError("second-moment releases must be (n, 2)")
-    v1 = private_mean(Z2, 1) - m1 * m1
-    v2 = private_mean(Z2, 2) - m2 * m2
+    return covariance_correlation(*means, private_mean(Z2, 1), private_mean(Z2, 2))
+
+
+def covariance_correlation(m1: float, m2: float, gamma: float, sq1: Optional[float] = None,
+                           sq2: Optional[float] = None) -> CovCorrEstimate:
+    """Covariance gamma - m1 m2 of release means; given the squared components' means sq_j, the
+    correlation clipped to [-1, 1], or ``corr=None`` with a diagnostic where sq_j - m_j^2 <= 0."""
+    theta = gamma - m1 * m2
+    if sq1 is None:
+        return CovCorrEstimate(theta, None, False, None)
+    v1 = sq1 - m1 * m1
+    v2 = sq2 - m2 * m2
     if v1 <= 0.0 or v2 <= 0.0:
         return CovCorrEstimate(theta, None, False, "nonpositive variance estimate")
     corr = float(np.clip(theta / math.sqrt(v1 * v2), -1.0, 1.0))

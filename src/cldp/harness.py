@@ -6,11 +6,10 @@ SeedSequence(entropy=seed, spawn_key=(mode_id, n, r)); aggregation sums
 per-replication results in replication order after collecting them by index,
 so the CSV is identical for any parallelism degree.
 
-A fixed-tuning replication estimates from ``release_sample``.  An adaptive
-one makes one pass over row blocks of its sample (``Mode.level_pass``) that
-releases each block as ``release_sample`` would and keeps only the level
-table's sums and the oracle's sums from the same clean maps: no (n, levels)
-array is held.
+Every replication makes one pass over row blocks of its sample
+(``Mode.level_pass``) that releases each block as ``release_sample`` would and
+keeps only the sums behind the mode's table: one level for a fixed-tuning mode,
+every grid level (and the oracle's sums) for an adaptive one.
 
 The effective-sample-size axis of each experiment is fixed by the rate
 statement being checked and recorded in the output metadata, so slope targets
@@ -43,33 +42,31 @@ from . import effective_privacy as ep
 from . import lowerbounds as lb
 from .channels import (
     LaplaceTruncChannel,
+    MultiBandwidthChannel,
+    MultiTruncChannel,
     PrivacyBudget,
     ZeroNoiseRng,
     audit_verdict,
-    block_streams,
     derive_rng,
     kernel_order,
-    laplace_release,
     make_kernel,
     make_rr_channel,
     privacy_audit,
-    row_blocks,
+    release_rows,
 )
 from .estimators import (
     HolderClass,
     MomentProfile,
-    PrivatizedSample,
     RegimeError,
     _bandwidth_regime,
     corr_release_plan,
+    covariance_correlation,
     kde_channels,
     optimal_bandwidth,
     optimal_truncations,
-    private_covariance_correlation,
-    private_joint_moment,
-    private_kde,
-    private_mean,
-    release_sample,
+)
+from .estimators import (  # noqa: F401  (perfbench/tracing.py wraps them at these names)
+    private_covariance_correlation, private_joint_moment, private_kde, private_mean, release_sample,
 )
 from .measures import DiscreteDist
 from .simdata import HolderDensityModel, ParetoFactorModel, model_from_json, sample_heavy_tailed, sample_holder_density
@@ -238,11 +235,13 @@ class Mode:
 
     The callables look up the functions they run when they run, so replacing
     those module attributes (as a tracer does) reaches every mode: the
-    samplers, ``release_sample`` and the ``private_*`` estimators of this module
-    for the fixed-tuning modes; for the adaptive modes the samplers, the
-    ``channels`` helpers ``row_blocks``, ``block_streams`` and
-    ``laplace_release`` of the pass, and the rules ``gl_truncation_rule`` and
-    ``gl_bandwidth_rule`` of ``cldp.adaptive``.
+    samplers, ``derive_rng`` and ``release_rows`` of this module, the
+    ``row_blocks``, ``block_streams`` and ``laplace_release`` of
+    ``cldp.channels`` that ``release_rows`` calls, and the rules
+    ``gl_truncation_rule`` and ``gl_bandwidth_rule`` of ``cldp.adaptive``.
+    ``release_sample`` and the ``private_*`` estimators, still importable
+    here, are the per-sample reference the pass is tested against; no mode
+    calls them.
     """
 
     id: int  # replication r of grid point n draws from the stream (seed, id, n, r)
@@ -251,13 +250,12 @@ class Mode:
     config_keys: tuple[str, ...]  # config keys the pipeline reads besides the model's
     truth: Callable  # (model, options) -> estimand
     channels: Callable  # (n, budget, options) -> channels; RegimeError outside the regime, ValueError on a bad option
-    # (Z, budget, options) -> estimate; adaptive modes: (level table, n, budget, options) -> the selection
-    estimate: Callable
+    estimate: Callable  # (table, n, budget, options) -> estimate; adaptive modes: the selection
+    # per-column (rows,) releases, or (rows, m) for multi-level channels -> the sums over rows behind the
+    # table: over the releases that is n times the table ``estimate`` reads (and, with m levels, the oracle scores)
+    level_sums: Callable
     n_eff: Callable = _n_prod  # (n, budget, options) -> effective sample size before log deflation
     point: Callable = lambda est: est  # the scalar scored against the truth
-    # adaptive modes: per-axis (rows, m) columns -> the sums over rows of the estimate at every level;
-    # over the releases that is n times the level table the selector reads, which the oracle also scores
-    level_sums: Optional[Callable] = None
     release_input: Callable = lambda X: X  # (n, d) raw sample -> the columns the channels release
 
     def check_model(self, model, budget: PrivacyBudget) -> None:
@@ -270,38 +268,20 @@ class Mode:
             raise ValueError(f"box mass {model._axis_norm():.3g} per axis is below 0.01")
 
     def level_pass(self, X: np.ndarray, channels, rng, oracle: bool) -> tuple:
-        """(level table, oracle moments) of the (n, d) sample X through the per-axis multi-level
-        ``channels``, in one pass over the row blocks of X.
+        """(table, oracle moments) of the (n, d) sample X through the per-axis ``channels``: the
+        ``release_rows`` of X (so ``release_sample(X, channels, rng)`` gives exactly the releases
+        reduced here), each block keeping the ``level_sums`` of its releases and, with ``oracle``
+        (multi-level channels only), the ``_oracle_sums`` of its clean maps, added in block order.
+        ``rng`` None gives no table, and no ``oracle`` no moments."""
+        n = np.shape(X)[0]
+        var = [2.0 * ch.scales(ch.alpha) ** 2 for ch in channels] if oracle else None
 
-        Each block computes every axis's clean map once and releases it from its
-        stream in ``block_streams``, so ``release_sample(X, channels, rng)`` gives
-        exactly the releases reduced here; the block keeps the level sums of its
-        releases and, with ``oracle``, the ``_oracle_sums`` of its clean maps, and
-        the sums are added in block order.  A ``ZeroNoiseRng`` releases the clean
-        maps; ``rng`` None gives no table, and no ``oracle`` no moments.
-        """
-        X = np.asarray(X, dtype=float)
-        if not np.all(np.isfinite(X)):
-            raise ValueError("raw values must be finite")
-        n = X.shape[0]
-        scales = [ch.scales() for ch in channels]
-        var = [2.0 * ch.scales(ch.alpha) ** 2 for ch in channels]
-        levels = np.size(scales[0])  # every axis has the same grid, so the blocks line up across axes
-        streams = block_streams(rng, n, levels, len(channels))
+        def keep(rows: slice, clean: list, z: list) -> list:
+            sums = [] if rng is None else [self.level_sums(z)]
+            return sums + _oracle_sums(clean, var, self.level_sums) if oracle else sums
 
-        def block(b: int, rows: slice) -> list:
-            clean = [ch.clean(X[rows, j]) for j, ch in enumerate(channels)]
-            sums = []
-            if rng is not None:
-                z = clean if streams is None else [
-                    laplace_release(c, s, streams(j, b)) for j, (c, s) in enumerate(zip(clean, scales))
-                ]
-                sums.append(self.level_sums(z))
-            if oracle:
-                sums += _oracle_sums(clean, var, self.level_sums)
-            return sums
-
-        total = functools.reduce(lambda acc, sums: [a + s for a, s in zip(acc, sums)], row_blocks(n, levels, block))
+        blocks = release_rows(X, channels, rng, keep)
+        total = functools.reduce(lambda acc, sums: [a + s for a, s in zip(acc, sums)], blocks)
         table = None if rng is None else total.pop(0) / n
         if not oracle:
             return table, None
@@ -350,10 +330,16 @@ def _kernel(budget: PrivacyBudget, options: dict):
     return make_kernel(kernel_order(_holder_class(budget, options).beta))
 
 
-def _corr_estimate(Z: PrivatizedSample, budget: PrivacyBudget, options: dict):
-    """Covariance and correlation from the releases of [X, |X|^2]: raw half, squared half."""
-    raw, sq = (PrivatizedSample(Z.values[:, cols], Z.channels[cols]) for cols in (slice(0, 2), slice(2, 4)))
-    return private_covariance_correlation(raw, sq)
+def _selects(channels) -> bool:
+    """Whether the channels release a grid of levels, one of which the mode's estimate selects."""
+    return isinstance(channels[0], (MultiTruncChannel, MultiBandwidthChannel))
+
+
+def _cov_sums(z: list) -> np.ndarray:
+    """n times the arguments of ``covariance_correlation``: the sums of z1, z2 and z1 z2, then of
+    each squared component's releases."""
+    z1, z2, *sq = z
+    return np.array([z1.sum(), z2.sum(), (z1 * z2).sum()] + [c.sum() for c in sq])
 
 
 def _oracle_sums(clean: list, var: list, level_sums: Callable) -> list:
@@ -380,20 +366,23 @@ MODES = {
         n_eff=lambda n, budget, options: n * budget.alphas[0] ** 2,
         truth=lambda model, options: model.mean(1),
         channels=functools.partial(_trunc_channels, trunc_mode="mean"),
-        estimate=lambda Z, budget, options: [private_mean(Z, j + 1) for j in range(Z.d)],
+        estimate=lambda table, n, budget, options: table.tolist(),
+        level_sums=lambda z: np.array([c.sum() for c in z]),  # each column's sum
         point=lambda est: est[0],
     ),
     "moment": Mode(
         id=2, axis="n*prod(alpha^2)", model=ParetoFactorModel, config_keys=("ks",),
         truth=lambda model, options: model.gamma(),
         channels=functools.partial(_trunc_channels, trunc_mode="joint"),
-        estimate=lambda Z, budget, options: private_joint_moment(Z),
+        estimate=lambda table, n, budget, options: float(table),
+        level_sums=ad._diagonal_sums,  # one level: the sum of the row products
     ),
     "cov": Mode(
         id=3, axis="n*prod(alpha^2)", model=ParetoFactorModel, config_keys=("ks",),
         truth=lambda model, options: model.covariance(),
         channels=functools.partial(_trunc_channels, trunc_mode="joint"),
-        estimate=lambda Z, budget, options: private_covariance_correlation(Z),
+        estimate=lambda table, n, budget, options: covariance_correlation(*table.tolist()),
+        level_sums=_cov_sums,
         point=lambda est: est.theta,
     ),
     # a replication whose correlation is undefined scores nan, so its grid point leaves the fit
@@ -401,7 +390,8 @@ MODES = {
         id=7, axis="n*prod(alpha^2)", model=ParetoFactorModel, config_keys=("ks",),
         truth=lambda model, options: model.correlation(),
         channels=lambda n, budget, options: sum(corr_release_plan(MomentProfile(options["ks"]), budget, n), ()),
-        estimate=_corr_estimate,
+        estimate=lambda table, n, budget, options: covariance_correlation(*table.tolist()),
+        level_sums=_cov_sums,
         point=lambda est: math.nan if est.corr is None else est.corr,
         release_input=lambda X: np.hstack([X, np.abs(X) ** 2]),
     ),
@@ -415,7 +405,8 @@ MODES = {
         channels=lambda n, budget, options: kde_channels(
             _holder_class(budget, options), budget, _x0(options), kde_bandwidth(n, budget, options)[0]
         ),
-        estimate=lambda Z, budget, options: private_kde(Z),
+        estimate=lambda table, n, budget, options: float(table),
+        level_sums=ad._diagonal_sums,
     ),
     "adaptive_moment": Mode(
         id=5, axis="n*prod(alpha^2)/log(n)^(2d+1)", model=ParetoFactorModel, config_keys=("c0",),
@@ -449,12 +440,10 @@ def run_mode(mode: Mode, model, n: int, budget: PrivacyBudget, options: dict, rn
 def _sample_and_estimate(mode: Mode, model, n: int, budget: PrivacyBudget, channels, options: dict, rng,
                          oracle: bool = False):
     """``run_mode`` for a model already checked and the mode's channels at n, and the oracle's
-    moments from the same pass (None for a fixed-tuning mode or without ``oracle``)."""
+    moments from the same pass (None without ``oracle``)."""
     sample = sample_heavy_tailed if mode.model is ParetoFactorModel else sample_holder_density
     X = sample(model, n, rng)
     release_rng = ZeroNoiseRng(rng) if options.get("zero_noise") else rng
-    if mode.level_sums is None:
-        return X, mode.estimate(release_sample(mode.release_input(X), channels, release_rng), budget, options), None
     table, moments = mode.level_pass(mode.release_input(X), channels, release_rng, oracle)
     return X, mode.estimate(table, n, budget, options), moments
 
@@ -474,10 +463,11 @@ def _run_replication(cfg_json: dict, n: int, rep: int, plan: Optional[tuple] = N
     mode, options = MODES[cfg_json["mode"]], cfg_json["options"]
     model, truth, budget, channels = plan or _plan(cfg_json, n)
     rng = derive_rng(cfg_json["seed"], mode.id, n, rep)
-    oracle = options.get("oracle", True) and rep < int(options.get("oracle_reps", 10**9))
+    selects = _selects(channels)
+    oracle = selects and options.get("oracle", True) and rep < int(options.get("oracle_reps", 10**9))
     _, est, moments = _sample_and_estimate(mode, model, n, budget, channels, options, rng, oracle)
     out = {"sq_err": (mode.point(est) - truth) ** 2}
-    if mode.level_sums is not None:
+    if selects:
         out["sel_index"] = np.atleast_1d(est.index).tolist()
     if moments is not None:
         # the squared error in expectation over the full-budget noise; zero_noise releases have none
@@ -512,9 +502,10 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
                 points.append(RatePoint(n, float("nan"), float("nan"), float("nan"), 0, cfg.seed))
                 extras["per_n"][str(n)] = {"warning": str(n_eff)}
                 continue
-            if mode.level_sums is not None:  # the CSV's adaptive axes are deflated by log(n)^(2d+1)
+            plan = _plan(cfg_json, n)
+            if _selects(plan[3]):  # the CSV's adaptive axes are deflated by log(n)^(2d+1)
                 n_eff /= math.log(n) ** (2 * budget.d + 1)
-            replication = functools.partial(_run_replication, cfg_json, n, plan=_plan(cfg_json, n))
+            replication = functools.partial(_run_replication, cfg_json, n, plan=plan)
             results = list(replicate(replication, range(cfg.replications)))
             errs = np.array([r["sq_err"] for r in results])
             mse = float(errs.mean())

@@ -21,7 +21,6 @@ from cldp.channels import (
     channel_from_json,
     channel_to_json,
     compose_ldp_level,
-    fill_rows,
     kernel_clean,
     kernel_order,
     laplace_release,
@@ -32,6 +31,7 @@ from cldp.channels import (
     make_rr_channel,
     privacy_audit,
     privatize,
+    release_rows,
 )
 from cldp.harness import ZeroNoiseRng, derive_rng
 
@@ -687,9 +687,6 @@ class TestLeanReleaseIsBitwiseTheFormula:
         scales = data.draw(hnp.arrays(np.float64, scale_shape, elements=st.floats(1e-3, 1e3)))
         want = _formula(clean, scales, np.random.default_rng(seed))
         assert _same_bytes(laplace_release(clean, scales, np.random.default_rng(seed)), want)
-        out = np.full(shape, np.nan)
-        assert laplace_release(clean, scales, np.random.default_rng(seed), out=out) is out
-        assert _same_bytes(out, want)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -830,9 +827,11 @@ class TestRowBlocks:
             rng.integers(0, 2**32, size=pre, dtype=np.uint32)
         with mock.patch.object(cldp.channels, "_cpus", lambda: cpus):
             z = ch.privatize_array(xs, split)
-            clean = fill_rows(ch, xs)
+            # with no stream the pass hands each block its clean map as the release
+            blocks = release_rows(xs[:, None], (ch,), None, lambda rows, clean, z: (clean[0], z[0]))
         assert _same_bytes(z, _reference_release(ch, xs, serial))
-        assert _same_bytes(clean, ch.clean(xs))
+        assert all(zb is cb for cb, zb in blocks)
+        assert _same_bytes(np.concatenate([cb for cb, _ in blocks]), ch.clean(xs))
         assert split.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == \
             serial.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
         assert split.random() == serial.random()

@@ -308,10 +308,10 @@ class TestEstimateCommand:
 
     def test_estimator_fault_not_hidden(self, tmp_path, monkeypatch):
         # only malformed input exits 2: a fault past the input boundary raises
-        def broken(Z):
+        def broken(table, n, budget, options):
             raise ValueError("estimator fault")
 
-        monkeypatch.setattr("cldp.harness.private_joint_moment", broken)
+        monkeypatch.setitem(MODES, "moment", dataclasses.replace(MODES["moment"], estimate=broken))
         cfg = write(tmp_path / "cfg.txt", "n=256\nalphas=0.5,0.5\nks=4,4\na=5,5\n")
         with pytest.raises(ValueError, match="estimator fault"):
             main(["estimate", "--mode", "moment", "--config", cfg])

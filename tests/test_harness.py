@@ -23,13 +23,24 @@ from cldp.channels import (
     make_kernel,
     trunc_scale,
 )
-from cldp.estimators import MomentProfile, RegimeError, corr_release_plan, private_covariance_correlation, release_sample
+from cldp.estimators import (
+    MomentProfile,
+    PrivatizedSample,
+    RegimeError,
+    corr_release_plan,
+    private_covariance_correlation,
+    private_joint_moment,
+    private_kde,
+    private_mean,
+    release_sample,
+)
 from cldp.harness import (
     MODES,
     ExperimentConfig,
     RateCurve,
     RatePoint,
     ZeroNoiseRng,
+    _plan,
     _run_replication,
     derive_rng,
     fit_loglog_slope,
@@ -332,11 +343,11 @@ class TestModelChecks:
 
 
 class TestZeroNoiseRng:
-    def test_laplace_zeroed_other_methods_proxied(self):
-        rng = ZeroNoiseRng(derive_rng(1, 2))
-        assert rng.laplace(0.0, 5.0) == 0.0
-        assert np.all(rng.laplace(0.0, 5.0, size=4) == 0.0)
-        assert rng.integers(0, 10) in range(10)
+    def test_a_channel_that_draws_from_it_raises(self):
+        # the marker draws nothing: randomized response has no clean map to release, so it cannot
+        # run noise-free, and drawing its symbol from the wrapped stream would be silently noisy
+        with pytest.raises(AttributeError):
+            cldp.channels.privatize(cldp.channels.make_rr_channel((0.0, 1.0), 1.0), 0.0, ZeroNoiseRng(derive_rng(1, 2)))
 
     def test_zero_noise_keeps_the_sampler_draws(self, monkeypatch):
         # c08's density draws its kink component with rng.laplace: under zero_noise
@@ -462,7 +473,7 @@ def reference_kde_per_h(X, budget, options):
 
 
 def sample_for(mode, model, n, rng):
-    return (sample_heavy_tailed if mode == "adaptive_moment" else sample_holder_density)(model, n, rng)
+    return (sample_holder_density if isinstance(model, HolderDensityModel) else sample_heavy_tailed)(model, n, rng)
 
 
 class TestExactOracle:
@@ -599,6 +610,49 @@ PASS_N = 2**14  # 14 levels: 229,376 values per axis, above the size from which 
 assert PASS_N * 14 >= 2 * cldp.channels._BLOCK
 
 
+# the fixed-tuning modes' estimates from a released sample, through the per-sample API
+FIXED_REFERENCE = {
+    "mean": lambda Z: [private_mean(Z, j + 1) for j in range(Z.d)],
+    "moment": private_joint_moment,
+    "cov": private_covariance_correlation,
+    "corr": lambda Z: private_covariance_correlation(
+        *(PrivatizedSample(Z.values[:, cols], Z.channels[cols]) for cols in (slice(0, 2), slice(2, 4)))
+    ),
+    "kde": private_kde,
+}
+
+# (mode, model, alphas, options) of each fixed-tuning mode, kde on one and on two axes
+FIXED_CASES = {
+    "mean": ("mean", ParetoFactorModel(ks=[4.0], a=[5.0]), (0.5,), {"ks": [4.0]}),
+    "moment": ("moment", PARETO_2, (0.5, 0.5), {"ks": [4.0, 4.0]}),
+    "cov": ("cov", PARETO_2, (0.5, 0.5), {"ks": [4.0, 4.0]}),
+    "corr": ("corr", ParetoFactorModel(ks=[6.0, 6.0], a=[8.0, 8.0], rho=0.6), (0.8, 0.8), {"ks": [6.0, 6.0]}),
+    "kde": ("kde", HolderDensityModel(beta=2.0), (0.5,), {"beta": 2.0, "x0": [0.0]}),
+    "kde_d2": ("kde", HolderDensityModel(beta=2.0, d=2), (1.0, 1.0), {"beta": 2.0, "x0": [0.1, 0.1]}),
+}
+
+
+def _fixed_cfg(case, n, zero_noise):
+    name, model, alphas, options = FIXED_CASES[case]
+    options = {**options, "zero_noise": True} if zero_noise else options
+    cfg = ExperimentConfig(mode=name, n_grid=(n,), alphas=alphas, replications=1, seed=3,
+                           model=model.to_json(), options=options)
+    return name, cfg.to_json()
+
+
+def per_sample_sq_err(name, cfg, n, rep):
+    """A fixed-tuning replication's squared error through the whole released sample: the sample,
+    ``release_sample`` on the same stream (under zero_noise a ``ZeroNoiseRng``) and the
+    ``private_*`` estimate."""
+    mode, options = MODES[name], cfg["options"]
+    model, truth, _, channels = _plan(cfg, n)
+    rng = derive_rng(cfg["seed"], mode.id, n, rep)
+    X = sample_for(name, model, n, rng)
+    release_rng = ZeroNoiseRng(rng) if options.get("zero_noise") else rng
+    est = FIXED_REFERENCE[name](release_sample(mode.release_input(X), channels, release_rng))
+    return (mode.point(est) - truth) ** 2
+
+
 def _pass_inputs(case, n):
     mode, model, alphas, options = ORACLE_CASES[case]
     budget = PrivacyBudget(alphas)
@@ -647,6 +701,45 @@ class TestLevelPass:
         table, moments = mode.level_pass(X, channels, None, oracle=True)
         assert table is None
         assert all(np.array_equal(a, b) for a, b in zip(moments, mode.oracle(X, budget, options)))
+
+    @pytest.mark.parametrize("case", FIXED_CASES)
+    @pytest.mark.parametrize("n", [2**10, 2**17])  # one row block, and two of one level each
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    def test_fixed_table_is_the_per_sample_estimate(self, case, n, zero_noise):
+        # the one-level table gives the bytes of the private_* estimators on release_sample's
+        # releases of the same stream, and draws what release_sample draws
+        name, cfg = _fixed_cfg(case, n, zero_noise)
+        mode = MODES[name]
+        model, _, budget, channels = _plan(cfg, n)
+        X = mode.release_input(sample_for(name, model, n, derive_rng(47, n)))
+        passed, released = derive_rng(48, n), derive_rng(48, n)
+        noise = ZeroNoiseRng if zero_noise else (lambda rng: rng)
+        table, moments = mode.level_pass(X, channels, noise(passed), oracle=False)
+        want = FIXED_REFERENCE[name](release_sample(X, channels, noise(released)))
+        assert moments is None
+        assert repr(mode.estimate(table, n, budget, cfg["options"])) == repr(want)
+        assert passed.random() == released.random()
+
+    @pytest.mark.parametrize("case", FIXED_CASES)
+    @pytest.mark.parametrize("n", [2**10, 2**17])
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    def test_fixed_replication_is_the_per_sample_path(self, case, n, zero_noise):
+        # byte for byte the squared error of a replication that releases the whole sample and
+        # estimates from it (the harness before it summed the fixed modes over row blocks)
+        name, cfg = _fixed_cfg(case, n, zero_noise)
+        for rep in range(2):
+            assert repr(_run_replication(cfg, n, rep)) == repr({"sq_err": per_sample_sq_err(name, cfg, n, rep)})
+
+    def test_kde_at_a_point_with_different_coordinates(self):
+        # per-axis evaluation points, which private_kde refuses: the estimate is the mean of the row
+        # products of the per-axis kernel releases, the density at the point x0
+        model, budget, n = HolderDensityModel(beta=2.0, d=2), PrivacyBudget((1.0, 1.0)), 2**10
+        options = {"beta": 2.0, "x0": [0.1, -0.2]}
+        X, est = run_mode(MODES["kde"], model, n, budget, options, derive_rng(49))
+        rng = derive_rng(49)
+        assert np.array_equal(X, sample_holder_density(model, n, rng))
+        Z = release_sample(X, MODES["kde"].channels(n, budget, options), rng)
+        assert est == float((Z.values[:, 0] * Z.values[:, 1]).mean())
 
     def test_block_exception_reaches_caller(self, monkeypatch):
         raised_on = []
