@@ -6,7 +6,10 @@ auxiliary estimators commute exactly; the (bias-proxy, penalty) tables are pure
 functions of the released tensor and are returned in full as diagnostics.
 Each selector is a rule over the level table of the releases
 (``gl_truncation_rule``, ``gl_bandwidth_rule``); ``gl_select_*`` build that
-table from a released sample, and the harness sums it over row blocks.
+table from a released sample, and the harness sums it over row blocks.  A
+selection keeps the grid its rule built, and its ``to_json`` is the record
+``cldp adaptive`` writes: the selected levels, the estimate, and B and V at
+every grid entry.
 """
 
 from __future__ import annotations
@@ -150,6 +153,12 @@ class TruncationSelection:
     B_table: np.ndarray
     V_table: np.ndarray
     gamma_table: np.ndarray
+    grid: np.ndarray  # the clamp levels of every axis, decreasing
+
+    def to_json(self) -> dict:
+        bv = [{"T": [float(self.grid[i]) for i in idx], "B": float(self.B_table[idx]), "V": float(self.V_table[idx])}
+              for idx in np.ndindex(self.B_table.shape)]
+        return {"selected": list(self.T_hat), "estimate": self.gamma_hat, "bv_table": bv}
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +169,11 @@ class BandwidthSelection:
     B_table: np.ndarray
     V_table: np.ndarray
     pi_table: np.ndarray
+    grid: np.ndarray  # the bandwidths, increasing
+
+    def to_json(self) -> dict:
+        bv = [{"h": float(h), "B": float(b), "V": float(v)} for h, b, v in zip(self.grid, self.B_table, self.V_table)]
+        return {"selected": self.h_hat, "estimate": self.pi_hat, "bv_table": bv}
 
 
 def _check_multi_sample(Zm: PrivatizedSample, cfg: GLConfig):
@@ -224,6 +238,7 @@ def gl_truncation_rule(gamma: np.ndarray, cfg: GLConfig) -> TruncationSelection:
         B_table=B,
         V_table=V,
         gamma_table=gamma,
+        grid=grid,
     )
 
 
@@ -260,6 +275,7 @@ def gl_bandwidth_rule(pi: np.ndarray, cfg: GLConfig) -> BandwidthSelection:
         B_table=B,
         V_table=V,
         pi_table=pi,
+        grid=grid,
     )
 
 

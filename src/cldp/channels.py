@@ -442,28 +442,17 @@ class KernelLaplaceChannel(_LaplaceRelease):
         return kernel_scale(self.kernel, self.h, self.alpha)
 
 
-def _validate_beta_n(alpha: float, card: int, beta_n: float | None) -> float:
-    expected = alpha / card
-    if beta_n is None:
-        return expected
-    if not math.isclose(beta_n, expected, rel_tol=1e-12, abs_tol=0.0):
-        raise ValueError(
-            f"beta_n={beta_n!r} inconsistent with alpha/card(grid)={expected!r}"
-        )
-    return float(beta_n)
-
-
 @dataclass(frozen=True)
 class MultiTruncChannel(_LaplaceRelease):
     """One clamp-plus-Laplace release per truncation level, noise scale 2T/beta_n.
 
-    The per-level budget beta_n = alpha / card(grid) keeps the joint release at
-    level alpha even though every level carries information about the same raw value.
+    The per-level budget beta_n = alpha / card(grid), derived and not settable, keeps
+    the joint release at level alpha even though every level carries information
+    about the same raw value.
     """
 
     grid: tuple[float, ...]
     alpha: float
-    beta_n: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
         g = tuple(float(t) for t in self.grid)
@@ -471,7 +460,10 @@ class MultiTruncChannel(_LaplaceRelease):
             raise ValueError(f"truncation grid must be nonempty, positive and finite, got {g!r}")
         _check_alpha(self.alpha)
         object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "beta_n", _validate_beta_n(self.alpha, len(g), self.beta_n))
+
+    @property
+    def beta_n(self) -> float:
+        return self.alpha / len(self.grid)
 
     def clean(self, x) -> np.ndarray:
         ts = np.asarray(self.grid)
@@ -488,7 +480,8 @@ class MultiTruncChannel(_LaplaceRelease):
 
 @dataclass(frozen=True)
 class MultiBandwidthChannel(_LaplaceRelease):
-    """One kernel-Laplace release per candidate bandwidth, noise scale 2 kappa/(h beta_n).
+    """One kernel-Laplace release per candidate bandwidth, noise scale 2 kappa/(h beta_n),
+    with the per-level budget beta_n = alpha / card(grid) derived as for ``MultiTruncChannel``.
 
     As for ``KernelLaplaceChannel``, with the box kernel the release is (alpha/2)-private."""
 
@@ -496,7 +489,6 @@ class MultiBandwidthChannel(_LaplaceRelease):
     alpha: float
     x0: float
     kernel: KernelFn
-    beta_n: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
         g = tuple(float(h) for h in self.grid)
@@ -505,7 +497,10 @@ class MultiBandwidthChannel(_LaplaceRelease):
         _check_alpha(self.alpha)
         _check_x0(self.x0)
         object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "beta_n", _validate_beta_n(self.alpha, len(g), self.beta_n))
+
+    @property
+    def beta_n(self) -> float:
+        return self.alpha / len(self.grid)
 
     def clean(self, x) -> np.ndarray:
         return kernel_clean(self.kernel, np.asarray(x, dtype=float)[..., None], self.x0, np.asarray(self.grid))

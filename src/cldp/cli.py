@@ -5,8 +5,7 @@ lowerbound, report.  estimate, adaptive and rates run ``harness.MODES``;
 lowerbound and report run the checks of ``lowerbounds`` and ``harness``.
 Configs are flat key=value text files (see README for the key set per mode).
 Exit codes: 0 ok, 1 violation, 2 malformed input only (read behind one input
-boundary); internal faults surface as tracebacks.  CLDP_WORKERS sets the
-default parallelism degree.
+boundary); internal faults surface as tracebacks.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ import json
 import sys
 from dataclasses import fields
 
-import numpy as np
-
-from . import adaptive as ad
 from . import effective_privacy as ep
 from . import lowerbounds as lb
 from .channels import PrivacyBudget, audit_verdict, channel_from_json, derive_rng, privacy_audit
@@ -29,7 +25,6 @@ from .harness import (
     MODES,
     SUITES,
     ExperimentConfig,
-    default_workers,
     fit_loglog_slope,
     kde_bandwidth,
     run_mode,
@@ -109,7 +104,7 @@ def _require(cfg: dict, key: str) -> str:
 _PARSERS = {"tuple[float, ...]": _floats, "float": float, "int": int, "str": str, "bool": _bool}
 _MODEL_KEYS = {kind: {f.name: _PARSERS[f.type] for f in fields(cls)} for kind, cls in MODEL_KINDS.items()}
 # pipeline options, stored in the options dict (and the rates meta.json) as parsed here
-_OPTION_KEYS = {"ks": _floats, "x0": _floats, "beta": float, "c0": float, "h": float, "zero_noise": _bool}
+_OPTION_KEYS = {"ks": _floats, "x0": _floats, "beta": float, "c0": float, "h": float}
 
 
 def _model_kind(cfg: dict) -> str:
@@ -221,34 +216,20 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_adaptive(args) -> int:
-    n, budget, model, options, seed = _sample_inputs(args, "adaptive_" + args.mode)
-    _, sel = run_mode(MODES["adaptive_" + args.mode], model, n, budget, options, derive_rng(seed, 901))
-    if args.mode == "moment":
-        grid = ad.build_truncation_grid(n)
-        bv = [
-            {"T": [float(grid[i]) for i in idx], "B": float(sel.B_table[idx]), "V": float(sel.V_table[idx])}
-            for idx in np.ndindex(sel.B_table.shape)
-        ]
-        out = {"selected": list(sel.T_hat), "estimate": sel.gamma_hat, "bv_table": bv}
-    else:
-        grid = ad.build_bandwidth_grid(n)
-        bv = [
-            {"h": float(grid[i]), "B": float(sel.B_table[i]), "V": float(sel.V_table[i])}
-            for i in range(grid.size)
-        ]
-        out = {"selected": sel.h_hat, "estimate": sel.pi_hat, "bv_table": bv}
-    write_json(args.out, out)
+    mode = "adaptive_" + args.mode
+    n, budget, model, options, seed = _sample_inputs(args, mode)
+    _, sel = run_mode(MODES[mode], model, n, budget, options, derive_rng(seed, 901))
+    write_json(args.out, sel.to_json())
     return EXIT_OK
 
 
-_RATES_KEYS = {"mode", "n_grid", "alphas", "replications", "seed", "out", "workers", "zero_noise"}
+_RATES_KEYS = {"mode", "n_grid", "alphas", "replications", "seed"}
 
 
 def cmd_rates(args) -> int:
     with _reading_inputs():
         cfg = parse_kv_config(args.config)
         model, options = _mode_inputs(cfg, _require(cfg, "mode"), _RATES_KEYS)
-        workers = cfg.get("workers", args.workers)  # the config, then the flag, then CLDP_WORKERS
         exp = ExperimentConfig(
             mode=cfg["mode"],
             n_grid=_ints(_require(cfg, "n_grid")),
@@ -257,8 +238,8 @@ def cmd_rates(args) -> int:
             seed=int(cfg.get("seed", 0)),
             model=model.to_json(),
             options=options,
-            out=args.out or cfg.get("out"),
-            workers=int(default_workers() if workers is None else workers),
+            out=args.out,
+            workers=args.workers,
         )
         exp.validate_for_slope()
     curve = run_rate_experiment(exp)
@@ -343,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = command("rates", cmd_rates, "Monte Carlo rate curve with slope fit")
     s.add_argument("--config", required=True)
-    s.add_argument("--workers", type=int)
+    s.add_argument("--workers", type=int, default=1)
 
     s = command("lowerbound", cmd_lowerbound, "two-point lower-bound instance checks")
     s.add_argument("--kind", required=True, choices=["moment", "density"])

@@ -254,7 +254,7 @@ def corr_release_plan(profile: MomentProfile, budget: PrivacyBudget, n: int):
 
 
 def private_kde(Z: PrivatizedSample) -> float:
-    """Pointwise density estimate: mean of row products of kernel releases.
+    """Density estimate at the point (x0_1, ..., x0_d) of the channels: mean of row products of kernel releases.
 
     May be negative because of the injected noise; values are returned raw and
     clipping at zero is left to the presentation layer.
@@ -264,16 +264,12 @@ def private_kde(Z: PrivatizedSample) -> float:
     if Z.multi_level:
         raise ValueError("multi-level samples need a selected level first")
     hs = set()
-    x0s = set()
     for ch in Z.channels:
         if not isinstance(ch, KernelLaplaceChannel):
             raise ValueError("private_kde expects kernel-laplace channels")
         hs.add(ch.h)
-        x0s.add(ch.x0)
     if len(hs) != 1:
         raise ValueError("mismatched bandwidths across columns")
-    if len(x0s) != 1:
-        raise ValueError("mismatched evaluation points across columns")
     # the columns multiplied left to right: the bits of np.prod(axis=1), without its per-row loop
     return float(functools.reduce(np.multiply, Z.values.T).mean())
 

@@ -29,7 +29,6 @@ import contextlib
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
@@ -87,16 +86,7 @@ __all__ = [
     "write_json",
     "ZeroNoiseRng",
     "derive_rng",
-    "default_workers",
 ]
-
-def default_workers() -> int:
-    """The CLDP_WORKERS count, 1 when unset."""
-    env = os.environ.get("CLDP_WORKERS") or "1"
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"CLDP_WORKERS must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -142,7 +132,7 @@ class ExperimentConfig:
 
     def validate_for_slope(self):
         """Invariants demanded of slope experiments (enforced at the CLI)."""
-        if self.replications < 30 and not self.options.get("zero_noise"):
+        if self.replications < 30:
             raise ValueError("slope experiments need replications >= 30")
         if len(self.n_grid) < 4:
             raise ValueError("slope experiments need >= 4 grid points")

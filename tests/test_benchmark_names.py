@@ -1,8 +1,14 @@
 """The benchmark under ``perfbench/`` imports cldp names and its tracer wraps cldp functions at the
 names their callers look them up by.  A refactor that drops or moves one of those names breaks
-the benchmark; this test breaks with it.  It reads ``perfbench/`` and changes nothing there."""
+the benchmark; this test breaks with it.  An import kept in ``cldp`` only for the benchmark
+(a ``# noqa: F401`` line naming a ``perfbench/`` file) must name only what that file still uses.
+It reads ``perfbench/`` and changes nothing there."""
 
+import ast
 import pathlib
+import re
+
+import pytest
 
 import cldp.harness
 
@@ -18,3 +24,28 @@ def test_workloads_import_and_tracer_wraps_and_restores(monkeypatch):
     with tracing.Tracer():  # raises where a name it wraps is missing
         assert cldp.harness.release_sample is not before["release_sample"]
     assert vars(cldp.harness) == before
+
+
+def _keep_alive_imports():
+    """(module path, line, perfbench file, imported names) of each ``# noqa: F401`` import in
+    src/cldp whose comment names a ``perfbench/`` file: an import kept only for the benchmark."""
+    src = pathlib.Path(cldp.harness.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.ImportFrom):
+                match = re.search(r"# noqa: F401.*perfbench/(\w+\.py)", lines[node.lineno - 1])
+                if match:
+                    found.append((path.name, node.lineno, match.group(1), [a.asname or a.name for a in node.names]))
+    return found
+
+
+KEEP_ALIVE = _keep_alive_imports()
+
+
+@pytest.mark.parametrize("module, lineno, perf, names", KEEP_ALIVE, ids=[f"{m}-{p}" for m, _, p, _ in KEEP_ALIVE])
+def test_keep_alive_import_is_still_used(module, lineno, perf, names):
+    text = (PERFBENCH / perf).read_text()
+    unused = [name for name in names if not re.search(rf"\b{name}\b", text)]
+    assert unused == [], f"{module}:{lineno} keeps {unused} for perfbench/{perf}, which no longer names them"

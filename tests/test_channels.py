@@ -199,9 +199,15 @@ class TestPrivatize:
         off = corr[~np.eye(3, dtype=bool)]
         assert np.max(np.abs(off)) < 0.01
 
-    def test_beta_n_consistency_enforced(self):
-        with pytest.raises(ValueError, match="beta_n"):
-            MultiTruncChannel(grid=(4.0, 2.0), alpha=0.9, beta_n=0.2)
+    def test_beta_n_is_derived(self):
+        # alpha / len(grid) on both multi-level channels, neither an argument nor an attribute to set
+        for cls, extra in ((MultiTruncChannel, {}), (MultiBandwidthChannel, {"x0": 0.0, "kernel": make_kernel(1)})):
+            with pytest.raises(TypeError, match="beta_n"):
+                cls(grid=(0.5, 0.25), alpha=0.9, beta_n=0.45, **extra)
+            ch = cls(grid=(0.5, 0.25), alpha=0.9, **extra)
+            assert ch.beta_n == 0.45
+            with pytest.raises(AttributeError):
+                ch.beta_n = 0.2
 
 
 class TestAudit:
@@ -360,11 +366,9 @@ kernels = st.integers(0, 4).map(make_kernel)
 
 @st.composite
 def multi_level(draw, cls, level, **fields):
-    """A multi-level channel, with its beta_n given explicitly or derived."""
+    """A multi-level channel."""
     grid = tuple(draw(st.lists(level, min_size=1, max_size=6)))
-    alpha = draw(positive)
-    beta_n = alpha / len(grid) if draw(st.booleans()) else None
-    return cls(grid=grid, alpha=alpha, beta_n=beta_n, **{k: draw(v) for k, v in fields.items()})
+    return cls(grid=grid, alpha=draw(positive), **{k: draw(v) for k, v in fields.items()})
 
 
 supports = st.lists(finite, min_size=2, max_size=5, unique=True)
@@ -396,7 +400,7 @@ class TestSerialization:
     def test_spec_keys_are_the_fields(self):
         spec = channel_to_json(MultiBandwidthChannel(grid=(0.25, 0.5), alpha=0.6, x0=0.0, kernel=make_kernel(1)))
         assert spec == {"variant": "multi_bandwidth", "grid": [0.25, 0.5], "alpha": 0.6, "x0": 0.0,
-                        "kernel_order": 1, "beta_n": 0.3}
+                        "kernel_order": 1}
         assert channel_to_json(make_identity_channel((0.0, 1.0)))["alpha"] is None
 
     @pytest.mark.parametrize("spec, message", [
@@ -415,9 +419,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             channel_from_json(spec)
 
-    def test_inconsistent_beta_n_rejected(self):
-        with pytest.raises(ValueError, match="beta_n"):
-            channel_from_json({"variant": "multi_trunc", "alpha": 0.8, "grid": [2.0, 1.0], "beta_n": 0.8})
+    def test_beta_n_key_rejected(self):
+        # derived from alpha and the grid, so not a spec key, even at its derived value
+        with pytest.raises(ValueError, match="multi_trunc channel spec: unknown key.*'beta_n'"):
+            channel_from_json({"variant": "multi_trunc", "alpha": 0.8, "grid": [2.0, 1.0], "beta_n": 0.4})
 
 
 def _level_density(ch, level: int, zs, xs) -> np.ndarray:

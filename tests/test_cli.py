@@ -429,7 +429,7 @@ class TestRatesCommand:
 class TestWorkers:
     RATES = "mode=mean\nn_grid=256,1024,4096,65536\nalphas=1\nks=4\na=5\nreplications=30\n"
 
-    def run(self, tmp_path, monkeypatch, argv, text=""):
+    def run(self, tmp_path, monkeypatch, argv):
         seen = []
 
         def fake_run(exp):
@@ -437,56 +437,43 @@ class TestWorkers:
             return RateCurve(points=(), mode=exp.mode, axis="")
 
         monkeypatch.setattr("cldp.cli.run_rate_experiment", fake_run)
-        code = main(["rates", "--config", write(tmp_path / "cfg.txt", self.RATES + text), *argv])
+        code = main(["rates", "--config", write(tmp_path / "cfg.txt", self.RATES), *argv])
         return code, seen
 
-    @pytest.mark.parametrize("argv, text", [(["--workers", "0"], ""), (["--workers", "-2"], ""), ([], "workers=-3\n")])
-    def test_below_one_exit_config(self, tmp_path, capsys, monkeypatch, argv, text):
-        monkeypatch.setenv("CLDP_WORKERS", "2")
-        code, seen = self.run(tmp_path, monkeypatch, argv, text)
+    @pytest.mark.parametrize("argv", [["--workers", "0"], ["--workers", "-2"]])
+    def test_below_one_exit_config(self, tmp_path, capsys, monkeypatch, argv):
+        code, seen = self.run(tmp_path, monkeypatch, argv)
         assert code == 2 and not seen
         assert "workers must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("env", ["0", "-5"])
-    def test_environment_below_one_exit_config(self, tmp_path, capsys, monkeypatch, env):
-        monkeypatch.setenv("CLDP_WORKERS", env)
-        code, seen = self.run(tmp_path, monkeypatch, [])
-        assert code == 2 and not seen
-        assert f"workers must be >= 1, got {env}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv, want", [([], 2), (["--workers", "3"], 3)])
-    def test_environment_only_without_the_flag(self, tmp_path, monkeypatch, argv, want):
-        monkeypatch.setenv("CLDP_WORKERS", "2")
+    @pytest.mark.parametrize("argv, want", [([], 1), (["--workers", "3"], 3)])
+    def test_flag_is_the_only_source(self, tmp_path, monkeypatch, argv, want):
+        monkeypatch.setenv("CLDP_WORKERS", "2")  # the environment sets nothing
         code, (exp,) = self.run(tmp_path, monkeypatch, argv)
         assert code == 0 and exp.workers == want
 
-    @pytest.mark.parametrize("argv, text, want", [([], "workers=1\n", 1), (["--workers", "3"], "", 3)])
-    def test_malformed_environment_unread_when_set(self, tmp_path, monkeypatch, argv, text, want):
-        monkeypatch.setenv("CLDP_WORKERS", "abc")
-        code, (exp,) = self.run(tmp_path, monkeypatch, argv, text)
-        assert code == 0 and exp.workers == want
-
-    def test_malformed_environment_exit_config(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CLDP_WORKERS", "abc")
-        code, seen = self.run(tmp_path, monkeypatch, [])
-        assert code == 2 and not seen
-        assert "CLDP_WORKERS must be an integer, got 'abc'" in capsys.readouterr().err
-
 
 class TestUnknownConfigKeys:
+    RATES = "mode=mean\nn_grid=256,1024,4096,65536\nalphas=1\nks=4\na=5\nreplications=30\n"
+
     @pytest.mark.parametrize(
-        "argv, text",
+        "argv, text, typo",
         [
-            (["estimate", "--mode", "mean"], "n=256\nalphas=1\nks=4\na=5\n"),
-            (["adaptive", "--mode", "moment"], "n=256\nalphas=1\nks=4\na=5\n"),
-            (["rates"], "mode=mean\nn_grid=256,1024,4096,65536\nalphas=1\nks=4\na=5\nreplications=30\n"),
-            (["lowerbound", "--kind", "moment"], "n=64\nalphas=0.5,0.5\nks=4,4\n"),
+            (["estimate", "--mode", "mean"], "n=256\nalphas=1\nks=4\na=5\n", "alpha=0.5"),
+            (["adaptive", "--mode", "moment"], "n=256\nalphas=1\nks=4\na=5\n", "alpha=0.5"),
+            (["rates"], RATES, "alpha=0.5"),
+            # the worker count, the output path and zero_noise are set by --workers, --out and
+            # ExperimentConfig only
+            (["rates"], RATES, "workers=1"),
+            (["rates"], RATES, "out=x.csv"),
+            (["rates"], RATES, "zero_noise=true"),
+            (["lowerbound", "--kind", "moment"], "n=64\nalphas=0.5,0.5\nks=4,4\n", "alpha=0.5"),
         ],
     )
-    def test_typo_exits_config_and_names_key(self, tmp_path, capsys, argv, text):
-        cfg = write(tmp_path / "cfg.txt", text + "alpha=0.5\n")
+    def test_typo_exits_config_and_names_key(self, tmp_path, capsys, argv, text, typo):
+        cfg = write(tmp_path / "cfg.txt", text + typo + "\n")
         assert main(argv + ["--config", cfg]) == 2
-        assert "'alpha'" in capsys.readouterr().err
+        assert repr(typo.split("=")[0]) in capsys.readouterr().err
 
     def test_key_of_another_mode_rejected(self, tmp_path, capsys):
         # h is a kde option and box a holder_density key: neither is read here
@@ -610,13 +597,16 @@ class TestLowerboundCommand:
 
 class TestReadmeKeys:
     def test_every_accepted_key_is_documented(self):
-        """Each key ``rates`` or ``lowerbound`` accepts is in the README's config block or Models table."""
+        """Each key ``rates`` or ``lowerbound`` accepts is in the README's config block or Models table,
+        and each key of the config block is accepted by some command."""
         readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("### Config files", 1)[1].split("```\n", 2)[1]
-        documented = {line.split("=", 1)[0] for line in block.splitlines() if "=" in line}
+        in_block = {line.split("=", 1)[0] for line in block.splitlines() if "=" in line}
+        documented = set(in_block)
         for line in readme.splitlines():
             if line.startswith(tuple(f"| `{kind}`" for kind in MODEL_KINDS)):
                 documented.update(re.findall(r"`(\w+)`", line.split("|")[3]))
         accepted = _RATES_KEYS | {"model"} | set().union(*_MODEL_KEYS.values(), *_LOWERBOUND_KEYS.values())
         accepted |= set().union(*(mode.config_keys for mode in MODES.values()))
         assert sorted(accepted - documented) == []
+        assert sorted(in_block - accepted) == []

@@ -731,15 +731,15 @@ class TestLevelPass:
             assert repr(_run_replication(cfg, n, rep)) == repr({"sq_err": per_sample_sq_err(name, cfg, n, rep)})
 
     def test_kde_at_a_point_with_different_coordinates(self):
-        # per-axis evaluation points, which private_kde refuses: the estimate is the mean of the row
-        # products of the per-axis kernel releases, the density at the point x0
+        # per-axis evaluation points: the mode's estimate is private_kde's on the same stream, byte
+        # for byte, since both reduce the columns left to right
         model, budget, n = HolderDensityModel(beta=2.0, d=2), PrivacyBudget((1.0, 1.0)), 2**10
         options = {"beta": 2.0, "x0": [0.1, -0.2]}
         X, est = run_mode(MODES["kde"], model, n, budget, options, derive_rng(49))
         rng = derive_rng(49)
         assert np.array_equal(X, sample_holder_density(model, n, rng))
         Z = release_sample(X, MODES["kde"].channels(n, budget, options), rng)
-        assert est == float((Z.values[:, 0] * Z.values[:, 1]).mean())
+        assert est.hex() == private_kde(Z).hex()
 
     def test_block_exception_reaches_caller(self, monkeypatch):
         raised_on = []
