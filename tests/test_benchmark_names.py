@@ -32,8 +32,9 @@ def _keep_alive_imports():
     src = pathlib.Path(cldp.harness.__file__).resolve().parent
     found = []
     for path in sorted(src.glob("*.py")):
-        lines = path.read_text().splitlines()
-        for node in ast.walk(ast.parse("\n".join(lines))):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.ImportFrom):
                 match = re.search(r"# noqa: F401.*perfbench/(\w+\.py)", lines[node.lineno - 1])
                 if match:
