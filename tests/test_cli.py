@@ -446,9 +446,12 @@ class TestWorkers:
         assert code == 2 and not seen
         assert "workers must be >= 1" in capsys.readouterr().err
 
+    # the environment sets nothing: a below-one or malformed CLDP_WORKERS, which once exited 2,
+    # is not read either
+    @pytest.mark.parametrize("env", ["2", "0", "abc"])
     @pytest.mark.parametrize("argv, want", [([], 1), (["--workers", "3"], 3)])
-    def test_flag_is_the_only_source(self, tmp_path, monkeypatch, argv, want):
-        monkeypatch.setenv("CLDP_WORKERS", "2")  # the environment sets nothing
+    def test_flag_is_the_only_source(self, tmp_path, monkeypatch, argv, want, env):
+        monkeypatch.setenv("CLDP_WORKERS", env)
         code, (exp,) = self.run(tmp_path, monkeypatch, argv)
         assert code == 0 and exp.workers == want
 
