@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import PrivacyBudget, derive_rng, make_rr_channel
-from .measures import DiscreteDist, SubsetIndex, fl_term, kl_term, nonempty_subsets, push_axes, support_index
+from .measures import (
+    DiscreteDist, SubsetIndex, checked_probs, finite_axes, fl_term, kl_term, nonempty_subsets, push_axes, stack_rows,
+)
 from .measures import pushforward  # noqa: F401  (perfbench/tracing.py wraps it at this name)
 
 __all__ = [
@@ -243,17 +245,9 @@ def verify_contraction(
     stacked check on a stack of one."""
     if not P.same_support(Pt):
         raise ValueError("priors must share supports")
-    if len(channels) != P.d:
-        raise ValueError(f"need {P.d} channels, got {len(channels)}")
-    if any(getattr(ch, "transition_table", None) is None for ch in channels):
-        raise ValueError("exact laws require finite output channels")
-
-    def one(x):
-        return np.asarray(x, dtype=float)[None]
-
-    axes = [(one(ch.transition_table), one(ch.input_support), one(ch.output_support)) for ch in channels]
+    axes = finite_axes(P, channels)
     alphas = [tuple(ch.alpha for ch in channels)]
-    return _verify_stack([one(s) for s in P.supports], one(P.probs), one(Pt.probs), axes, alphas, l_values)[0]
+    return _verify_stack([s[None] for s in P.supports], P.probs[None], Pt.probs[None], axes, alphas, l_values)[0]
 
 
 def _verify_stack(supports, P, Pt, axes, alphas, l_values=()) -> list[ContractionReport]:
@@ -267,20 +261,13 @@ def _verify_stack(supports, P, Pt, axes, alphas, l_values=()) -> list[Contractio
     a = np.array(alphas, dtype=float)
     if not np.all(a >= 0):
         PrivacyBudget(alphas[int(np.flatnonzero(~np.all(a >= 0, axis=1))[0])])  # raises its ValueError
-    B, d = a.shape
-    rows = []
-    for ax, (sup, (tables, inputs, outputs)) in enumerate(zip(supports, axes)):
-        if tables.shape != (B, inputs.shape[1], outputs.shape[1]):
-            raise ValueError("transition table shape does not match supports")
-        if np.any(tables < 0):
-            raise ValueError("transition probabilities must be nonnegative")
-        if np.any(np.abs(tables.sum(axis=-1) - 1.0) > 1e-12):
-            raise ValueError("transition rows must each sum to 1")
+    d = a.shape[1]
+    rows = stack_rows(supports, axes)
+    for ax, (_, _, outputs) in enumerate(axes):  # the release law's supports
         if np.any(np.diff(outputs, axis=-1) <= 0):
             raise ValueError(f"axis {ax + 1}: support points must be strictly increasing")
-        idx = support_index(inputs, sup, f"the axis-{ax + 1} channel's input support")
-        rows.append(np.take_along_axis(tables, idx[..., None], axis=1))
-    M, Mt = (_release_law(T, rows) for T in (P, Pt))
+    # the flattened release laws, checked and divided as pushforward's DiscreteDist
+    M, Mt = (checked_probs(push_axes(T, rows).reshape(len(T), -1)) for T in (P, Pt))
     lhs_f, lhs_r = kl_term(M, Mt), kl_term(Mt, M)
     tvs = _marginal_tvs(P, Pt)
     totals = _subset_sums(tvs, np.expm1(a))
@@ -310,19 +297,6 @@ def _verify_stack(supports, P, Pt, axes, alphas, l_values=()) -> list[Contractio
             f_checks=tuple(checks),
         ))
     return reports
-
-
-def _release_law(T: np.ndarray, rows) -> np.ndarray:
-    """The (B, K) flattened release laws of a stack of mass tables through the stacked
-    transition rows, checked and normalized as ``pushforward``'s DiscreteDist."""
-    out = push_axes(T, rows).reshape(len(T), -1)
-    if np.any(out < 0):
-        raise ValueError("negative mass")
-    total = out.sum(axis=1, keepdims=True)
-    off = np.abs(total - 1.0) > 1e-9
-    if np.any(off):
-        raise ValueError(f"masses sum to {float(total[off][0])!r}, not 1")
-    return out / total
 
 
 def random_instance(rng, dims=(2, 3)):

@@ -67,7 +67,6 @@ from .estimators import (
 from .estimators import (  # noqa: F401  (perfbench/tracing.py wraps them at these names)
     private_covariance_correlation, private_joint_moment, private_kde, private_mean, release_sample,
 )
-from .measures import DiscreteDist
 from .simdata import HolderDensityModel, ParetoFactorModel, model_from_json, sample_heavy_tailed, sample_holder_density
 
 __all__ = [
@@ -567,7 +566,7 @@ def run_verification_suite(which: str, seed: int = 7, instances: Optional[int] =
     elif which == "privacy":
         report = _privacy_suite(seed)
     else:
-        report = _leakage_suite(seed, 200 if instances is None else instances)
+        report = ep.run_leakage_sweep(seed, 200 if instances is None else instances)
     return (1 if report["violations"] else 0), report
 
 
@@ -593,30 +592,6 @@ def _privacy_suite(seed: int) -> dict:
         audit("multi_bandwidth", ad.multi_bandwidth_channels(glc, [0.0], make_kernel(1))[0], n=n)
     violations = sum(not row["ok"] for row in rows)
     return {"suite": "privacy", "seed": seed, "violations": violations, "audits": rows}
-
-
-def _random_joint_dist(rng, d: int):
-    """A joint law on 2 or 3 points per axis, every cell of positive mass."""
-    sizes = [int(rng.integers(2, 4)) for _ in range(d)]
-    supports = [np.sort(rng.normal(size=s) * 1.5) for s in sizes]
-    raw = rng.gamma(1.0, 1.0, size=tuple(sizes)) + 1e-3
-    return DiscreteDist(supports, raw / raw.sum())
-
-
-def _leakage_suite(seed: int, instances: int) -> dict:
-    ct.check_sweep_size(instances)
-    rows = []
-    violations = 0
-    for i in range(instances):
-        rng = derive_rng(seed, 202, i)
-        d = int(rng.choice((2, 3)))
-        P = _random_joint_dist(rng, d)
-        alphas = rng.uniform(0.1, 1.5, size=d)
-        channels = [make_rr_channel(tuple(P.supports[j]), float(alphas[j])) for j in range(d)]
-        rep = ep.leakage_report(P, channels)
-        violations += int(rep["violation"])
-        rows.append(rep)
-    return {"suite": "leakage", "seed": seed, "instances": instances, "violations": violations, "reports": rows}
 
 
 def _lowerbound_suite() -> dict:

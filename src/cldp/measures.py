@@ -29,6 +29,7 @@ import numpy as np
 
 __all__ = [
     "DiscreteDist",
+    "checked_probs",
     "SubsetIndex",
     "marginal",
     "tv_distance",
@@ -37,6 +38,8 @@ __all__ = [
     "nonempty_subsets",
     "support_index",
     "transition_rows",
+    "finite_axes",
+    "stack_rows",
     "push_axes",
     "fl_term",
     "kl_term",
@@ -174,6 +177,18 @@ class DiscreteDist:
         return cls(supports, table)
 
 
+def checked_probs(tables: np.ndarray) -> np.ndarray:
+    """DiscreteDist's mass checks and its one division on a stack of tables (B, ...):
+    nonnegative masses whose total is within 1e-9 of 1, each divided by that total."""
+    if np.any(tables < 0):
+        raise ValueError("negative mass")
+    total = tables.sum(axis=tuple(range(1, tables.ndim)), keepdims=True)
+    off = np.abs(total - 1.0) > 1e-9
+    if np.any(off):
+        raise ValueError(f"masses sum to {float(total[off][0])!r}, not 1")
+    return tables / total
+
+
 def _as_subset(S, d: int) -> SubsetIndex:
     if not isinstance(S, SubsetIndex):
         S = SubsetIndex(S)
@@ -272,18 +287,41 @@ def support_index(support, values, where: str):
     return hits.argmax(axis=-1)
 
 
-def transition_rows(P: DiscreteDist, channels) -> list[np.ndarray]:
-    """Per axis of P, the transition-table rows of that axis's finite channel at
-    P's support points, in support order."""
+def finite_axes(P: DiscreteDist, channels) -> list[tuple]:
+    """P's channels, one finite-output channel per axis, each as a stack of one:
+    (table (1, m, k), inputs (1, m), outputs (1, k)), the form ``stack_rows`` reads."""
     if len(channels) != P.d:
         raise ValueError(f"need {P.d} channels, got {len(channels)}")
+    if any(getattr(ch, "transition_table", None) is None for ch in channels):
+        raise ValueError("exact laws require finite output channels")
+    return [
+        tuple(np.asarray(x, dtype=float)[None] for x in (ch.transition_table, ch.input_support, ch.output_support))
+        for ch in channels
+    ]
+
+
+def stack_rows(supports, axes) -> list[np.ndarray]:
+    """``transition_rows`` of B instances of one support shape: ``supports`` holds one
+    (B, s_j) array per axis and ``axes`` one (tables (B, m, k), inputs (B, m),
+    outputs (B, k)) channel stack per axis.  Each table is checked as a finite
+    channel checks its own, and each instance's rows are matched to its supports."""
     rows = []
-    for ax, (ch, sup) in enumerate(zip(channels, P.supports)):
-        table = getattr(ch, "transition_table", None)
-        if table is None:
-            raise ValueError("exact laws require finite output channels")
-        rows.append(table[support_index(ch.input_support, sup, f"the axis-{ax + 1} channel's input support")])
+    for ax, (sup, (tables, inputs, outputs)) in enumerate(zip(supports, axes)):
+        if tables.shape != (*inputs.shape, outputs.shape[1]):
+            raise ValueError("transition table shape does not match supports")
+        if np.any(tables < 0):
+            raise ValueError("transition probabilities must be nonnegative")
+        if np.any(np.abs(tables.sum(axis=-1) - 1.0) > 1e-12):
+            raise ValueError("transition rows must each sum to 1")
+        idx = support_index(inputs, sup, f"the axis-{ax + 1} channel's input support")
+        rows.append(np.take_along_axis(tables, idx[..., None], axis=1))
     return rows
+
+
+def transition_rows(P: DiscreteDist, channels) -> list[np.ndarray]:
+    """Per axis of P, the transition-table rows of that axis's finite channel at
+    P's support points, in support order: ``stack_rows`` on a stack of one."""
+    return [r[0] for r in stack_rows([s[None] for s in P.supports], finite_axes(P, channels))]
 
 
 def push_axes(tables: np.ndarray, rows) -> np.ndarray:

@@ -11,6 +11,8 @@ import re
 import pytest
 
 import cldp.harness
+from cldp.channels import derive_rng
+from cldp.effective_privacy import _draw_instance
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -50,3 +52,16 @@ def test_keep_alive_import_is_still_used(module, lineno, perf, names):
     text = (PERFBENCH / perf).read_text()
     unused = [name for name in names if not re.search(rf"\b{name}\b", text)]
     assert unused == [], f"{module}:{lineno} keeps {unused} for perfbench/{perf}, which no longer names them"
+
+
+def test_leakage_instances_mirror_the_sweep_draws(monkeypatch):
+    # the benchmark recomputes each leakage instance from its stream key; it must read the
+    # masses and levels the sweep audits, bit for bit
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for i in range(20):
+        _, probs, alphas = _draw_instance(derive_rng(workloads.LEAKAGE_FAULT_SEED, 202, i))
+        mirror_probs, mirror_alphas = workloads._leakage_instance(workloads.LEAKAGE_FAULT_SEED, i)
+        assert probs.tobytes() == mirror_probs.tobytes() and probs.shape == mirror_probs.shape
+        assert alphas.tobytes() == mirror_alphas.tobytes()

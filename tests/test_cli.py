@@ -177,6 +177,16 @@ class TestLeakageCommand:
         assert main(["leakage", "--dist", dist, "--channels", chp]) == 2
         assert "input support" in capsys.readouterr().err
 
+    def test_negative_level_exit_config(self, tmp_path, capsys):
+        # alpha_max stays positive, so only the audit's own check sees the negative level
+        P = DiscreteDist([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]], np.full((2, 2, 2), 0.125))
+        dist = write(tmp_path / "d.json", json.dumps(P.to_json()))
+        chans = [channel_to_json(make_rr_channel((0.0, 1.0), a)) for a in (0.5, 0.9, 0.9)]
+        chans[1]["alpha"] = -0.5
+        chp = write(tmp_path / "ch.json", json.dumps(chans))
+        assert main(["leakage", "--dist", dist, "--channels", chp]) == 2
+        assert "privacy levels must be nonnegative" in capsys.readouterr().err
+
     def test_malformed_dist_exit_config(self, tmp_path, capsys):
         # probs must list {"idx", "p"} entries, not a dense table
         dist = write(tmp_path / "d.json", json.dumps({"supports": [[0.0, 1.0], [0.0, 1.0]],

@@ -1,23 +1,30 @@
+import dataclasses
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cldp.channels import RandomizedResponseChannel, make_identity_channel, make_rr_channel
-from cldp.contraction import channel_fl_epsilons
+from cldp.channels import RandomizedResponseChannel, audit_verdict, make_identity_channel, make_rr_channel
+from cldp.contraction import _rr_tables, channel_fl_epsilons
 from cldp.effective_privacy import (
+    _audit_group,
+    _draw_instance,
+    _leakage_stack,
     audit_marginal_leakage,
     conditional_release_density,
     delta_ind,
     effective_level,
     leakage_report,
     misprediction_floor,
+    run_leakage_sweep,
 )
-from cldp.harness import derive_rng
-from cldp.measures import DiscreteDist, divergence, pushforward
+from cldp.harness import derive_rng, run_verification_suite
+from cldp.measures import DiscreteDist, divergence, finite_axes, push_axes, pushforward, support_index
 
 
 def product_dist():
@@ -216,11 +223,12 @@ class TestSupportMatching:
 
 
 @st.composite
-def joint_law_and_channels(draw, positive_rows=False):
+def joint_law_and_channels(draw, positive_rows=False, sizes=None, widths=None):
     """A random joint law (d = 2-3, at most 3 points per axis) and one random
-    row-stochastic channel per axis, listing its input support in a random order."""
-    d = draw(st.integers(2, 3))
-    sizes = [draw(st.integers(1, 3)) for _ in range(d)]
+    row-stochastic channel per axis, listing its input support in a random order.
+    ``sizes`` and ``widths`` fix the support sizes and the output widths."""
+    if sizes is None:
+        sizes = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(2, 3)))]
     supports = [
         sorted(float(v) for v in draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k, unique=True)))
         for k in sizes
@@ -229,9 +237,9 @@ def joint_law_and_channels(draw, positive_rows=False):
     P = DiscreteDist(supports, masses.reshape(sizes) / masses.sum())
     entry = st.floats(0.05, 1.0) if positive_rows else st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0])
     channels = []
-    for sup in supports:
+    for ax, sup in enumerate(supports):
         order = draw(st.permutations(range(len(sup))))
-        width = draw(st.integers(1, 3))
+        width = draw(st.integers(1, 3)) if widths is None else widths[ax]
         rows = [draw(st.lists(entry, min_size=width, max_size=width).filter(lambda r: sum(r) > 0)) for _ in sup]
         table = np.array(rows) / np.sum(rows, axis=1, keepdims=True)
         channels.append(
@@ -262,3 +270,206 @@ class TestFiniteChannelProperties:
             # DiscreteDist renormalizes each row, so agreement is to rounding, not
             # bitwise; identical rows give 0 on one side and ~1e-17 on the other
             assert e**l == pytest.approx(worst, rel=1e-12, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the stacked audit against the instance-by-instance one it replaced
+# ---------------------------------------------------------------------------
+
+
+def _pinned_conditional_law(P):
+    m1 = P.probs.sum(axis=tuple(range(1, P.d)))
+    if np.any(m1 <= 0.0):
+        bad = P.supports[0][np.flatnonzero(m1 <= 0.0)[0]]
+        raise ValueError(f"zero-mass conditioning point x1={bad!r}")
+    return P.probs / m1.reshape((-1,) + (1,) * (P.d - 1))
+
+
+def _pinned_leakage_report(P, channels):
+    """leakage_report as it was computed one instance at a time."""
+    alphas = [ch.alpha for ch in channels]
+    alpha_max = max(alphas[1:]) if len(alphas) > 1 else 0.0
+    pairs = itertools.combinations(_pinned_conditional_law(P), 2) if P.d >= 2 else ()
+    dlt = max((float(np.abs(a - b).sum()) for a, b in pairs), default=0.0)
+    prof = effective_level(alphas[0], alpha_max, P.d, dlt)
+    rows = [
+        ch.transition_table[support_index(ch.input_support, sup, f"the axis-{ax + 1} channel's input support")]
+        for ax, (ch, sup) in enumerate(zip(channels, P.supports))
+    ]
+    cond = np.moveaxis(_pinned_conditional_law(P), 0, -1)
+    rest = push_axes(cond[None], [t[None] for t in rows[1:]])[0]
+    m = (rows[0].reshape(rows[0].shape + (1,) * (P.d - 1)) * rest[:, None]).reshape(len(P.supports[0]), -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        worst = float(np.where((m[:, None] == 0) & (m[None, :] == 0), 1.0, m[:, None] / m[None, :]).max())
+    bound, ok = audit_verdict(worst, prof.effective_alpha)
+    return {
+        "delta_ind": dlt,
+        "effective_alpha": prof.effective_alpha,
+        "audited_sup": worst,
+        "floor": misprediction_floor(math.log(worst) if worst >= 1.0 else 0.0),
+        "bound": bound,
+        "violation": not ok,
+    }
+
+
+def _pinned_instance(seed, i):
+    """The sweep's instance i as it was built: a DiscreteDist and one RR channel per axis."""
+    rng = derive_rng(seed, 202, i)
+    d = int(rng.choice((2, 3)))
+    sizes = [int(rng.integers(2, 4)) for _ in range(d)]
+    supports = [np.sort(rng.normal(size=s) * 1.5) for s in sizes]
+    raw = rng.gamma(1.0, 1.0, size=tuple(sizes)) + 1e-3
+    P = DiscreteDist(supports, raw / raw.sum())
+    alphas = rng.uniform(0.1, 1.5, size=d)
+    return P, [make_rr_channel(tuple(P.supports[j]), float(alphas[j])) for j in range(d)]
+
+
+def _pinned_leakage_suite(seed, instances):
+    rows = [_pinned_leakage_report(*_pinned_instance(seed, i)) for i in range(instances)]
+    violations = sum(int(r["violation"]) for r in rows)
+    return {"suite": "leakage", "seed": seed, "instances": instances, "violations": violations, "reports": rows}
+
+
+class TestStackedSweepMatchesPinnedAudit:
+    @pytest.mark.parametrize("seed", [*range(40), 79, 84, 146])
+    def test_suite_bytes(self, seed):
+        code, report = run_verification_suite("leakage", seed=seed)
+        assert json.dumps(report) == json.dumps(_pinned_leakage_suite(seed, 200))
+        assert code == (1 if report["violations"] else 0)
+
+    def test_seed_84_fails_at_instance_8_only(self):
+        code, report = run_verification_suite("leakage", seed=84)
+        assert code == 1 and [i for i, r in enumerate(report["reports"]) if r["violation"]] == [8]
+
+    @pytest.mark.parametrize("seed", [0, 84])
+    def test_rows_are_stacks_of_one(self, seed):
+        report = run_leakage_sweep(seed, 30)
+        for i, row in enumerate(report["reports"]):
+            assert json.dumps(row) == json.dumps(leakage_report(*_pinned_instance(seed, i)))
+
+
+def _bits(report):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in report.items()}
+
+
+@st.composite
+def one_shape_stack(draw):
+    """Two to five (law, channels) cases of one support shape and output widths, each
+    channel at its own level."""
+    P, channels = draw(joint_law_and_channels())
+    sizes, widths = list(P.probs.shape), [len(ch.output_support) for ch in channels]
+    cases = [(P, channels)] + [
+        draw(joint_law_and_channels(sizes=sizes, widths=widths)) for _ in range(draw(st.integers(1, 4)))
+    ]
+    level = st.floats(0.0, 3.0)
+    return [(P, [dataclasses.replace(ch, alpha=draw(level)) for ch in chans]) for P, chans in cases]
+
+
+def _stack(cases):
+    """(supports, tables, axes, alphas) of cases of one shape, stacked along a leading axis."""
+    supports = [np.stack(s) for s in zip(*(P.supports for P, _ in cases))]
+    axes = [tuple(np.concatenate(x) for x in zip(*a)) for a in zip(*(finite_axes(P, chans) for P, chans in cases))]
+    alphas = [tuple(ch.alpha for ch in chans) for _, chans in cases]
+    return supports, np.stack([P.probs for P, _ in cases]), axes, alphas
+
+
+class TestStackIndependence:
+    @settings(max_examples=120, deadline=None)
+    @given(cases=one_shape_stack())
+    def test_each_instance_reads_its_stack_of_one(self, cases):
+        for (P, chans), got in zip(cases, _leakage_stack(*_stack(cases))):
+            assert _bits(got) == _bits(leakage_report(P, chans)) == _bits(_pinned_leakage_report(P, chans))
+
+    def test_inf_and_zero_over_zero_branches(self):
+        # z2 = 1 never follows x1 = 0 through the identity channel: the ratio reads inf
+        P = DiscreteDist([[0.0, 1.0], [0.0, 1.0]], [[0.5, 0.0], [0.2, 0.3]])
+        Q = DiscreteDist([[0.0, 1.0], [0.0, 1.0]], [[0.25, 0.25], [0.2, 0.3]])
+        chans = [make_rr_channel((0.0, 1.0), 0.7), make_identity_channel((0.0, 1.0))]
+        cases = [(Q, chans), (P, chans), (Q, chans)]
+        reports = _leakage_stack(*_stack(cases))
+        assert reports[1]["audited_sup"] == math.inf and reports[0]["audited_sup"] < math.inf
+        for (law, ch), got in zip(cases, reports):
+            assert _bits(got) == _bits(leakage_report(law, ch)) == _bits(_pinned_leakage_report(law, ch))
+
+
+class TestStackBoundaryErrors:
+    """Each check of the instance-by-instance audit raises on a stack whose faulty
+    instance is the last of three."""
+
+    def draws(self):
+        # three of the sweep's own instances of one three-axis shape, as _draw_instance returns them
+        found = {}
+        for i in range(200):
+            draw = _draw_instance(derive_rng(5, 202, i))
+            found.setdefault(draw[1].shape, []).append(draw)
+        return next(members[:3] for shape, members in found.items() if len(shape) == 3 and len(members) >= 3)
+
+    def stack(self):
+        supports, probs, alphas = zip(*self.draws())
+        supports = [np.stack(s) for s in zip(*supports)]
+        a = np.stack(alphas)
+        axes = [(_rr_tables(s.shape[1], a[:, j].tolist()), s, s) for j, s in enumerate(supports)]
+        return supports, np.stack(probs), axes, [tuple(x) for x in a.tolist()]
+
+    def test_clean_stack_audits(self):
+        assert len(_audit_group(self.draws())) == 3
+        assert len(_leakage_stack(*self.stack())) == 3
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda sup, p: ([sup[0], sup[1][::-1], *sup[2:]], p), "axis 2: support points must be strictly increasing"),
+            (lambda sup, p: (sup, np.where(p == p.max(), -p, p)), "negative mass"),
+            (lambda sup, p: (sup, p * 1.1), "masses sum to 1.1"),
+        ],
+    )
+    def test_draw_checks(self, fault, message):
+        draws = self.draws()
+        supports, probs = fault(*draws[2][:2])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _audit_group([*draws[:2], (supports, probs, draws[2][2])])
+
+    def test_zero_mass_point_named(self):
+        supports, P, axes, alphas = self.stack()
+        P = P.copy()
+        P[2, 1] = 0.0
+        with pytest.raises(ValueError, match=re.escape(f"zero-mass conditioning point x1={supports[0][2, 1]!r}")):
+            _leakage_stack(supports, P, axes, alphas)
+
+    def test_delta_ind_out_of_range(self):
+        supports, P, axes, alphas = self.stack()
+        P = P.copy()
+        P[2, 0, 0] = np.nan
+        with pytest.raises(ValueError, match=re.escape("delta_ind out of [0, 2]: nan")):
+            _leakage_stack(supports, P, axes, alphas)
+
+    def test_negative_level(self):
+        supports, P, axes, alphas = self.stack()
+        # alpha_max stays positive, so the per-instance bound alone would not see it
+        alphas[2] = (alphas[2][0], -0.5, alphas[2][2])
+        with pytest.raises(ValueError, match="privacy levels must be nonnegative"):
+            _leakage_stack(supports, P, axes, alphas)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda t: t.__setitem__((2, 0, 0), -0.1), "transition probabilities must be nonnegative"),
+            (lambda t: t.__setitem__((2, 0, 0), t[2, 0, 0] + 1e-9), "transition rows must each sum to 1"),
+        ],
+    )
+    def test_table_checks(self, change, message):
+        supports, P, axes, alphas = self.stack()
+        tables = axes[1][0].copy()
+        change(tables)
+        axes[1] = (tables, *axes[1][1:])
+        with pytest.raises(ValueError, match=message):
+            _leakage_stack(supports, P, axes, alphas)
+
+    def test_uncovered_support(self):
+        supports, P, axes, alphas = self.stack()
+        inputs = axes[1][1].copy()
+        inputs[2, 0] += 0.5
+        axes[1] = (axes[1][0], inputs, axes[1][2])
+        message = f"value {float(supports[1][2, 0])!r} not in the axis-2 channel's input support"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _leakage_stack(supports, P, axes, alphas)
