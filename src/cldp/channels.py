@@ -24,7 +24,8 @@ are filled on every CPU the process may use, and which thread fills which block
 changes no byte.  There is no setting for it.  ``row_blocks`` cuts the rows
 into blocks and runs them, and ``block_streams`` names each block's stream;
 every release is one pass through them, ``release_rows``, which hands each
-block's clean maps and releases to a caller that writes them out or sums them.
+block's clean maps and releases to a caller that sums them or, in
+``release_array`` alone, writes them into one fresh array.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ __all__ = [
     "channel_from_json",
     "derive_rng",
     "release_rows",
+    "release_array",
     "ZeroNoiseRng",
 ]
 
@@ -133,18 +135,8 @@ class KernelFn:
     coeffs: tuple[float, ...] = ()  # monomial coefficients, low to high degree
 
     def __call__(self, u):
-        """K(u): Horner's rule from the leading coefficient, as ``polyval``, in one
-        array, and 0 off [-1, 1] (NaN included)."""
-        u = np.asarray(u, dtype=float)
-        vals = np.abs(u, out=np.empty_like(u))  # an array even for a scalar u
-        outside = ~(vals <= 1.0)
-        *lower, lead = self.coeffs
-        vals.fill(lead)
-        for c in reversed(lower):
-            vals *= u
-            vals += c
-        np.copyto(vals, 0.0, where=outside)
-        return vals if vals.ndim else float(vals)
+        """K(u), and 0 off [-1, 1] (NaN included): the kernel map at x0 = 0, h = 1."""
+        return kernel_clean(self, u, 0.0, 1.0)
 
     def moment(self, l: int, nodes: int = 64) -> float:
         """Quadrature of K(u) u^l over [-1, 1] (exact for polynomial kernels)."""
@@ -198,13 +190,6 @@ def _poly_extremes(mono_coeffs) -> tuple[float, float, float, float]:
 # ---------------------------------------------------------------------------
 # the Laplace mechanism
 # ---------------------------------------------------------------------------
-
-
-def _check_finite_scalar(x) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"raw value must be finite, got {x!r}")
-    return x
 
 
 def trunc_scale(T, level):
@@ -329,6 +314,8 @@ def release_rows(X, channels, rng, keep) -> list:
     ``laplace_release`` from its stream in ``block_streams``, or clean[j] itself with no noise.
     Every channel must have the first's levels, so the blocks line up across columns."""
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != len(channels):
+        raise ValueError("X must be (n, d) with one channel per column")
     if not np.all(np.isfinite(X)):
         raise ValueError("raw values must be finite")
     scales = [ch.scales() for ch in channels]
@@ -347,6 +334,19 @@ def release_rows(X, channels, rng, keep) -> list:
     return row_blocks(n, levels, block)
 
 
+def release_array(X, channels, rng) -> np.ndarray:
+    """The ``release_rows`` of the (n, d) raw sample X written into one fresh array: (n, d) for
+    single-level channels, (n, d, m) for channels of m levels."""
+    out = np.empty(np.shape(X) + np.shape(channels[0].scales()))
+
+    def keep(rows, clean, z) -> None:
+        for j, zj in enumerate(z):
+            out[rows, j] = zj
+
+    release_rows(X, channels, rng, keep)
+    return out
+
+
 class _LaplaceRelease:
     """Release clean(x) + scales() * L(1).
 
@@ -357,21 +357,14 @@ class _LaplaceRelease:
     """
 
     def privatize(self, x, rng):
-        z = self.privatize_array(_check_finite_scalar(x), rng)
+        z = self.privatize_array(x, rng)
         return z if np.ndim(z) else float(z)
 
     def privatize_array(self, xs: np.ndarray, rng) -> np.ndarray:
         """Releases with shape xs.shape, plus a trailing level axis for multi-level channels: the
-        ``release_rows`` of xs flattened to one column, written into one fresh array."""
+        ``release_array`` of xs flattened to one column."""
         xs = np.asarray(xs, dtype=float)
-        out = np.empty(xs.shape + np.shape(self.scales()))
-        rows_out = out.reshape((xs.size,) + np.shape(self.scales()))  # a view of out
-
-        def keep(rows, clean, z) -> None:
-            rows_out[rows] = z[0]
-
-        release_rows(xs.reshape(-1, 1), (self,), rng, keep)
-        return out
+        return release_array(xs.reshape(-1, 1), (self,), rng).reshape(xs.shape + np.shape(self.scales()))
 
 
 # ---------------------------------------------------------------------------

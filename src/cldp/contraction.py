@@ -13,16 +13,20 @@ floating-point (1e-9 absolute).
 
 Verification runs on stacks of instances of one support shape: every step and
 every check takes the whole stack along a leading axis, and
-``verify_contraction`` is a stack of one.  The randomized sweep draws instance
-i from its own stream (seed, i), groups the instances by support shape and
-checks each group as one stack; its reports are those of instance-by-instance
-checks, byte for byte and in instance order.
+``verify_contraction`` is a stack of one.  ``rr_sweep`` is the randomized
+scaffold of both exact suites of ``cldp report``, this sweep and the leakage
+sweep of ``effective_privacy``: it draws instance i from its own stream
+(key..., i), groups the instances by support shape, stacks and checks each
+group with randomized response on every axis and hands it to the suite's
+stacked check.  The reports are those of instance-by-instance checks, byte for
+byte and in instance order.
 
 Pure functions over immutable inputs, deterministic under any execution order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -45,6 +49,7 @@ __all__ = [
     "ContractionReport",
     "random_instance",
     "check_sweep_size",
+    "rr_sweep",
     "run_contraction_sweep",
 ]
 
@@ -335,17 +340,34 @@ def _rr_tables(m: int, alphas) -> np.ndarray:
     return tables
 
 
-def _verify_group(sizes, rows, l_values) -> list[ContractionReport]:
-    """``verify_contraction`` of ``random_instance``'s triples for the instances of one
-    support shape, as one stack: each row holds an instance's supports, prior tables
-    and alphas, flat and in that order."""
-    B, d, K = len(rows), len(sizes), math.prod(sizes)
-    parts = [np.ascontiguousarray(x) for x in np.split(np.stack(rows), np.cumsum([*sizes, K, K]), axis=1)]
-    supports, alphas = parts[:d], [tuple(a) for a in parts[d + 2].tolist()]
-    P, Pt = (T.reshape(B, *sizes) for T in parts[d:d + 2])
-    P, Pt = (T / T.sum(axis=tuple(range(1, d + 1)), keepdims=True) for T in (P, Pt))  # as DiscreteDist divides
-    axes = [(_rr_tables(s.shape[1], [a[j] for a in alphas]), s, s) for j, s in enumerate(supports)]
-    return _verify_stack(supports, P, Pt, axes, alphas, l_values)
+def rr_sweep(key, instances: int, draw, check) -> list:
+    """The reports of ``instances`` randomized-response instances, in instance order.
+
+    Instance i is ``draw(derive_rng(*key, i))``: its supports (one sorted array per
+    axis), one or more mass tables and its alphas, in that order.  The instances of
+    each support shape are stacked and checked as ``DiscreteDist`` checks a law:
+    strictly increasing supports, then ``checked_probs`` on each table.  With
+    ``make_rr_channel`` at alpha_j on each axis j, ``check(supports, *tables, axes,
+    alphas)`` gives the stack's reports, as ``_verify_stack`` and ``_leakage_stack`` do.
+    """
+    groups: dict = {}
+    for i in range(instances):
+        drawn = draw(derive_rng(*key, i))
+        groups.setdefault(drawn[1].shape, []).append((i, drawn))
+    reports = [None] * instances
+    for members in groups.values():
+        index, draws = zip(*members)
+        supports, *tables, alphas = zip(*draws)
+        supports = [np.stack(s) for s in zip(*supports)]
+        for ax, s in enumerate(supports):
+            if np.any(np.diff(s, axis=-1) <= 0):
+                raise ValueError(f"axis {ax + 1}: support points must be strictly increasing")
+        tables = [checked_probs(np.stack(t)) for t in tables]
+        alphas = [tuple(a) for a in np.stack(alphas).tolist()]
+        axes = [(_rr_tables(s.shape[1], [a[j] for a in alphas]), s, s) for j, s in enumerate(supports)]
+        for i, rep in zip(index, check(supports, *tables, axes, alphas)):
+            reports[i] = rep
+    return reports
 
 
 def check_sweep_size(instances: int, dims=(1,)) -> None:
@@ -367,17 +389,9 @@ def run_contraction_sweep(
     from the stream (seed, i); the instances of each support shape are checked as
     one stack and reported in instance order."""
     check_sweep_size(instances, dims)
-    groups: dict = {}
-    for i in range(instances):
-        supports, p, pt, alphas = _draw_instance(derive_rng(seed, i), dims)
-        # one flat row per instance: its several small arrays would hold more memory until checked
-        groups.setdefault(p.shape, []).append((i, np.concatenate([*supports, p.ravel(), pt.ravel(), alphas])))
-    reports, violations = [None] * instances, 0
-    while groups:  # each group's draws and reports are dropped once its rows are written
-        sizes, members = groups.popitem()
-        for (i, _), rep in zip(members, _verify_group(sizes, [row for _, row in members], l_values)):
-            violations += bool(rep.violation or any(c.violation for c in rep.f_checks))
-            reports[i] = rep.to_json()
+    reports = rr_sweep((seed,), instances, functools.partial(_draw_instance, dims=dims),
+                       functools.partial(_verify_stack, l_values=l_values))
+    violations = sum(bool(rep.violation or any(c.violation for c in rep.f_checks)) for rep in reports)
     return {
         "suite": "contraction",
         "instances": instances,
@@ -385,5 +399,5 @@ def run_contraction_sweep(
         "seed": seed,
         "l_values": list(l_values),
         "violations": violations,
-        "reports": reports,
+        "reports": [rep.to_json() for rep in reports],
     }

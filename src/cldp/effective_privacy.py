@@ -13,8 +13,9 @@ Audits run on stacks of laws of one support shape: the conditional laws,
 Delta_ind, the release law and the worst ratio take the whole stack along a
 leading axis, and the bound and verdict follow per instance.
 ``leakage_report`` is a stack of one.  The randomized sweep of ``cldp report``
-draws instance i from its own stream (seed, 202, i), groups the instances by
-support shape and audits each group as one stack; its reports are those of
+is ``contraction.rr_sweep`` at the key (seed, 202) with ``_leakage_stack`` as
+its check: instance i draws from its own stream (seed, 202, i), and each
+support shape's instances are audited as one stack; its reports are those of
 instance-by-instance audits, byte for byte and in instance order.
 
 Pure functions over immutable inputs; thread-safe.
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import audit_verdict, derive_rng
-from .contraction import _rr_tables, check_sweep_size
-from .measures import DiscreteDist, checked_probs, finite_axes, push_axes, stack_rows, support_index
+from .channels import audit_verdict
+from .contraction import check_sweep_size, rr_sweep
+from .measures import DiscreteDist, finite_axes, push_axes, stack_rows, support_index
 
 __all__ = [
     "LeakageProfile",
@@ -188,34 +189,12 @@ def _draw_instance(rng):
     return supports, raw / raw.sum(), rng.uniform(0.1, 1.5, size=d)
 
 
-def _audit_group(draws) -> list[dict]:
-    """``leakage_report`` of drawn instances of one support shape, each through
-    randomized response on every axis, as one stack: ``draws`` holds each instance's
-    ``_draw_instance`` triple."""
-    supports, probs, alphas = zip(*draws)
-    supports = [np.stack(s) for s in zip(*supports)]
-    for ax, s in enumerate(supports):
-        if np.any(np.diff(s, axis=-1) <= 0):
-            raise ValueError(f"axis {ax + 1}: support points must be strictly increasing")
-    P = checked_probs(np.stack(probs))  # as DiscreteDist checks and divides
-    alphas = np.stack(alphas).tolist()
-    axes = [(_rr_tables(s.shape[1], [a[j] for a in alphas]), s, s) for j, s in enumerate(supports)]
-    return _leakage_stack(supports, P, axes, [tuple(a) for a in alphas])
-
-
 def run_leakage_sweep(seed: int = 7, instances: int = 200) -> dict:
     """The leakage suite of ``cldp report``: ``leakage_report`` of random joint laws
     through randomized response, JSON-ready.  Instance i draws from the stream
     (seed, 202, i); the instances of each support shape are audited as one stack and
     reported in instance order."""
     check_sweep_size(instances)
-    groups: dict = {}
-    for i in range(instances):
-        draw = _draw_instance(derive_rng(seed, 202, i))
-        groups.setdefault(draw[1].shape, []).append((i, draw))
-    reports = [None] * instances
-    for members in groups.values():
-        for (i, _), rep in zip(members, _audit_group([draw for _, draw in members])):
-            reports[i] = rep
+    reports = rr_sweep((seed, 202), instances, _draw_instance, _leakage_stack)
     violations = sum(rep["violation"] for rep in reports)
     return {"suite": "leakage", "seed": seed, "instances": instances, "violations": violations, "reports": reports}

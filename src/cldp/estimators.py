@@ -24,7 +24,7 @@ from .channels import (
     PrivacyBudget,
     kernel_order,
     make_kernel,
-    release_rows,
+    release_array,
 )
 
 __all__ = [
@@ -123,20 +123,9 @@ class PrivatizedSample:
 
 
 def release_sample(X: np.ndarray, channels, rng) -> PrivatizedSample:
-    """The ``release_rows`` of an (n, d) raw matrix through per-column channels, written into one
-    fresh array that the sample takes over: a fixed stream state yields a fixed sample."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != len(channels):
-        raise ValueError("X must be (n, d) with one channel per column")
-    # scalar channels give (n, d) values, multi-level channels (n, d, m)
-    values = np.empty(X.shape + np.shape(channels[0].scales()))
-
-    def keep(rows, clean, z) -> None:
-        for j, zj in enumerate(z):
-            values[rows, j] = zj
-
-    release_rows(X, channels, rng, keep)
-    return PrivatizedSample._take(values, channels)
+    """The ``release_array`` of an (n, d) raw matrix through per-column channels, which the sample
+    takes over: a fixed stream state yields a fixed sample."""
+    return PrivatizedSample._take(release_array(X, channels, rng), channels)
 
 
 def optimal_truncations(

@@ -197,8 +197,12 @@ def fit_loglog_slope(curve) -> SlopeFit:
         raise ValueError("need at least 4 points to fit a slope")
     if np.any(ys <= 0):
         raise ValueError("nonpositive mse cannot be log-fitted")
+    if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(xs)) and np.all(xs > 0)):
+        raise ValueError("n_eff and mse must be positive and finite to be log-fitted")
     lx = np.log(xs)
     ly = np.log(ys)
+    if np.unique(lx).size < 2:
+        raise ValueError("need at least 2 distinct n_eff to fit a slope")
     xbar = lx.mean()
     sxx = float(np.sum((lx - xbar) ** 2))
     slope = float(np.sum((lx - xbar) * (ly - ly.mean())) / sxx)

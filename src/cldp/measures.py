@@ -37,7 +37,6 @@ __all__ = [
     "pushforward",
     "nonempty_subsets",
     "support_index",
-    "transition_rows",
     "finite_axes",
     "stack_rows",
     "push_axes",
@@ -301,10 +300,11 @@ def finite_axes(P: DiscreteDist, channels) -> list[tuple]:
 
 
 def stack_rows(supports, axes) -> list[np.ndarray]:
-    """``transition_rows`` of B instances of one support shape: ``supports`` holds one
-    (B, s_j) array per axis and ``axes`` one (tables (B, m, k), inputs (B, m),
-    outputs (B, k)) channel stack per axis.  Each table is checked as a finite
-    channel checks its own, and each instance's rows are matched to its supports."""
+    """Per axis, the transition-table rows of its finite channel at the support points, in
+    support order, for B instances of one support shape: ``supports`` holds one (B, s_j)
+    array per axis and ``axes`` one (tables (B, m, k), inputs (B, m), outputs (B, k))
+    channel stack per axis.  Each table is checked as a finite channel checks its own, and
+    each instance's rows are matched to its supports."""
     rows = []
     for ax, (sup, (tables, inputs, outputs)) in enumerate(zip(supports, axes)):
         if tables.shape != (*inputs.shape, outputs.shape[1]):
@@ -316,12 +316,6 @@ def stack_rows(supports, axes) -> list[np.ndarray]:
         idx = support_index(inputs, sup, f"the axis-{ax + 1} channel's input support")
         rows.append(np.take_along_axis(tables, idx[..., None], axis=1))
     return rows
-
-
-def transition_rows(P: DiscreteDist, channels) -> list[np.ndarray]:
-    """Per axis of P, the transition-table rows of that axis's finite channel at
-    P's support points, in support order: ``stack_rows`` on a stack of one."""
-    return [r[0] for r in stack_rows([s[None] for s in P.supports], finite_axes(P, channels))]
 
 
 def push_axes(tables: np.ndarray, rows) -> np.ndarray:
@@ -341,5 +335,5 @@ def push_axes(tables: np.ndarray, rows) -> np.ndarray:
 def pushforward(P: DiscreteDist, channels) -> DiscreteDist:
     """Exact law of Z = (Z^1, ..., Z^d) with Z^j ~ Q^j(.|X^j), conditionally
     independent across axes given X.  Finite-output channels only."""
-    out = push_axes(P.probs[None], [t[None] for t in transition_rows(P, channels)])[0]
+    out = push_axes(P.probs[None], stack_rows([s[None] for s in P.supports], finite_axes(P, channels)))[0]
     return DiscreteDist([np.asarray(ch.output_support, dtype=float) for ch in channels], out)

@@ -860,6 +860,12 @@ class TestRowBlocks:
             assert _same_bytes(ch.privatize_array(xs, mt), _reference_release(ch, xs, mt_serial))
             assert mt.random() == mt_serial.random()
 
+    @pytest.mark.parametrize("shape", [(5, 3), (5, 1), (5,), (5, 2, 1)])
+    def test_sample_shape_checked(self, shape):
+        # a third column used to be dropped without a word, and a 1-d sample raised an IndexError
+        with pytest.raises(ValueError, match=r"X must be \(n, d\) with one channel per column"):
+            release_rows(np.ones(shape), _four_channels(1, 0)[:2], np.random.default_rng(0), lambda *block: None)
+
     @pytest.mark.parametrize("cpus", [2, 3, 5])
     def test_bytes_do_not_depend_on_the_cpus(self, cpus):
         ch = _four_channels(3, order=2)[3]

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cldp.channels import RandomizedResponseChannel, audit_verdict, make_identity_channel, make_rr_channel
-from cldp.contraction import _rr_tables, channel_fl_epsilons
+from cldp.contraction import _rr_tables, channel_fl_epsilons, rr_sweep
 from cldp.effective_privacy import (
-    _audit_group,
     _draw_instance,
     _leakage_stack,
     audit_marginal_leakage,
@@ -411,8 +410,14 @@ class TestStackBoundaryErrors:
         axes = [(_rr_tables(s.shape[1], a[:, j].tolist()), s, s) for j, s in enumerate(supports)]
         return supports, np.stack(probs), axes, [tuple(x) for x in a.tolist()]
 
+    @staticmethod
+    def sweep(draws):
+        """``rr_sweep`` of the given draws, in order, each audited as the leakage suite audits it."""
+        feed = iter(draws)
+        return rr_sweep((5, 202), len(draws), lambda rng: next(feed), _leakage_stack)
+
     def test_clean_stack_audits(self):
-        assert len(_audit_group(self.draws())) == 3
+        assert len(self.sweep(self.draws())) == 3
         assert len(_leakage_stack(*self.stack())) == 3
 
     @pytest.mark.parametrize(
@@ -427,7 +432,7 @@ class TestStackBoundaryErrors:
         draws = self.draws()
         supports, probs = fault(*draws[2][:2])
         with pytest.raises(ValueError, match=re.escape(message)):
-            _audit_group([*draws[:2], (supports, probs, draws[2][2])])
+            self.sweep([*draws[:2], (supports, probs, draws[2][2])])
 
     def test_zero_mass_point_named(self):
         supports, P, axes, alphas = self.stack()

@@ -70,6 +70,13 @@ def mean_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+class TestLevelPassShape:
+    def test_column_without_a_channel_rejected(self):
+        channels = (cldp.channels.LaplaceTruncChannel(T=1.0, alpha=1.0),)
+        with pytest.raises(ValueError, match=r"X must be \(n, d\) with one channel per column"):
+            MODES["mean"].level_pass(np.ones((8, 2)), channels, derive_rng(1, 2), oracle=False)
+
+
 class TestFitLogLog:
     def test_exact_power_curve(self):
         xs = np.array([10.0, 100.0, 1000.0, 10_000.0])
@@ -111,6 +118,39 @@ class TestFitLogLog:
     def test_needs_four_points(self):
         with pytest.raises(ValueError, match="4 points"):
             fit_loglog_slope((np.array([1.0, 2.0]), np.array([1.0, 2.0])))
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([1.0, 2.0, 4.0, 8.0], [1.0, math.nan, 1.0, 1.0]),
+            ([1.0, 2.0, 4.0, 8.0], [1.0, math.inf, 1.0, 1.0]),
+            ([0.0, 2.0, 4.0, 8.0], [1.0, 2.0, 1.0, 1.0]),
+            ([-1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 1.0, 1.0]),
+            ([1.0, math.nan, 4.0, 8.0], [1.0, 2.0, 1.0, 1.0]),
+            ([1.0, math.inf, 4.0, 8.0], [1.0, 2.0, 1.0, 1.0]),
+        ],
+    )
+    def test_nonfinite_or_nonpositive_rejected(self, xs, ys):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            fit_loglog_slope((np.array(xs), np.array(ys)))
+
+    def test_needs_two_distinct_n_eff(self):
+        with pytest.raises(ValueError, match="2 distinct n_eff"):
+            fit_loglog_slope((np.full(4, 64.0), np.array([1.0, 2.0, 1.5, 1.0])))
+
+    def test_messages_keep_their_order(self):
+        # too few points is reported before a nonpositive mse, and that before the new checks
+        with pytest.raises(ValueError, match="4 points"):
+            fit_loglog_slope((np.zeros(3), np.array([0.0, math.nan, 1.0])))
+        with pytest.raises(ValueError, match="nonpositive mse"):
+            fit_loglog_slope((np.zeros(4), np.array([0.0, math.nan, 1.0, 1.0])))
+
+    def test_run_with_one_repeated_n_writes_the_fit_error(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        curve = run_rate_experiment(mean_cfg(n_grid=(256,) * 4, replications=4, out=str(out)))
+        assert len(curve.points) == 4 and out.read_text().count("\n") == 5
+        meta = json.loads((tmp_path / "curve.csv.meta.json").read_text())
+        assert meta["fit"] == {"error": "need at least 2 distinct n_eff to fit a slope"}
 
 
 class _PassThroughRng:
