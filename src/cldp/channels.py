@@ -24,8 +24,8 @@ are filled on every CPU the process may use, and which thread fills which block
 changes no byte.  There is no setting for it.  ``row_blocks`` cuts the rows
 into blocks and runs them, and ``block_streams`` names each block's stream;
 every release is one pass through them, ``release_rows``, which hands each
-block's clean maps and releases to a caller that sums them or, in
-``release_array`` alone, writes them into one fresh array.
+block's clean maps and releases to a caller: ``release_array`` writes them into
+one fresh array, and the harness sums them.
 """
 
 from __future__ import annotations

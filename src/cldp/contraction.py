@@ -13,13 +13,11 @@ floating-point (1e-9 absolute).
 
 Verification runs on stacks of instances of one support shape: every step and
 every check takes the whole stack along a leading axis, and
-``verify_contraction`` is a stack of one.  ``rr_sweep`` is the randomized
-scaffold of both exact suites of ``cldp report``, this sweep and the leakage
-sweep of ``effective_privacy``: it draws instance i from its own stream
-(key..., i), groups the instances by support shape, stacks and checks each
-group with randomized response on every axis and hands it to the suite's
-stacked check.  The reports are those of instance-by-instance checks, byte for
-byte and in instance order.
+``verify_contraction`` is a stack of one.  ``rr_sweep``, the randomized scaffold
+of this sweep and of the leakage sweep, draws instance i from its own stream
+(key..., i), groups the instances by support shape and checks each group as one
+stack; its reports are those of instance-by-instance checks, byte for byte and
+in instance order.
 
 Pure functions over immutable inputs, deterministic under any execution order.
 """
@@ -341,15 +339,12 @@ def _rr_tables(m: int, alphas) -> np.ndarray:
 
 
 def rr_sweep(key, instances: int, draw, check) -> list:
-    """The reports of ``instances`` randomized-response instances, in instance order.
-
-    Instance i is ``draw(derive_rng(*key, i))``: its supports (one sorted array per
-    axis), one or more mass tables and its alphas, in that order.  The instances of
-    each support shape are stacked and checked as ``DiscreteDist`` checks a law:
-    strictly increasing supports, then ``checked_probs`` on each table.  With
-    ``make_rr_channel`` at alpha_j on each axis j, ``check(supports, *tables, axes,
-    alphas)`` gives the stack's reports, as ``_verify_stack`` and ``_leakage_stack`` do.
-    """
+    """The reports of ``instances`` randomized-response instances, in instance order: instance
+    i is ``draw(derive_rng(*key, i))``, its supports (one sorted array per axis), mass tables
+    and alphas.  Each support shape's instances are stacked and checked as ``DiscreteDist``
+    checks a law (strictly increasing supports, then ``checked_probs`` on each table), and
+    ``check(supports, *tables, axes, alphas)`` reports on the stack with ``make_rr_channel``
+    at alpha_j on each axis j, as ``_verify_stack`` and ``_leakage_stack`` do."""
     groups: dict = {}
     for i in range(instances):
         drawn = draw(derive_rng(*key, i))

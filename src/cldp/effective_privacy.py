@@ -13,9 +13,8 @@ Audits run on stacks of laws of one support shape: the conditional laws,
 Delta_ind, the release law and the worst ratio take the whole stack along a
 leading axis, and the bound and verdict follow per instance.
 ``leakage_report`` is a stack of one.  The randomized sweep of ``cldp report``
-is ``contraction.rr_sweep`` at the key (seed, 202) with ``_leakage_stack`` as
-its check: instance i draws from its own stream (seed, 202, i), and each
-support shape's instances are audited as one stack; its reports are those of
+is ``contraction.rr_sweep`` with ``_leakage_stack`` as its check: instance i
+draws from its own stream (seed, 202, i), and its reports are those of
 instance-by-instance audits, byte for byte and in instance order.
 
 Pure functions over immutable inputs; thread-safe.
