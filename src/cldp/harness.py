@@ -197,7 +197,7 @@ def fit_loglog_slope(curve) -> SlopeFit:
         raise ValueError("need at least 4 points to fit a slope")
     if np.any(ys <= 0):
         raise ValueError("nonpositive mse cannot be log-fitted")
-    if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(xs)) and np.all(xs > 0)):
+    if not np.all(np.isfinite(xs) & np.isfinite(ys) & (xs > 0)):
         raise ValueError("n_eff and mse must be positive and finite to be log-fitted")
     lx = np.log(xs)
     ly = np.log(ys)
