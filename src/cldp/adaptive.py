@@ -23,6 +23,7 @@ import numpy as np
 
 from .channels import KernelFn, MultiBandwidthChannel, MultiTruncChannel, PrivacyBudget
 from .estimators import PrivatizedSample, RegimeError
+from .rules import INT, POSITIVE, check_fields, checked, rule
 
 __all__ = [
     "build_truncation_grid",
@@ -66,15 +67,14 @@ class GLConfig:
     budget shrinks with the grid cardinality.
     """
 
-    n: int
+    n: int = rule(INT)
     budget: PrivacyBudget
-    c0: float = 8.0
+    c0: float = rule(POSITIVE, default=8.0)
 
     def __post_init__(self):
-        if self.n < 4:
+        if checked("n", self.n, [INT]) < 4:  # outside the regime whatever c0 holds
             raise RegimeError("adaptive grids need n >= 4")
-        if not self.c0 > 0:  # NaN fails the comparison
-            raise ValueError(f"c0 must be positive, got {self.c0!r}")
+        check_fields(self)
         # both selectors form a_n (n/2)^(2d), then divide it by n prod beta_n^2 (0 if an alpha is 0)
         try:
             peak = self.a_n * (self.n / 2.0) ** (2 * self.budget.d)

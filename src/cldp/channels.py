@@ -35,13 +35,17 @@ import contextvars
 import functools
 import math
 import os
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import legendre
 
 from .measures import support_index
+from .rules import (
+    FINITE, NONNEGATIVE, OPEN_UNIT, POSITIVE, POSITIVE_FINITE, UNIT, at_least, check_fields, check_keys, checked, each,
+    rule,
+)
 
 __all__ = [
     "PrivacyBudget",
@@ -79,13 +83,9 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 class PrivacyBudget:
     """Per-component privacy levels alpha = (alpha_1, ..., alpha_d), in nats."""
 
-    alphas: tuple[float, ...]
+    alphas: tuple[float, ...] = rule(each(NONNEGATIVE))
 
-    def __init__(self, alphas: Sequence[float]):
-        a = tuple(float(x) for x in alphas)
-        if not all(x >= 0 for x in a):  # NaN fails every comparison
-            raise ValueError(f"privacy levels alphas must be nonnegative, got {a!r}")
-        object.__setattr__(self, "alphas", a)
+    __post_init__ = check_fields
 
     @property
     def d(self) -> int:
@@ -121,8 +121,7 @@ def kernel_order(beta: float) -> int:
     so the matching kernel must keep the beta-th moment free for the bias to
     attain the h^beta law.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    checked("beta", beta, [POSITIVE])
     return int(math.ceil(beta)) - 1
 
 
@@ -152,8 +151,7 @@ def make_kernel(order: int) -> KernelFn:
     moment constraints; the sup bound is computed exactly from the polynomial's
     critical points.  One kernel is built per order and shared: it is frozen.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    checked("order", order, [at_least(0)])
     m = order  # polynomial degree
     # moment matrix A[l, k] = integral of P_k(u) u^l over [-1, 1]
     A = np.zeros((m + 1, m + 1))
@@ -314,8 +312,8 @@ def release_rows(X, channels, rng, keep) -> list:
     ``laplace_release`` from its stream in ``block_streams``, or clean[j] itself with no noise.
     Every channel must have the first's levels, so the blocks line up across columns."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != len(channels):
-        raise ValueError("X must be (n, d) with one channel per column")
+    if X.ndim != 2 or not 1 <= X.shape[1] == len(channels):
+        raise ValueError("X must be (n, d) with one channel per column, d >= 1")
     if not np.all(np.isfinite(X)):
         raise ValueError("raw values must be finite")
     scales = [ch.scales() for ch in channels]
@@ -337,7 +335,7 @@ def release_rows(X, channels, rng, keep) -> list:
 def release_array(X, channels, rng) -> np.ndarray:
     """The ``release_rows`` of the (n, d) raw sample X written into one fresh array: (n, d) for
     single-level channels, (n, d, m) for channels of m levels."""
-    out = np.empty(np.shape(X) + np.shape(channels[0].scales()))
+    out = np.empty(np.shape(X) + (np.shape(channels[0].scales()) if channels else ()))  # none: release_rows raises
 
     def keep(rows, clean, z) -> None:
         for j, zj in enumerate(z):
@@ -353,8 +351,12 @@ class _LaplaceRelease:
     A channel supplies ``clean`` (its bounded map; multi-level channels add a
     trailing level axis), ``scales`` (one Laplace scale per level) and
     ``clean_extremes`` (per level, the inputs where the map is smallest and
-    largest and those values, which the audit reads).
+    largest and those values, which the audit reads).  Its fields carry rules:
+    an infinite level makes the scale 0, an infinite clamp the map unbounded,
+    and a NaN or infinite x0 every kernel value 0.
     """
+
+    __post_init__ = check_fields
 
     def privatize(self, x, rng):
         z = self.privatize_array(x, rng)
@@ -372,30 +374,12 @@ class _LaplaceRelease:
 # ---------------------------------------------------------------------------
 
 
-def _check_alpha(alpha: float) -> None:
-    # an infinite level would make the Laplace scale 0 (NaN fails the comparison)
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-
-
-def _check_x0(x0: float) -> None:
-    # a NaN or infinite evaluation point would make every clean value 0
-    if not math.isfinite(x0):
-        raise ValueError(f"evaluation point x0 must be finite, got {x0!r}")
-
-
 @dataclass(frozen=True)
 class LaplaceTruncChannel(_LaplaceRelease):
     """Clamp to [-T, T] and add Laplace noise of scale 2T/alpha."""
 
-    T: float
-    alpha: float
-
-    def __post_init__(self):
-        # an infinite T would make the clamp the identity and the Laplace scale infinite
-        if not 0.0 < self.T < math.inf:
-            raise ValueError(f"truncation T must be positive and finite, got {self.T!r}")
-        _check_alpha(self.alpha)
+    T: float = rule(POSITIVE_FINITE, name="truncation T")
+    alpha: float = rule(POSITIVE_FINITE)
 
     def clean(self, x):
         return np.clip(np.asarray(x, dtype=float), -self.T, self.T)
@@ -414,16 +398,10 @@ class KernelLaplaceChannel(_LaplaceRelease):
     The box kernel (orders 0 and 1) spans [0, kappa/h], half the range 2 kappa/h the
     scale covers, so with it the release is (alpha/2)-private."""
 
-    h: float
-    x0: float
+    h: float = rule(OPEN_UNIT, name="bandwidth h")
+    x0: float = rule(FINITE)
     kernel: KernelFn
-    alpha: float
-
-    def __post_init__(self):
-        if not (0.0 < self.h < 1.0):
-            raise ValueError("bandwidth h must lie in (0, 1)")
-        _check_alpha(self.alpha)
-        _check_x0(self.x0)
+    alpha: float = rule(POSITIVE_FINITE)
 
     def clean(self, x):
         return kernel_clean(self.kernel, x, self.x0, self.h)
@@ -444,15 +422,8 @@ class MultiTruncChannel(_LaplaceRelease):
     about the same raw value.
     """
 
-    grid: tuple[float, ...]
-    alpha: float
-
-    def __post_init__(self):
-        g = tuple(float(t) for t in self.grid)
-        if len(g) == 0 or not all(0.0 < t < math.inf for t in g):
-            raise ValueError(f"truncation grid must be nonempty, positive and finite, got {g!r}")
-        _check_alpha(self.alpha)
-        object.__setattr__(self, "grid", g)
+    grid: tuple[float, ...] = rule(each(POSITIVE_FINITE, nonempty=True), name="truncation grid")
+    alpha: float = rule(POSITIVE_FINITE)
 
     @property
     def beta_n(self) -> float:
@@ -478,18 +449,10 @@ class MultiBandwidthChannel(_LaplaceRelease):
 
     As for ``KernelLaplaceChannel``, with the box kernel the release is (alpha/2)-private."""
 
-    grid: tuple[float, ...]
-    alpha: float
-    x0: float
+    grid: tuple[float, ...] = rule(each(UNIT, nonempty=True), name="bandwidth grid")
+    alpha: float = rule(POSITIVE_FINITE)
+    x0: float = rule(FINITE)
     kernel: KernelFn
-
-    def __post_init__(self):
-        g = tuple(float(h) for h in self.grid)
-        if len(g) == 0 or any(not (0.0 < h <= 1.0) for h in g):
-            raise ValueError("bandwidth grid entries must lie in (0, 1]")
-        _check_alpha(self.alpha)
-        _check_x0(self.x0)
-        object.__setattr__(self, "grid", g)
 
     @property
     def beta_n(self) -> float:
@@ -548,8 +511,7 @@ def make_rr_channel(input_support: Sequence[float], alpha: float) -> RandomizedR
     m = len(input_support)
     if m < 2:
         raise ValueError("randomized response needs at least 2 symbols")
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
+    checked("alpha", alpha, [NONNEGATIVE])
     stay = math.exp(alpha) / (math.exp(alpha) + m - 1)
     off = 1.0 / (math.exp(alpha) + m - 1)
     table = np.full((m, m), off)
@@ -691,12 +653,7 @@ def channel_from_json(obj: dict):
     if variant not in _VARIANTS:
         raise ValueError(f"unknown channel variant {variant!r}")
     keys = _spec_keys(_VARIANTS[variant])
-    unknown = sorted(set(obj) - set(keys) - {"variant"})
-    missing = [key for key, f in keys.items() if key not in obj and f.default is MISSING]
-    problems = [f"{what} key(s) {', '.join(map(repr, ks))}"
-                for what, ks in (("unknown", unknown), ("missing", missing)) if ks]
-    if problems:
-        raise ValueError(f"{variant} channel spec: {'; '.join(problems)}")
+    check_keys(f"{variant} channel spec", set(obj) - {"variant"}, keys)
     kwargs = {f.name: obj[key] for key, f in keys.items() if key in obj}
     if "kernel" in kwargs:
         kwargs["kernel"] = make_kernel(kwargs["kernel"])

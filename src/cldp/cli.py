@@ -4,8 +4,10 @@ Subcommands: audit, contract-verify, leakage, estimate, adaptive, rates,
 lowerbound, report.  estimate, adaptive and rates run ``harness.MODES``;
 lowerbound and report run the checks of ``lowerbounds`` and ``harness``.
 Configs are flat key=value text files (see README for the key set per mode).
-Exit codes: 0 ok, 1 violation, 2 malformed input only (read behind one input
-boundary); internal faults surface as tracebacks.
+Exit codes: 0 ok, 1 violation, 2 malformed input only; internal faults surface
+as tracebacks.  The input boundary parses text and builds the objects a run
+needs, each checking its own fields (``cldp.rules``); whatever fails there, a
+ValueError naming the field included, exits 2 before any run.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import fields
 from . import effective_privacy as ep
 from . import lowerbounds as lb
 from .channels import PrivacyBudget, audit_verdict, channel_from_json, derive_rng, privacy_audit
-from .contraction import check_sweep_size, run_contraction_sweep
+from .contraction import Sweep, run_contraction_sweep
 from .estimators import HolderClass, MomentProfile
 from .harness import (
     MODES,
@@ -33,6 +35,7 @@ from .harness import (
     write_json,
 )
 from .measures import DiscreteDist
+from .rules import at_least, checked
 from .simdata import MODEL_KINDS, model_from_json
 
 EXIT_OK = 0
@@ -83,14 +86,6 @@ def _bool(val: str) -> bool:
     if low in ("0", "false", "no"):
         return False
     raise ConfigError(f"expected a boolean (true/false, yes/no, 1/0), got {val!r}")
-
-
-def _seed(value) -> int:
-    """A master seed; numpy's seed sequences take only nonnegative entropy."""
-    seed = int(value)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
 
 
 def _require(cfg: dict, key: str) -> str:
@@ -168,8 +163,7 @@ def cmd_audit(args) -> int:
 
 def cmd_contract_verify(args) -> int:
     with _reading_inputs():
-        _seed(args.seed)
-        check_sweep_size(args.instances, args.dims)
+        Sweep(args.seed, args.instances, args.dims)
     report = run_contraction_sweep(dims=tuple(args.dims), instances=args.instances, seed=args.seed)
     write_json(args.out, report)
     return EXIT_VIOLATION if report["violations"] else EXIT_OK
@@ -192,7 +186,7 @@ def _sample_inputs(args, mode: str) -> tuple:
         budget = PrivacyBudget(_floats(_require(cfg, "alphas")))
         MODES[mode].check_model(model, budget)
         MODES[mode].channels(n, budget, options)  # the regime check
-        return n, budget, model, options, _seed(cfg.get("seed", 0))
+        return n, budget, model, options, checked("seed", int(cfg.get("seed", 0)), [at_least(0)])
 
 
 def cmd_estimate(args) -> int:
@@ -275,9 +269,7 @@ def cmd_lowerbound(args) -> int:
 
 def cmd_report(args) -> int:
     with _reading_inputs():
-        _seed(args.seed)
-        if args.instances is not None:
-            check_sweep_size(args.instances)
+        Sweep(args.seed, 1 if args.instances is None else args.instances)  # None: each suite's own count
     status = EXIT_OK
     combined = {}
     for suite in SUITES:

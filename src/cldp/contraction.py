@@ -35,6 +35,7 @@ from .measures import (
     DiscreteDist, SubsetIndex, checked_probs, finite_axes, fl_term, kl_term, nonempty_subsets, push_axes, stack_rows,
 )
 from .measures import pushforward  # noqa: F401  (perfbench/tracing.py wraps it at this name)
+from .rules import INT, INTS, at_least, check_fields, checked, each, rule
 
 __all__ = [
     "MarginalTVTable",
@@ -46,7 +47,7 @@ __all__ = [
     "verify_contraction",
     "ContractionReport",
     "random_instance",
-    "check_sweep_size",
+    "Sweep",
     "rr_sweep",
     "run_contraction_sweep",
 ]
@@ -147,8 +148,7 @@ def tensorized_bound(per_sample_terms, n: int) -> float:
     ``per_sample_terms`` is either a single inner-sum value (iid case: the
     result is n times its square) or one value per sample.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    checked("n", n, [at_least(1)])
     if np.isscalar(per_sample_terms):
         return n * float(per_sample_terms) ** 2
     terms = [float(t) for t in per_sample_terms]
@@ -365,13 +365,16 @@ def rr_sweep(key, instances: int, draw, check) -> list:
     return reports
 
 
-def check_sweep_size(instances: int, dims=(1,)) -> None:
-    """ValueError unless a randomized suite runs at least one instance and every
-    drawn dimension is at least 1: zero instances would pass vacuously."""
-    if not instances >= 1:
-        raise ValueError(f"instances must be >= 1, got {instances}")
-    if len(dims) == 0 or not min(dims) >= 1:
-        raise ValueError(f"dims must be one or more axis counts >= 1, got {list(dims)}")
+@dataclass(frozen=True)
+class Sweep:
+    """A randomized suite's master seed, instance count (zero would pass vacuously) and the
+    dimensions its instances draw from; each suite, and ``cldp`` before any run, builds one."""
+
+    seed: int = rule(INT, at_least(0))
+    instances: int = rule(INT, at_least(1))
+    dims: tuple[int, ...] = rule(INTS, each(at_least(1), nonempty=True), default=(2, 3))
+
+    __post_init__ = check_fields
 
 
 def run_contraction_sweep(
@@ -383,7 +386,7 @@ def run_contraction_sweep(
     """Randomized brute-force sweep; returns a JSON-ready report.  Instance i draws
     from the stream (seed, i); the instances of each support shape are checked as
     one stack and reported in instance order."""
-    check_sweep_size(instances, dims)
+    Sweep(seed, instances, dims)
     reports = rr_sweep((seed,), instances, functools.partial(_draw_instance, dims=dims),
                        functools.partial(_verify_stack, l_values=l_values))
     violations = sum(bool(rep.violation or any(c.violation for c in rep.f_checks)) for rep in reports)

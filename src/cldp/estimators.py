@@ -26,6 +26,7 @@ from .channels import (
     make_kernel,
     release_array,
 )
+from .rules import INT, POSITIVE, POSITIVE_FINITE, at_least, check_fields, checked, each, rule
 
 __all__ = [
     "MomentProfile",
@@ -55,15 +56,12 @@ class RegimeError(ValueError):
 class MomentProfile:
     """Finite-moment orders k_j > 1 per component, with sum 1/k_j < 1."""
 
-    ks: tuple[float, ...]
+    ks: tuple[float, ...] = rule(each(POSITIVE))
 
-    def __init__(self, ks: Sequence[float]):
-        ks = tuple(float(k) for k in ks)
-        if any(k <= 1 for k in ks):
-            raise ValueError("every k_j must exceed 1")
-        if sum(1.0 / k for k in ks) >= 1.0:
-            raise ValueError("sum of 1/k_j must be < 1")
-        object.__setattr__(self, "ks", ks)
+    def __post_init__(self):
+        check_fields(self)
+        if sum(1.0 / k for k in self.ks) >= 1.0:  # for positive orders, every k_j > 1 follows
+            raise ValueError(f"sum of 1/k_j must be < 1, so every k_j must exceed 1, got {self.ks!r}")
 
     @property
     def d(self) -> int:
@@ -72,14 +70,10 @@ class MomentProfile:
 
 @dataclass(frozen=True)
 class HolderClass:
-    beta: float
-    d: int = 1
+    beta: float = rule(POSITIVE_FINITE)
+    d: int = rule(INT, at_least(1), default=1)
 
-    def __post_init__(self):
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +130,7 @@ def optimal_truncations(
     mode="mean":  T_j = (n alpha_j^2)^(1/(2 k_j))   (per-component mean estimation)
     mode="joint": T_j = (n prod_l alpha_l^2)^(1/(2 k_j))
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    checked("n", n, [at_least(1)])
     if budget.d != profile.d:
         raise ValueError("budget dimension does not match profile")
     if mode == "mean":
@@ -271,8 +264,7 @@ class BandwidthChoice:
 
 def _bandwidth_regime(hc: HolderClass, budget: PrivacyBudget, n: int) -> str:
     """The regime: "nonprivate" for a common level alpha at or above n^(1/(2(2 beta + d))), else "private"."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    checked("n", n, [at_least(1)])
     if budget.d != hc.d:
         raise ValueError("budget dimension does not match class")
     alphas = np.asarray(budget.alphas)

@@ -67,6 +67,7 @@ from .estimators import (
 from .estimators import (  # noqa: F401  (perfbench/tracing.py wraps them at these names)
     private_covariance_correlation, private_joint_moment, private_kde, private_mean, release_sample,
 )
+from .rules import INT, INTS, at_least, check_fields, each, one_of, rule
 from .simdata import HolderDensityModel, ParetoFactorModel, model_from_json, sample_heavy_tailed, sample_holder_density
 
 __all__ = [
@@ -86,63 +87,6 @@ __all__ = [
     "ZeroNoiseRng",
     "derive_rng",
 ]
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    mode: str
-    n_grid: tuple[int, ...]
-    alphas: tuple[float, ...]
-    replications: int
-    seed: int
-    model: dict
-    options: dict = field(default_factory=dict)
-    out: Optional[str] = None
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if len(self.n_grid) == 0:
-            raise ValueError("empty n grid")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if min(self.n_grid) < 1:
-            raise ValueError(f"n grid entries must be >= 1, got {self.n_grid!r}")
-        MODES[self.mode].check_model(model_from_json(self.model), PrivacyBudget(self.alphas))
-        self.grid()  # a malformed option raises here; a grid point outside the regime is a warning row
-
-    def grid(self) -> list:
-        """Per grid point, its effective sample size before log deflation, or the
-        RegimeError that makes it a warning row of the run, outside the fit."""
-        mode, budget = MODES[self.mode], PrivacyBudget(self.alphas)
-        plan = []
-        for n in self.n_grid:
-            try:
-                mode.channels(n, budget, self.options)  # the regime check
-                plan.append(mode.n_eff(n, budget, self.options))
-            except RegimeError as exc:
-                plan.append(exc)
-        return plan
-
-    def validate_for_slope(self):
-        """Invariants demanded of slope experiments (enforced at the CLI)."""
-        if self.replications < 30:
-            raise ValueError("slope experiments need replications >= 30")
-        if len(self.n_grid) < 4:
-            raise ValueError("slope experiments need >= 4 grid points")
-        # the fitted points' undeflated effective sizes: the log-corrected
-        # adaptive axes compress decades, and feasible sweeps must remain admissible
-        effs = [n_eff for n_eff in self.grid() if not isinstance(n_eff, RegimeError)]
-        if not effs or max(effs) < 100.0 * min(effs):
-            raise ValueError("n grid must span >= 2 decades of effective sample size")
-
-    def to_json(self) -> dict:
-        return {key: value for key, value in asdict(self).items() if key != "out"}
 
 
 @dataclass(frozen=True)
@@ -420,6 +364,52 @@ MODES = {
         level_sums=ad._diagonal_sums,
     ),
 }
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    mode: str = rule(one_of(*MODES))
+    n_grid: tuple[int, ...] = rule(INTS, each(at_least(1), nonempty=True), name="n grid entries")
+    alphas: tuple[float, ...]
+    replications: int = rule(INT, at_least(1))
+    seed: int = rule(INT, at_least(0))
+    model: dict
+    options: dict = field(default_factory=dict)
+    out: Optional[str] = None
+    workers: int = rule(INT, at_least(1), default=1)
+
+    def __post_init__(self):
+        check_fields(self)
+        MODES[self.mode].check_model(model_from_json(self.model), PrivacyBudget(self.alphas))
+        self.grid()  # a malformed option raises here; a grid point outside the regime is a warning row
+
+    def grid(self) -> list:
+        """Per grid point, its effective sample size before log deflation, or the
+        RegimeError that makes it a warning row of the run, outside the fit."""
+        mode, budget = MODES[self.mode], PrivacyBudget(self.alphas)
+        plan = []
+        for n in self.n_grid:
+            try:
+                mode.channels(n, budget, self.options)  # the regime check
+                plan.append(mode.n_eff(n, budget, self.options))
+            except RegimeError as exc:
+                plan.append(exc)
+        return plan
+
+    def validate_for_slope(self):
+        """Invariants demanded of slope experiments (enforced at the CLI)."""
+        if self.replications < 30:
+            raise ValueError("slope experiments need replications >= 30")
+        if len(self.n_grid) < 4:
+            raise ValueError("slope experiments need >= 4 grid points")
+        # the fitted points' undeflated effective sizes: the log-corrected
+        # adaptive axes compress decades, and feasible sweeps must remain admissible
+        effs = [n_eff for n_eff in self.grid() if not isinstance(n_eff, RegimeError)]
+        if not effs or max(effs) < 100.0 * min(effs):
+            raise ValueError("n grid must span >= 2 decades of effective sample size")
+
+    def to_json(self) -> dict:
+        return {key: value for key, value in asdict(self).items() if key != "out"}
 
 
 def run_mode(mode: Mode, model, n: int, budget: PrivacyBudget, options: dict, rng):

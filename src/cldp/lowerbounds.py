@@ -20,6 +20,7 @@ from .channels import PrivacyBudget, make_rr_channel
 from .contraction import tensorized_bound
 from .estimators import HolderClass, MomentProfile
 from .measures import DiscreteDist, divergence, pushforward, tv_distance
+from .rules import POSITIVE_FINITE, checked
 
 __all__ = [
     "MomentInstance",
@@ -152,8 +153,7 @@ def density_two_point(
     """
     if not (0.0 < eps0 < 2.0):
         raise ValueError("eps0 must lie in (0, 2)")
-    if not (c_k > 0 and math.isfinite(c_k)):
-        raise ValueError(f"c_k must be positive and finite, got {c_k!r}")
+    checked("c_k", c_k, [POSITIVE_FINITE])
     d = hc.d
     if budget.d != d:
         raise ValueError("budget dimension does not match class")

@@ -6,6 +6,9 @@ from box-truncated mixtures with exact evaluators.  Ground truths (gamma,
 covariance, correlation, pi(x0)) are closed-form and cached on the model, so
 MSE experiments always score against a stable target.
 
+Each model field declares its rules (``cldp.rules``): its type as the CLI
+parses it, then its range; the model then checks what ties fields together.
+
 Sampling is deterministic given (seed, n): generators consume an explicit RNG
 stream and nothing else, in this order.  Mixture coupling: with rho > 0 n shared
 values, then per axis n own values and, with rho > 0, n uniforms U (U < rho takes
@@ -25,10 +28,14 @@ import functools
 import itertools
 import json
 import math
-import operator
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .rules import (
+    BOOL, CLOSED_UNIT, FLOAT, FLOATS, INT, NONNEGATIVE, POSITIVE_FINITE, at_least, check_fields, check_keys, checked,
+    each, one_of, rule,
+)
 
 __all__ = [
     "ParetoFactorModel",
@@ -38,39 +45,6 @@ __all__ = [
     "sample_holder_density",
     "model_from_json",
 ]
-
-
-def _finite(value) -> float:
-    if not math.isfinite(value := float(value)):
-        raise ValueError
-    return value
-
-
-def _as_bool(value) -> bool:
-    if value not in (0, 1):  # True and False included
-        raise ValueError
-    return bool(value)
-
-
-# annotation -> (coercion, raising TypeError or ValueError on a bad value; what it takes)
-_COERCE = {
-    "tuple[float, ...]": (lambda value: tuple(map(_finite, value)), "a list of finite numbers"),
-    "float": (_finite, "a finite number"),
-    "int": (operator.index, "an integer"),
-    "str": (str, "a string"),
-    "bool": (_as_bool, "a boolean"),
-}
-
-
-def _coerce_fields(model) -> None:
-    """Set each field of a frozen model to its annotated type; a ValueError names the field."""
-    for f in fields(model):
-        coerce, what = _COERCE[f.type]
-        value = getattr(model, f.name)
-        try:
-            object.__setattr__(model, f.name, coerce(value))
-        except (TypeError, ValueError):
-            raise ValueError(f"{f.name} must be {what}, got {value!r}") from None
 
 
 def _to_json(model) -> dict:
@@ -106,30 +80,20 @@ class ParetoFactorModel:
     ``scale`` multiplies all components.
     """
 
-    ks: tuple[float, ...]
-    a: tuple[float, ...]
-    rho: float = 0.0
-    scale: float = 1.0
-    coupling: str = "mixture"
-    symmetric: bool = True
+    ks: tuple[float, ...] = rule(FLOATS, each(POSITIVE_FINITE), name="moment orders")
+    a: tuple[float, ...] = rule(FLOATS)
+    rho: float = rule(FLOAT, CLOSED_UNIT, default=0.0)
+    scale: float = rule(FLOAT, POSITIVE_FINITE, default=1.0)
+    coupling: str = rule(one_of("mixture", "power"), default="mixture")
+    symmetric: bool = rule(BOOL, default=True)
 
     def __post_init__(self):
-        _coerce_fields(self)
-        if not self.ks:
-            raise ValueError("need at least one component")
-        if len(self.a) != len(self.ks):
-            raise ValueError("need one tail index per component")
-        if any(k <= 0 for k in self.ks):
-            raise ValueError("moment orders must be positive")
+        check_fields(self)
+        if not len(self.a) == len(self.ks) >= 1:
+            raise ValueError("need at least one component and one tail index per component")
         for aj, kj in zip(self.a, self.ks):
             if aj <= kj:
                 raise ValueError(f"tail index {aj} must exceed moment order {kj}")
-        if not (0.0 <= self.rho <= 1.0):
-            raise ValueError("rho must lie in [0, 1]")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if self.coupling not in ("mixture", "power"):
-            raise ValueError(f"unknown coupling {self.coupling!r}")
         if self.coupling == "power" and sum(1.0 / x for x in self.a) >= 1.0:
             raise ValueError("power coupling needs sum 1/a_j < 1 for a finite product moment")
 
@@ -228,8 +192,7 @@ def _keep_else(col: np.ndarray, keep: np.ndarray, w: np.ndarray) -> None:
 
 def sample_heavy_tailed(model: ParetoFactorModel, n: int, rng) -> np.ndarray:
     """(n, d) iid rows from the shared-factor Pareto model."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    checked("n", n, [at_least(1)])
     X = np.empty((n, model.d))
     if model.coupling == "power":
         u = rng.random(n)  # U = u^-1 ~ Pareto(1)
@@ -269,37 +232,23 @@ class HolderDensityModel:
     faster than the beta=1 rate.  beta in {2, 3} uses Gaussian mixtures.
     """
 
-    beta: float
-    d: int = 1
-    box: float = 3.0
+    beta: float = rule(FLOAT, one_of(1.0, 2.0, 3.0), name="smoothness order beta")
+    d: int = rule(INT, at_least(1), default=1)
+    box: float = rule(FLOAT, POSITIVE_FINITE, default=3.0)
     # Gaussian mixture parameters (beta 2 or 3)
-    weights: tuple[float, ...] = (0.6, 0.4)
-    mus: tuple[float, ...] = (0.0, 0.8)
-    sigmas: tuple[float, ...] = (0.55, 1.1)
+    weights: tuple[float, ...] = rule(FLOATS, each(NONNEGATIVE), default=(0.6, 0.4))
+    mus: tuple[float, ...] = rule(FLOATS, default=(0.0, 0.8))
+    sigmas: tuple[float, ...] = rule(FLOATS, each(POSITIVE_FINITE), default=(0.55, 1.1))
     # kink parameters (beta 1): peak weight and its scale
-    kink_b: float = 0.6
-    kink_weight: float = 0.7
+    kink_b: float = rule(FLOAT, POSITIVE_FINITE, default=0.6)
+    kink_weight: float = rule(FLOAT, CLOSED_UNIT, default=0.7)
 
     def __post_init__(self):
-        _coerce_fields(self)
-        if self.beta not in (1.0, 2.0, 3.0):
-            raise ValueError("supported smoothness orders: 1, 2, 3")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.box <= 0:
-            raise ValueError("box must be positive")
+        check_fields(self)
         if not (len(self.weights) == len(self.mus) == len(self.sigmas)):
             raise ValueError("need one mean and one scale per weight")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("mixture weights must be nonnegative")
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
-        if any(s <= 0 for s in self.sigmas):
-            raise ValueError("sigmas must be positive")
-        if self.kink_b <= 0:
-            raise ValueError("kink_b must be positive")
-        if not (0.0 <= self.kink_weight <= 1.0):
-            raise ValueError("kink_weight must lie in [0, 1]")
 
     to_json = _to_json
 
@@ -374,8 +323,7 @@ class HolderDensityModel:
 
 def sample_holder_density(model: HolderDensityModel, n: int, rng) -> np.ndarray:
     """(n, d) iid rows from the truncated product density."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    checked("n", n, [at_least(1)])
     return np.stack([model._sample_axis(n, rng) for _ in range(model.d)], axis=1)
 
 
@@ -391,11 +339,5 @@ def model_from_json(obj):
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     cls, spec = MODEL_KINDS[kind], {key: value for key, value in obj.items() if key != "kind"}
-    fs = fields(cls)
-    unknown = sorted(spec.keys() - {f.name for f in fs})
-    missing = [f.name for f in fs if f.name not in spec and f.default is MISSING]
-    problems = [f"{what} key(s) {', '.join(map(repr, ks))}"
-                for what, ks in (("unknown", unknown), ("missing", missing)) if ks]
-    if problems:
-        raise ValueError(f"{kind} model: {'; '.join(problems)}")
+    check_keys(f"{kind} model", spec, {f.name: f for f in fields(cls)})
     return cls(**spec)

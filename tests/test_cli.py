@@ -435,6 +435,20 @@ class TestRatesCommand:
         assert main(["rates", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("n_grid=0,256,1024,65536", "n grid entries must be nonempty, >= 1, got (0, 256, 1024,"),
+        ("replications=0", "replications must be >= 1, got 0"),
+    ])
+    def test_field_rule_exit_config(self, tmp_path, capsys, line, message, monkeypatch):
+        # ExperimentConfig's own field rules stop the run at the boundary
+        monkeypatch.setattr("cldp.cli.run_rate_experiment", lambda exp: pytest.fail("the run started"))
+        base = {"mode": "mean", "n_grid": "256,1024,4096,65536", "alphas": "1", "ks": "4", "a": "5",
+                "replications": "30"}
+        key, value = line.split("=")
+        cfg = write(tmp_path / "cfg.txt", "".join(f"{k}={v}\n" for k, v in {**base, key: value}.items()))
+        assert main(["rates", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestWorkers:
     RATES = "mode=mean\nn_grid=256,1024,4096,65536\nalphas=1\nks=4\na=5\nreplications=30\n"
