@@ -511,7 +511,8 @@ def make_rr_channel(input_support: Sequence[float], alpha: float) -> RandomizedR
     m = len(input_support)
     if m < 2:
         raise ValueError("randomized response needs at least 2 symbols")
-    checked("alpha", alpha, [NONNEGATIVE])
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha!r}")
     stay = math.exp(alpha) / (math.exp(alpha) + m - 1)
     off = 1.0 / (math.exp(alpha) + m - 1)
     table = np.full((m, m), off)

@@ -35,7 +35,7 @@ from .measures import (
     DiscreteDist, SubsetIndex, checked_probs, finite_axes, fl_term, kl_term, nonempty_subsets, push_axes, stack_rows,
 )
 from .measures import pushforward  # noqa: F401  (perfbench/tracing.py wraps it at this name)
-from .rules import INT, INTS, at_least, check_fields, checked, each, rule
+from .rules import INT, INTS, at_least, check_fields, each, rule
 
 __all__ = [
     "MarginalTVTable",
@@ -148,7 +148,8 @@ def tensorized_bound(per_sample_terms, n: int) -> float:
     ``per_sample_terms`` is either a single inner-sum value (iid case: the
     result is n times its square) or one value per sample.
     """
-    checked("n", n, [at_least(1)])
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if np.isscalar(per_sample_terms):
         return n * float(per_sample_terms) ** 2
     terms = [float(t) for t in per_sample_terms]

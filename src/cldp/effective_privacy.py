@@ -30,7 +30,6 @@ import numpy as np
 from .channels import audit_verdict
 from .contraction import Sweep, rr_sweep
 from .measures import DiscreteDist, finite_axes, push_axes, stack_rows, support_index
-from .rules import NONNEGATIVE, at_least, checked
 
 __all__ = [
     "LeakageProfile",
@@ -70,16 +69,18 @@ def delta_ind(P: DiscreteDist) -> float:
 
 def effective_level(alpha1: float, alpha_max: float, d: int, delta: float) -> LeakageProfile:
     """Exponent alpha_1 + alpha_max (d-1) Delta_ind bounding leakage about X^1."""
-    checked("alpha1", alpha1, [NONNEGATIVE])
-    checked("alpha_max", alpha_max, [NONNEGATIVE])
-    checked("d", d, [at_least(1)])
+    if alpha1 < 0 or alpha_max < 0:
+        raise ValueError("privacy levels must be nonnegative")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     eff = alpha1 + alpha_max * (d - 1) * delta
     return LeakageProfile(alpha1, alpha_max, d, delta, eff)
 
 
 def misprediction_floor(alpha: float) -> float:
     """Minimal average error of any binary test on an alpha-private view: 1/(1+e^a)."""
-    checked("alpha", alpha, [NONNEGATIVE])
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
     return 1.0 / (1.0 + math.exp(alpha))
 
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .rules import (
-    BOOL, CLOSED_UNIT, FLOAT, FLOATS, INT, NONNEGATIVE, POSITIVE_FINITE, at_least, check_fields, check_keys, checked,
-    each, one_of, rule,
+    BOOL, CLOSED_UNIT, FLOAT, FLOATS, INT, NONNEGATIVE, POSITIVE_FINITE, at_least, check_fields, check_keys, each,
+    one_of, rule,
 )
 
 __all__ = [
@@ -192,7 +192,8 @@ def _keep_else(col: np.ndarray, keep: np.ndarray, w: np.ndarray) -> None:
 
 def sample_heavy_tailed(model: ParetoFactorModel, n: int, rng) -> np.ndarray:
     """(n, d) iid rows from the shared-factor Pareto model."""
-    checked("n", n, [at_least(1)])
+    if n < 1:
+        raise ValueError("n must be >= 1")
     X = np.empty((n, model.d))
     if model.coupling == "power":
         u = rng.random(n)  # U = u^-1 ~ Pareto(1)
@@ -323,7 +324,8 @@ class HolderDensityModel:
 
 def sample_holder_density(model: HolderDensityModel, n: int, rng) -> np.ndarray:
     """(n, d) iid rows from the truncated product density."""
-    checked("n", n, [at_least(1)])
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return np.stack([model._sample_axis(n, rng) for _ in range(model.d)], axis=1)
 
 
